@@ -1,11 +1,27 @@
 """Line geometry in RP^3: transversals to four lines, counted exactly.
 
-A line is a point on the Klein quadric in RP^5 via its Pluecker coordinates.
-The lines meeting four given lines correspond to the intersection of four
-hyperplanes (one per pairing condition) with the quadric: generically the
-hyperplanes cut out a projective line, and restricting the quadric to it
-leaves a binary quadratic whose real roots are the transversals — 0 or 2 of
-them, with tangent/degenerate configurations flagged instead of counted.
+A line is a point on the Klein quadric in RP^5 via its Pluecker coordinates,
+and two lines meet exactly when the polar pairing of their coordinates
+vanishes.  The lines meeting four given lines p_0..p_3 are the points of the
+quadric in the polar complement of W = span(p_i).  The polar form has
+signature (3, 3), so that complement is a plane of signature (1, 1), which
+holds two real transversals, exactly when W has signature (2, 2); when W has
+signature (3, 1) or (1, 3) the complement is definite and holds none.  The
+sign of the determinant of the Gram matrix M, m_ij = polar(p_i, p_j), tells
+the cases apart.  M is hollow because every p_i lies on the quadric, so
+
+    det M = x^2 + y^2 + z^2 - 2(xy + yz + zx),
+    x = m01 m23,   y = m02 m13,   z = m03 m12,
+
+and there are 2 real transversals when det M > 0 and none when det M < 0.
+
+A configuration is *degenerate* when |det M| <= tau * max(|x|, |y|, |z|)^2,
+with tau = ``_DEGENERATE_TOL``.  The test is unchanged by rescaling any p_i.
+It catches four lines of one regulus (linearly dependent Pluecker vectors),
+a repeated line and tangency (the two transversals coincide), since each
+makes det M vanish.  A degenerate configuration gets count 0; the Monte
+Carlo estimators leave such a draw out of the mean and report it in
+``degenerate_count``.
 
 This gives an enumerative ground truth for the expected-degree machinery:
 averaging the count over uniform 4-tuples of lines is an independent Monte
@@ -34,8 +50,10 @@ __all__ = [
 
 # index pairs (i, j), i < j, giving the minor order (p01, p02, p03, p12, p13, p23)
 _MINOR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_RANK_TOL = 1e-10  # kernel extraction threshold relative to sigma_max
 _QUADRIC_TOL = 1e-10
+_DEGENERATE_TOL = 1e-12  # tau of the degeneracy test in the module docstring
+# Working memory of one sub-batch of a rig chunk; see _rig_rows.
+_RIG_BATCH_BYTES = 16 * 2**20
 
 
 def _quadric(x):
@@ -125,55 +143,94 @@ def meet_pairing(p, q):
     return float(_polar(_as_vector(p), _as_vector(q)))
 
 
-def _count_batch(pluckers, tol=1e-12):
-    """Transversal counts for batches of four lines.
+def _count_from_pairings(x, y, z):
+    """Transversal counts from x, y, z = m01 m23, m02 m13, m03 m12.
 
-    pluckers: (..., 4, 6) unit vectors.  Returns (counts, degenerate) with
-    counts in {0, 2}; tangencies and rank-deficient systems set degenerate.
+    x, y, z share one shape.  Returns (counts, degenerate) of that shape,
+    counts in {0, 2}; degenerate configurations count 0.
     """
-    # pairing hyperplane rows: w(p) . q = polar(p, q)
-    rows = pluckers[..., [5, 4, 3, 2, 1, 0]].copy()
-    rows[..., 1] *= -1.0
-    rows[..., 4] *= -1.0
-    _, sv, vh = np.linalg.svd(rows, full_matrices=True)
-    degenerate = sv[..., 3] <= _RANK_TOL * sv[..., 0]
-    u = vh[..., 4, :]
-    v = vh[..., 5, :]
-    a = _quadric(u)
-    b = _polar(u, v)
-    c = _quadric(v)
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
-    degenerate |= scale < tol
-    disc = b * b - 4.0 * a * c
-    degenerate |= np.abs(disc) < tol * scale * scale
-    counts = np.where(disc > 0.0, 2, 0).astype(np.int64)
+    det = (x - y) ** 2 + z * (z - 2.0 * (x + y))
+    scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), np.abs(z))
+    degenerate = np.abs(det) <= _DEGENERATE_TOL * scale * scale
+    counts = np.where(det > 0.0, 2, 0)
     counts[degenerate] = 0
     return counts, degenerate
 
 
-def transversals_of_four(l1, l2, l3, l4, tol=1e-12):
+def _count_batch(pluckers):
+    """Transversal counts for batches of four lines: (..., 4, 6) unit vectors."""
+
+    def m(i, j):
+        return _polar(pluckers[..., i, :], pluckers[..., j, :])
+
+    return _count_from_pairings(m(0, 1) * m(2, 3), m(0, 2) * m(1, 3),
+                                m(0, 3) * m(1, 2))
+
+
+def transversals_of_four(l1, l2, l3, l4):
     """Count the real lines meeting all four given lines."""
     stack = np.stack([_as_vector(l) for l in (l1, l2, l3, l4)])
-    counts, degenerate = _count_batch(stack[None, :, :], tol=tol)
+    # the closed form takes M to be hollow, which holds for lines only
+    if np.any(np.abs(_quadric(stack)) > _QUADRIC_TOL):
+        raise ValueError("a 6-vector off the Klein quadric is not a line")
+    counts, degenerate = _count_batch(stack[None, :, :])
     return TransversalCount(count=int(counts[0]), degenerate=bool(degenerate[0]))
 
 
-def edeg24_transversal_mc(rng, samples, workers=1):
-    """Mean transversal count over i.i.d. uniform 4-tuples of lines.
+def _random_lines(gen, shape):
+    """Unit Pluecker vectors of uniform random lines: an array shape + (6,).
 
-    Lines are spans of 4x2 Gaussian matrices — the same law as orthonormal
-    frames from QR, since the minors of a basis differ from the frame's only
-    by the positive factor det R, which normalization removes.
+    Lines are spans of 4x2 Gaussian matrices, the same law as orthonormal
+    frames from QR: the minors of a basis differ from the frame's only by the
+    positive factor det R, which normalization removes.
     """
+    pl = _minors_of_basis(gen.standard_normal(shape + (4, 2)))
+    pl /= np.linalg.norm(pl, axis=-1, keepdims=True)
+    return pl
+
+
+def edeg24_transversal_mc(rng, samples, workers=1):
+    """Mean transversal count over i.i.d. uniform 4-tuples of lines."""
 
     def kernel(gen, count):
-        mats = gen.standard_normal((count, 4, 4, 2))
-        pl = _minors_of_basis(mats)
-        pl /= np.linalg.norm(pl, axis=-1, keepdims=True)
-        counts, degenerate = _count_batch(pl)
+        counts, degenerate = _count_batch(_random_lines(gen, (count, 4)))
         return counts[~degenerate].astype(float), int(degenerate.sum())
 
     return run_kernel(kernel, rng, samples, workers=workers, method="transversal-mc")
+
+
+def _pick_counts(pl, r):
+    """Counts of every pick of one line from each of four unions.
+
+    pl: (n, sum(r), 6) unit vectors, union g in rows sum(r[:g]) onward.
+    Returns (counts, degenerate), each of shape (n, r_0, r_1, r_2, r_3).  The
+    pairings between two unions are computed once as a block B_gh of shape
+    (n, r_g, r_h), so each pick costs only products of these numbers.
+    """
+    ends = np.cumsum(r)
+    unions = np.split(pl, ends[:-1], axis=1)
+    b01, b02, b03, b12, b13, b23 = (
+        _polar(unions[g][:, :, None, :], unions[h][:, None, :, :])
+        for g, h in itertools.combinations(range(4), 2)
+    )
+    # pick axes: (n, i0, i1, i2, i3)
+    x = b01[:, :, :, None, None] * b23[:, None, None, :, :]
+    y = b02[:, :, None, :, None] * b13[:, None, :, None, :]
+    z = b03[:, :, None, None, :] * b12[:, None, :, :, None]
+    return _count_from_pairings(x, y, z)
+
+
+def _rig_rows(r):
+    """Rows of a rig chunk drawn and counted together in _RIG_BATCH_BYTES.
+
+    A row peaks at about 17 doubles per line while its lines are drawn
+    (basis, minors and temporaries), and at 6 per line plus about 12 per pick
+    while its picks are counted.  Depends on r only, so the draws are the
+    same for every worker count.
+    """
+    lines, picks = sum(r), math.prod(r)
+    row_bytes = 8 * max(17 * lines, 6 * lines + 12 * picks)
+    return max(1, _RIG_BATCH_BYTES // row_bytes)
 
 
 def rig_union_of_lines_mc(r, rng, samples, workers=1):
@@ -182,27 +239,28 @@ def rig_union_of_lines_mc(r, rng, samples, workers=1):
     Per sample draws r_1 + r_2 + r_3 + r_4 independent uniform lines and sums
     the transversal counts over all r_1 r_2 r_3 r_4 ways of picking one line
     from each union.  A degenerate pick marks the whole sample degenerate.
+
+    A chunk is drawn and counted in sub-batches of ``_rig_rows(r)`` rows, so
+    its memory stays near ``_RIG_BATCH_BYTES`` for any r.  Normal draws come
+    off the generator in sequence, so the sub-batches see the same numbers
+    as one draw of the whole chunk.
     """
     r = tuple(int(x) for x in r)
     if len(r) != 4 or any(x < 1 for x in r):
         raise ValueError("r must be four positive integers")
-    combos = math.prod(r)
-    if combos > 1000:
+    if math.prod(r) > 1000:
         raise ValueError("r1*r2*r3*r4 must be <= 1000")
     total_lines = sum(r)
-    offsets = np.concatenate([[0], np.cumsum(r)[:-1]])
+    rows = _rig_rows(r)
 
     def kernel(gen, count):
-        mats = gen.standard_normal((count, total_lines, 4, 2))
-        pl = _minors_of_basis(mats)
-        pl /= np.linalg.norm(pl, axis=-1, keepdims=True)
-        totals = np.zeros(count, dtype=float)
-        bad = np.zeros(count, dtype=bool)
-        for pick in itertools.product(*(range(x) for x in r)):
-            idx = [int(offsets[g] + pick[g]) for g in range(4)]
-            counts, degenerate = _count_batch(pl[:, idx, :])
-            totals += counts
-            bad |= degenerate
+        totals = np.empty(count, dtype=float)
+        bad = np.empty(count, dtype=bool)
+        for start in range(0, count, rows):
+            n = min(rows, count - start)
+            counts, degenerate = _pick_counts(_random_lines(gen, (n, total_lines)), r)
+            totals[start:start + n] = counts.reshape(n, -1).sum(axis=1)
+            bad[start:start + n] = degenerate.reshape(n, -1).any(axis=1)
         return totals[~bad], int(bad.sum())
 
     return run_kernel(kernel, rng, samples, workers=workers, method="rig-mc")

@@ -1,19 +1,27 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grassdeg import incidence
 from grassdeg.geomlin import Frame, RngStream, principal_angles, sample_uniform_subspace
 from grassdeg.incidence import (
     PluckerLine,
     TransversalCount,
+    _count_batch,
+    _pick_counts,
+    _polar,
+    _quadric,
+    _random_lines,
     edeg24_transversal_mc,
     meet_pairing,
     plucker_of,
     rig_union_of_lines_mc,
     transversals_of_four,
 )
+from grassdeg.mc import CHUNK
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -33,6 +41,41 @@ def b_plucker(c, d):
     return np.array([0.0, c * c, c * d, c * d, d * d, 0.0])
 
 
+def svd_count_batch(pluckers, tol=1e-12):
+    """The earlier count, kept as the oracle of the determinant test.
+
+    Extracts the 2-dimensional kernel of the four pairing hyperplanes by SVD
+    and counts the real roots of the quadric restricted to it.  pluckers:
+    (..., 4, 6) unit vectors.  Returns (counts, degenerate) with counts in
+    {0, 2}; tangencies and rank-deficient systems set degenerate.
+    """
+    rank_tol = 1e-10  # kernel extraction threshold relative to sigma_max
+    # pairing hyperplane rows: w(p) . q = polar(p, q)
+    rows = pluckers[..., [5, 4, 3, 2, 1, 0]].copy()
+    rows[..., 1] *= -1.0
+    rows[..., 4] *= -1.0
+    _, sv, vh = np.linalg.svd(rows, full_matrices=True)
+    degenerate = sv[..., 3] <= rank_tol * sv[..., 0]
+    u = vh[..., 4, :]
+    v = vh[..., 5, :]
+    a = _quadric(u)
+    b = _polar(u, v)
+    c = _quadric(v)
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+    degenerate |= scale < tol
+    disc = b * b - 4.0 * a * c
+    degenerate |= np.abs(disc) < tol * scale * scale
+    counts = np.where(disc > 0.0, 2, 0).astype(np.int64)
+    counts[degenerate] = 0
+    return counts, degenerate
+
+
+def oracle_of_four(*lines):
+    stack = np.stack([line.p for line in lines])
+    counts, degenerate = svd_count_batch(stack[None, :, :])
+    return TransversalCount(count=int(counts[0]), degenerate=bool(degenerate[0]))
+
+
 # ----------------------------------------------------------- basic types
 
 
@@ -43,6 +86,9 @@ def test_plucker_line_validation():
         PluckerLine(p=np.array([1.0, 0, 0, 0, 0, 1.0]) / math.sqrt(2.0))  # off quadric
     good = PluckerLine(p=np.array([1.0, 0, 0, 0, 0, 0.0]))
     assert good.p.shape == (6,)
+    # the closed-form count holds only for points of the quadric
+    with pytest.raises(ValueError):
+        transversals_of_four(good, good, good, np.array([1.0, 0, 0, 0, 0, 1.0]))
 
 
 def test_transversal_count_range():
@@ -118,14 +164,17 @@ def test_four_lines_of_one_ruling_are_degenerate():
     res = transversals_of_four(*lines)
     assert res.degenerate
     assert res.count == 0
+    assert oracle_of_four(*lines) == res
 
 
 def test_repeated_line_is_degenerate():
     M = RngStream(52, 0).standard_normal((4, 2))
     others = [RngStream(52, i).standard_normal((4, 2)) for i in (1, 2, 3)]
-    res = transversals_of_four(plucker_of(M), plucker_of(M),
-                               plucker_of(others[0]), plucker_of(others[1]))
+    lines = [plucker_of(M), plucker_of(M), plucker_of(others[0]),
+             plucker_of(others[1])]
+    res = transversals_of_four(*lines)
     assert res.degenerate
+    assert oracle_of_four(*lines) == res
 
 
 def _ruling_scan_count(target, grid=4096):
@@ -159,6 +208,44 @@ def test_transversal_count_matches_ruling_scan():
     assert hits[2] > 10
 
 
+def _tangent_setup(theta=0.4, phi=1.3):
+    """A point P = family_a(a, b) meet family_b(c, d) of the surface xw = yz,
+    a direction D tangent to the surface at P along neither ruling, and the
+    surface normal N at P."""
+    a, b, c, d = math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
+    P = np.array([a * c, a * d, b * c, b * d])
+    along_a = np.array([-a * d, a * c, -b * d, b * c])  # family_a(a, b) at P
+    along_b = np.array([-b * c, -b * d, a * c, a * d])  # family_b(c, d) at P
+    D = along_a + along_b
+    N = np.array([P[3], -P[2], -P[1], P[0]])  # gradient of xw - yz
+    return P, D, N
+
+
+def test_tangent_line_is_degenerate_and_its_tilts_split():
+    a_lines = [plucker_of(family_a(1.0, 0.0)),
+               plucker_of(family_a(0.0, 1.0)),
+               plucker_of(family_a(math.cos(0.9), math.sin(0.9)))]
+    P, D, N = _tangent_setup()
+    assert abs(P[0] * P[3] - P[1] * P[2]) < 1e-15  # P on the surface
+    assert abs(N @ D) < 1e-15  # D in the tangent plane at P
+    tangent = plucker_of(np.column_stack([P, D]))
+    res = transversals_of_four(*a_lines, tangent)
+    assert res.degenerate
+    assert oracle_of_four(*a_lines, tangent).degenerate
+    # moving the line off the tangent plane by +-delta makes it cross the
+    # surface twice or miss it
+    delta = 1e-3
+    seen = set()
+    for sign in (1.0, -1.0):
+        tilted = plucker_of(np.column_stack([P + sign * delta * N, D]))
+        res = transversals_of_four(*a_lines, tilted)
+        assert not res.degenerate
+        assert res.count == _ruling_scan_count(tilted.p)
+        assert oracle_of_four(*a_lines, tilted) == res
+        seen.add(res.count)
+    assert seen == {0, 2}
+
+
 def test_counts_are_rigid_motion_and_relabeling_invariant():
     rng = RngStream(53, 0)
     Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
@@ -174,6 +261,36 @@ def test_counts_are_rigid_motion_and_relabeling_invariant():
         assert again.degenerate == base.degenerate
 
 
+# ------------------------------------------- the closed form vs its oracle
+
+
+def test_counts_match_svd_oracle_on_gaussian_draws():
+    # the draws of the first two chunks of edeg24_transversal_mc(RngStream(57, 0))
+    rng = RngStream(57, 0)
+    for index in range(2):
+        pl = _random_lines(rng.substream(index).generator, (CHUNK, 4))
+        counts, degenerate = _count_batch(pl)
+        want_counts, want_degenerate = svd_count_batch(pl)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(degenerate, want_degenerate)
+        assert set(np.unique(counts)) == {0, 2}
+
+
+def test_rig_pick_counts_match_svd_oracle():
+    # every pick of the first chunk of rig_union_of_lines_mc((16, 4, 1, 1), ...)
+    r = (16, 4, 1, 1)
+    pl = _random_lines(RngStream(58, 0).substream(0).generator, (CHUNK, sum(r)))
+    counts, degenerate = _pick_counts(pl, r)
+    assert counts.shape == degenerate.shape == (CHUNK,) + r
+    starts = np.cumsum((0,) + r[:-1])
+    for pick in np.ndindex(*r):
+        idx = [int(s + i) for s, i in zip(starts, pick)]
+        want_counts, want_degenerate = svd_count_batch(pl[:, idx, :])
+        at = (slice(None),) + pick
+        assert np.array_equal(counts[at], want_counts), pick
+        assert np.array_equal(degenerate[at], want_degenerate), pick
+
+
 # --------------------------------------------------------------- the MC
 
 
@@ -183,6 +300,7 @@ def test_transversal_mc_reproducible_and_anchored():
     assert a == b
     assert a.degenerate_count == 0
     assert abs(a.value - 1.726231248998883) < 4.0 * a.stderr
+    assert a.value == 1.7257999999999998  # what the SVD count gave on these draws
 
 
 def test_rig_validation():
@@ -208,3 +326,31 @@ def test_rig_doubling_one_union_doubles_the_mean():
     sd = ratio * math.hypot(doubled.stderr / doubled.value,
                             base.stderr / base.value)
     assert abs(ratio - 2.0) < 4.0 * sd
+
+
+def test_rig_matches_the_svd_count_estimate():
+    est = rig_union_of_lines_mc((2, 2, 1, 1), RngStream(61, 0), 50_000)
+    # what the per-pick SVD count gave on these draws
+    assert (est.value, est.stderr) == (6.90608, 0.006490148157974689)
+    assert est.degenerate_count == 0
+
+
+def test_rig_sub_batches_do_not_change_the_estimate(monkeypatch):
+    r = (2, 2, 1, 1)
+    default = rig_union_of_lines_mc(r, RngStream(59, 0), CHUNK + 5000)
+    monkeypatch.setattr(incidence, "_RIG_BATCH_BYTES", 1000 * 8 * 17 * sum(r))
+    assert incidence._rig_rows(r) == 1000  # uneven sub-batches in both chunks
+    small = rig_union_of_lines_mc(r, RngStream(59, 0), CHUNK + 5000)
+    assert small == default
+
+
+def test_rig_chunk_memory_is_bounded():
+    r = (1000, 1, 1, 1)  # one chunk of bases alone would take 1.05 GB
+    tracemalloc.start()
+    try:
+        est = rig_union_of_lines_mc(r, RngStream(60, 0), CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.n_samples == CHUNK
+    assert peak < 1.25 * incidence._RIG_BATCH_BYTES, peak
