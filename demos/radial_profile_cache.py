@@ -13,6 +13,7 @@
 
 import json
 import math
+import os
 import tempfile
 
 import numpy as np
@@ -30,12 +31,11 @@ for t, r in zip(ts, profile.radius(ts)):
     print(f" {t:7.4f}   {r:.10f}")
 print("(the arc folds at pi/4: r(theta) = r(pi/2 - theta))")
 
-with tempfile.NamedTemporaryFile(mode="w", suffix=".json", delete=False) as fh:
-    path = fh.name
-profile.save(path)
-back = RadialProfile2.load(path)
-assert all(a == b for a, b in zip(profile.knots, back.knots)), "cache must be exact"
-
-with open(path) as fh:
-    doc = json.load(fh)
-print(f"\ncache round-trip OK: version {doc['version']}, {len(doc['knots'])} knots, {path}")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "profile.json")
+    profile.save(path)
+    back = RadialProfile2.load(path)
+    assert all(a == b for a, b in zip(profile.knots, back.knots)), "cache must be exact"
+    with open(path) as fh:
+        doc = json.load(fh)
+print(f"\ncache round-trip OK: version {doc['version']}, {len(doc['knots'])} knots")

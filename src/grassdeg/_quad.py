@@ -1,28 +1,17 @@
-"""Composite Gauss-Legendre quadrature, in direct and log scale."""
+"""Composite Gauss-Legendre quadrature in log scale."""
 
 import numpy as np
 from scipy.special import logsumexp
 
-__all__ = ["composite_gl", "composite_gl_log"]
+__all__ = ["composite_gl_log"]
 
 
-def _nodes(a, b, points, panels):
+def composite_gl_log(log_f, a, b, points=32, panels=16):
+    """log of the integral of exp(log_f) over [a, b]; integrand must be >= 0."""
     x, w = np.polynomial.legendre.leggauss(points)
     edges = np.linspace(a, b, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     halfs = 0.5 * np.diff(edges)
     nodes = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
     weights = (halfs[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
-def composite_gl(f, a, b, points=32, panels=16):
-    """Integral of a vectorized f over [a, b] by panelled Gauss-Legendre."""
-    nodes, weights = _nodes(a, b, points, panels)
-    return float(np.sum(weights * f(nodes)))
-
-
-def composite_gl_log(log_f, a, b, points=32, panels=16):
-    """log of the integral of exp(log_f) over [a, b]; integrand must be >= 0."""
-    nodes, weights = _nodes(a, b, points, panels)
     return float(logsumexp(log_f(nodes) + np.log(weights)))

@@ -239,10 +239,12 @@ def _cmd_zonoid_volume(args):
     if args.method == "quadrature":
         if args.k != 2:
             raise ValueError("quadrature volume requires k = 2")
-        value = zonoid.vol_C_quadrature(args.m, zonoid.default_profile(),
-                                        quad_points=args.quad_points)
+        log_value, log_error = zonoid.vol_C_quadrature_log(
+            args.m, zonoid.default_profile(), quad_points=args.quad_points)
+        value = log_value.exp()
         params["quad_points"] = args.quad_points
-        return [RunRecord("zonoid-volume", params, value, seed=args.seed,
+        return [RunRecord("zonoid-volume", params, value,
+                          stderr=value * log_error, seed=args.seed,
                           method="quadrature")]
     est = zonoid.vol_C_vitale_mc(args.k, args.m, RngStream(args.seed, 0),
                                  args.samples, workers=args.workers)

@@ -2,20 +2,19 @@
 
 The expected degree edeg G(k,n) is the average number of real k-planes
 meeting k(n-k) independent uniformly random (n-k)-planes.  This module
-assembles it from the volume machinery (specfun, zonoid), provides the
-dedicated quadrature for Grassmannians of lines G(2, n+1), the closed-form
-upper bound and asymptotic exponent, and a small Laplace-method evaluator
-used to validate the asymptotics at finite n.
+assembles it from the volume machinery (specfun, zonoid): one radial
+quadrature serves k = 2 and k = n-2, Grassmannians of lines G(2, n+1)
+included.  It also provides the closed-form upper bound and asymptotic
+exponent, and a small Laplace-method evaluator used to validate the
+asymptotics at finite n.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.integrate import IntegrationWarning, quad as _adaptive_quad
 
-from ._quad import composite_gl_log
 from .specfun import (
     LogValue,
     log_gamma,
@@ -23,7 +22,7 @@ from .specfun import (
     vol_grassmann_real_log,
     vol_rp_log,
 )
-from .zonoid import RadialProfile2, default_profile, vol_C_quadrature_log, vol_C_vitale_mc
+from .zonoid import default_profile, vol_C_quadrature_log, vol_C_vitale_mc
 
 __all__ = [
     "EdegResult",
@@ -39,7 +38,7 @@ __all__ = [
     "laplace_validate",
 ]
 
-_METHODS = ("quadrature", "zonoid_mc", "transversal_mc", "upper_bound", "asymptotic")
+_METHODS = ("quadrature", "zonoid_mc")
 _LOG_ONLY_ABOVE = 30  # k(n-k) beyond this: direct floats refused, LogValue returned
 
 
@@ -48,9 +47,11 @@ class EdegResult:
     """Expected degree of G(k, n), tagged with how it was computed.
 
     ``value`` is a positive float when k(n-k) <= 30 and a LogValue beyond
-    that; ``error_estimate`` is the panel-doubling difference for quadrature,
-    the standard error for Monte Carlo (relative/log-scale when the value
-    is a LogValue), and 0 by convention for bounds and asymptotics.
+    that.  ``error_estimate`` is absolute on a float value and log-scale
+    (relative) on a LogValue: value * |log I_32 - log I_16| or
+    |log I_32 - log I_16| for quadrature (the panel doubling of
+    vol_C_quadrature_log), the standard error or the relative standard
+    error for zonoid Monte Carlo.
     """
 
     k: int
@@ -85,56 +86,16 @@ def _pack_value(log_value, big):
 # ---------------------------------------------------------------------------
 
 
-def _lines_log_prefactor(n):
-    return (
-        (2 * n - 2) * math.log(math.pi)
-        + log_gamma(2.0 * n - 1.0)
-        - math.log(2.0 * n - 2.0)
-        - log_gamma(n - 2.0)
-        - log_gamma(float(n))
-    )
-
-
 def edeg_lines_quadrature(n, profile=None, quad_points=32):
     """edeg G(2, n+1) through the one-dimensional radial integral.
 
-    The closed prefactor pi^(2n-2) Gamma(2n-1) / ((2n-2) Gamma(n-2) Gamma(n))
-    multiplies the integral over [0, pi/4] of
-    (r(t)^2 cos t sin t)^(n-1) (cos^2 t - sin^2 t)/(cos t sin t)^2.
+    The lines formula is the case k = 2, m = n - 1 of
+    edeg G(2, n+1) = |G(2,n+1)| N!/2^N |C(2, n-1)|, N = 2(n-1), so this is
+    exactly edeg_general(2, n+1).
     """
     if n < 3:
-        raise ValueError("n must be >= 3 (the prefactor degenerates below)")
-    if profile is None:
-        profile = default_profile()
-    if not isinstance(profile, RadialProfile2):
-        raise TypeError("profile must be a RadialProfile2")
-
-    def log_weighted(theta):
-        c, s = np.cos(theta), np.sin(theta)
-        log_cs = np.log(c) + np.log(s)
-        return (
-            (n - 1) * (2.0 * np.log(profile.radius(theta)) + log_cs)
-            + np.log(c * c - s * s)
-            - 2.0 * log_cs
-        )
-
-    coarse = composite_gl_log(log_weighted, 0.0, math.pi / 4.0,
-                              points=quad_points, panels=16)
-    fine = composite_gl_log(log_weighted, 0.0, math.pi / 4.0,
-                            points=quad_points, panels=32)
-    log_value = _lines_log_prefactor(n) + fine
-    big = 2 * (n - 1) > _LOG_ONLY_ABOVE
-    if big:
-        error = abs(fine - coarse)
-    else:
-        error = abs(math.exp(log_value) - math.exp(_lines_log_prefactor(n) + coarse))
-    return EdegResult(
-        k=2,
-        n=n + 1,
-        value=_pack_value(log_value, big),
-        method="quadrature",
-        error_estimate=error,
-    )
+        raise ValueError("n must be >= 3 (the radial weight needs m = n-1 >= 2)")
+    return edeg_general(2, n + 1, profile=profile, quad_points=quad_points)
 
 
 def edeg_lines_asymptotic(n):
@@ -201,17 +162,9 @@ def edeg_general(
             )
         if profile is None:
             profile = default_profile()
-        log_c = vol_C_quadrature_log(m, profile, quad_points).log_magnitude
-        log_c_coarse = vol_C_quadrature_log(
-            m, profile, max(8, quad_points // 2)
-        ).log_magnitude
-        log_value = log_fixed + log_c
-        if big:
-            error = abs(log_c - log_c_coarse)
-        else:
-            error = abs(
-                math.exp(log_value) - math.exp(log_fixed + log_c_coarse)
-            )
+        log_c, log_error = vol_C_quadrature_log(m, profile, quad_points)
+        log_value = log_fixed + log_c.log_magnitude
+        error = log_error if big else math.exp(log_value) * log_error
         return EdegResult(
             k=k, n=n, value=_pack_value(log_value, big),
             method="quadrature", error_estimate=error,

@@ -17,7 +17,6 @@ __all__ = [
     "RngStream",
     "sample_gaussian_matrix",
     "sample_uniform_subspace",
-    "singular_values",
     "principal_angles",
     "wedge_norm",
     "sigma_rel",
@@ -119,60 +118,11 @@ def sample_uniform_subspace(rng, n, k):
     return Frame(q * signs)
 
 
-def singular_values(M, max_sweeps=60):
-    """Singular values of a small dense matrix, descending.
-
-    One-sided Jacobi: columns of the (tall) matrix are rotated pairwise
-    until all mutual inner products fall below 1e-14 * ||M||_F^2.  Exceeding
-    the sweep cap raises ArithmeticError; matrices up to 64x64 converge in
-    a handful of sweeps.
-    """
-    A = np.array(M, dtype=float)
-    if A.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    p, q = A.shape
-    if p > 64 or q > 64:
-        raise ValueError("toolkit targets matrices up to 64x64")
-    if p < q:
-        A = A.T
-        p, q = q, p
-    fro2 = float(np.sum(A * A))
-    if fro2 == 0.0:
-        return np.zeros(q)
-    tol = 1e-14 * fro2
-    for _ in range(max_sweeps):
-        rotated = False
-        for i in range(q - 1):
-            for j in range(i + 1, q):
-                gamma = float(A[:, i] @ A[:, j])
-                if abs(gamma) <= tol:
-                    continue
-                rotated = True
-                alpha = float(A[:, i] @ A[:, i])
-                beta = float(A[:, j] @ A[:, j])
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                ai = A[:, i].copy()
-                A[:, i] = c * ai - s * A[:, j]
-                A[:, j] = s * ai + c * A[:, j]
-        if not rotated:
-            break
-    else:
-        raise ArithmeticError(
-            "one-sided Jacobi did not converge within %d sweeps" % max_sweeps
-        )
-    sv = np.sqrt(np.sum(A * A, axis=0))
-    sv.sort()
-    return sv[::-1]
-
-
 def principal_angles(A, B):
     """Principal angles between the spans of two frames, ascending."""
     if A.n != B.n:
         raise ValueError("frames live in different ambient dimensions")
-    sv = singular_values(A.entries.T @ B.entries)
+    sv = np.linalg.svd(A.entries.T @ B.entries, compute_uv=False)
     return PrincipalAngles(np.arccos(np.clip(sv, 0.0, 1.0)))
 
 

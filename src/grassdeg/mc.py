@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._quad import composite_gl
+from ._quad import composite_gl_log
 from .geomlin import RngStream
 from .specfun import (
     log_gamma,
@@ -132,32 +132,42 @@ def _chunk_sizes(samples):
     return sizes
 
 
-def run_kernel(kernel, rng, samples, workers=1, method="mc"):
-    """Deterministic chunked Monte Carlo driver.
+def _run_chunks(fn, rng, samples, workers):
+    """``fn(generator, count)`` on every chunk, results in chunk order.
 
-    ``kernel(generator, count)`` must return ``(values, degenerate_count)``
-    where ``values`` holds the non-degenerate draws.  Chunk i always consumes
-    ``rng.substream(i)``, and chunk statistics are merged in index order, so
-    the returned Estimate does not depend on ``workers``.
+    Chunk i always consumes ``rng.substream(i)``; the pool only changes
+    scheduling, so the results do not depend on ``workers``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not isinstance(rng, RngStream):
         raise TypeError("rng must be an RngStream")
-    sizes = _chunk_sizes(samples)
 
-    def one_chunk(args):
-        index, count = args
-        values, degenerate = kernel(rng.substream(index).generator, count)
-        return StreamingStats.from_values(values), int(degenerate)
+    def one_chunk(job):
+        index, count = job
+        return fn(rng.substream(index).generator, count)
 
-    jobs = list(enumerate(sizes))
+    jobs = list(enumerate(_chunk_sizes(samples)))
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_chunk, jobs))
-    else:
-        results = [one_chunk(j) for j in jobs]
+            return list(pool.map(one_chunk, jobs))
+    return [one_chunk(j) for j in jobs]
 
+
+def run_kernel(kernel, rng, samples, workers=1, method="mc"):
+    """Deterministic chunked Monte Carlo driver.
+
+    ``kernel(generator, count)`` must return ``(values, degenerate_count)``
+    where ``values`` holds the non-degenerate draws.  Chunk statistics are
+    merged in index order, so the returned Estimate does not depend on
+    ``workers``.
+    """
+
+    def moments(gen, count):
+        values, degenerate = kernel(gen, count)
+        return StreamingStats.from_values(values), int(degenerate)
+
+    results = _run_chunks(moments, rng, samples, workers)
     total = StreamingStats()
     degenerate = 0
     for stats, bad in results:  # fixed fold order
@@ -514,16 +524,9 @@ def density_gof(k, l, n, rng, samples, bins=30, workers=1):
     _check_density_dims(k, l, n)
     if k > 2:
         raise ValueError("goodness-of-fit check implemented for k <= 2 only")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if not isinstance(rng, RngStream):
-        raise TypeError("rng must be an RngStream")
-
     width = math.pi / 2.0 / bins
 
-    def one_chunk(args):
-        index, count = args
-        gen = rng.substream(index).generator
+    def histogram(gen, count):
         g = gen.standard_normal((count, n, k))
         q, _ = np.linalg.qr(g)
         overlap = np.transpose(q[:, :l, :], (0, 2, 1))
@@ -537,13 +540,7 @@ def density_gof(k, l, n, rng, samples, bins=30, workers=1):
             np.add.at(counts, (idx[:, 0], idx[:, 1]), 1)
         return counts
 
-    jobs = list(enumerate(_chunk_sizes(samples)))
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(one_chunk, jobs))
-    else:
-        partials = [one_chunk(j) for j in jobs]
-    counts = sum(partials)
+    counts = sum(_run_chunks(histogram, rng, samples, workers))
 
     expected = _gof_expected(k, l, n, bins)
     empirical = counts.astype(float) / samples
@@ -639,11 +636,15 @@ def integration_formula_check(
     log_s2m = 2.0 * math.log(2.0) + m * math.log(math.pi) - multivariate_gamma_log(2, m / 2.0)
     prefactor = math.exp(log_o2 + log_s2m - 2.0 * math.log(2.0))
 
-    def weighted(t):
+    def log_weighted(t):
         c, s = np.cos(t), np.sin(t)
-        return f_of_sv(c, s) * (c * s) ** (m - 2) * (c**2 - s**2)
+        return (
+            np.log(f_of_sv(c, s))
+            + (m - 2) * (np.log(c) + np.log(s))
+            + np.log(c**2 - s**2)
+        )
 
-    rhs = prefactor * composite_gl(
-        weighted, 0.0, math.pi / 4.0, points=quad_points, panels=8
-    )
+    rhs = prefactor * math.exp(composite_gl_log(
+        log_weighted, 0.0, math.pi / 4.0, points=quad_points, panels=8
+    ))
     return lhs, rhs

@@ -1,10 +1,11 @@
 """Special functions and closed-form volumes of spheres, groups and Grassmannians.
 
-Everything here is deterministic closed-form arithmetic: log-gamma, the
-multivariate gamma function, complete elliptic integrals by AGM iteration,
-and the volumes that enter every expected-degree formula.  Each volume comes
-in a direct and a log-scale flavour; the log forms stay finite far beyond
-the range where the direct values overflow a double.
+Everything here is deterministic closed-form arithmetic: log-gamma (the C
+library's lgamma on x > 0), the multivariate gamma function, complete
+elliptic integrals by AGM iteration, and the volumes that enter every
+expected-degree formula.  Each volume comes in a direct and a log-scale
+flavour; the log forms stay finite far beyond the range where the direct
+values overflow a double.
 """
 
 import math
@@ -60,41 +61,11 @@ class LogValue:
         return self.exp()
 
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error of the
-# resulting log-gamma is below 4e-15 on [0.5, 1e6] (checked against the
-# C library lgamma on a dense grid).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def log_gamma(x):
-    """Natural log of the gamma function for x > 0.
-
-    Uses the Lanczos series directly for x >= 0.5 and the reflection
-    formula below that.
-    """
+    """Natural log of the gamma function for x > 0."""
     if x <= 0.0:
         raise ValueError("log_gamma requires x > 0, got %r" % (x,))
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def multivariate_gamma_log(k, a):

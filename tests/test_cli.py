@@ -88,6 +88,8 @@ def test_zonoid_volume_quadrature(capsys):
     rec = invoke_json(capsys, "zonoid-volume", "--k", "2", "--m", "2")
     check_record(rec)
     assert math.isclose(rec["value"], 0.05830126446298619, rel_tol=1e-8)
+    # the panel-doubling error, absolute on the direct value
+    assert 0.0 < rec["stderr"] < 1e-8 * rec["value"]
 
 
 def test_profile_build_writes_cache(tmp_path, capsys):
@@ -161,6 +163,18 @@ def test_domain_errors_exit_1(capsys):
     assert err.strip() != ""
     code, _, _ = invoke(capsys, "vitale", "--d", "13", "--samples", "10")
     assert code == 1
+
+
+def test_quad_points_out_of_range_exit_1(capsys):
+    # 257 is one past the bound: rejected before any node is allocated
+    for command in (("edeg", "--k", "2", "--n", "4"), ("edeg-lines", "--n", "3"),
+                    ("zonoid-volume", "--k", "2", "--m", "2")):
+        for points in ("0", "257"):
+            code, out, err = invoke(capsys, *command, "--quad-points", points)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("grassdeg: ") and "quad_points" in err
+            assert "Traceback" not in err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -84,19 +84,42 @@ def test_lines_ratio_to_asymptotic_shrinks(profile2):
 
 
 def test_general_routes_through_the_small_side(profile2):
+    for n in (3, 4):
+        assert edeg_lines_quadrature(n, profile=profile2) == edeg_general(
+            2, n + 1, profile=profile2
+        )
     a = edeg_general(3, 5, profile=profile2)
-    b = edeg_lines_quadrature(4, profile=profile2)
-    assert math.isclose(float(a.value), float(b.value), rel_tol=1e-12)
+    b = edeg_general(2, 5, profile=profile2)
+    assert a.value == b.value and a.error_estimate == b.error_estimate
     assert a.k == 3 and a.n == 5
 
 
 def test_general_matches_lines_in_log_scale(profile2):
     a = edeg_general(2, 18, profile=profile2)
-    b = edeg_lines_quadrature(17, profile=profile2)
     assert isinstance(a.value, LogValue)
-    assert math.isclose(
-        a.value.log_magnitude, b.value.log_magnitude, rel_tol=1e-12
-    )
+    assert edeg_lines_quadrature(17, profile=profile2) == a
+
+
+def test_general_error_estimate_is_positive_at_every_resolution(profile2):
+    for points in (8, 16, 32):
+        r = edeg_general(2, 4, profile=profile2, quad_points=points)
+        assert r.error_estimate > 0.0
+        assert math.isclose(float(r.value), 1.726231248998883, rel_tol=1e-7)
+
+
+def test_general_quadrature_makes_two_passes(profile2, monkeypatch):
+    import grassdeg.zonoid as zonoid
+
+    calls = []
+    inner = zonoid.composite_gl_log
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("panels"))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(zonoid, "composite_gl_log", counted)
+    edeg_general(2, 4, profile=profile2)
+    assert calls == [16, 32]
 
 
 def test_general_vitale_route_unbiased_for_trivial_case():
@@ -123,6 +146,9 @@ def test_general_method_validation(profile2):
     with pytest.raises(ValueError):
         edeg_general(5, 13, method="zonoid_vitale", rng=RngStream(0, 0),
                      samples=10)  # N = 40 > 36
+    for points in (0, 257):  # outside 1..MAX_QUAD_POINTS
+        with pytest.raises(ValueError, match="quad_points"):
+            edeg_general(2, 4, profile=profile2, quad_points=points)
 
 
 def test_result_type_validation():

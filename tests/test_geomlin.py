@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from grassdeg.geomlin import (
     Frame,
@@ -12,7 +12,6 @@ from grassdeg.geomlin import (
     sample_uniform_subspace,
     sigma_many,
     sigma_rel,
-    singular_values,
     wedge_norm,
 )
 
@@ -71,27 +70,6 @@ def test_gaussian_matrix_shape_and_determinism():
     b = sample_gaussian_matrix(RngStream(5, 1), 3, 4)
     assert a.shape == (3, 4)
     assert np.array_equal(a, b)
-
-
-# -------------------------------------------------------- singular values
-
-
-@settings(max_examples=40)
-@given(
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=0, max_value=2**31 - 1),
-)
-def test_singular_values_match_lapack(rows, cols, seed):
-    M = RngStream(seed, 0).standard_normal((rows, cols))
-    ours = singular_values(M)
-    ref = np.linalg.svd(M, compute_uv=False)
-    assert np.max(np.abs(np.sort(ours)[::-1] - ref)) < 1e-10 * max(1.0, ref[0])
-
-
-def test_singular_values_size_cap():
-    with pytest.raises(ValueError):
-        singular_values(np.zeros((65, 65)))
 
 
 # -------------------------------------------------------- principal angles
