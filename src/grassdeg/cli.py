@@ -49,7 +49,8 @@ class RunRecord:
             "quantity": self.quantity,
             "params": self.params,
             "value": self.value,
-            "stderr": self.stderr,
+            # one draw has no standard error: null, never a non-JSON Infinity
+            "stderr": self.stderr if math.isfinite(self.stderr) else None,
             "n_samples": self.n_samples,
             "degenerate_count": self.degenerate_count,
             "seed": self.seed,
@@ -62,23 +63,27 @@ class RunRecord:
         return out
 
 
-def _emit(records, fmt, out_path):
+def _render(records, fmt):
+    """The report text; a non-finite number left in a JSON record raises."""
     if fmt == "json":
         dicts = [r.to_dict() for r in records]
         payload = dicts[0] if len(dicts) == 1 else dicts
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        base_cols = ["quantity", "value", "log_value", "stderr", "n_samples",
-                     "degenerate_count", "seed", "method", "runtime_ms"]
-        param_cols = sorted({k for r in records for k in r.params})
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(base_cols + [f"param_{c}" for c in param_cols])
-        for r in records:
-            row = [getattr(r, c) for c in base_cols]
-            row += [r.params.get(c, "") for c in param_cols]
-            writer.writerow(row)
-        text = buf.getvalue()
+        return json.dumps(payload, sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
+    base_cols = ["quantity", "value", "log_value", "stderr", "n_samples",
+                 "degenerate_count", "seed", "method", "runtime_ms"]
+    param_cols = sorted({k for r in records for k in r.params})
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(base_cols + [f"param_{c}" for c in param_cols])
+    for r in records:
+        row = [getattr(r, c) for c in base_cols]
+        row += [r.params.get(c, "") for c in param_cols]
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def _emit(text, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -180,7 +185,8 @@ def _parser():
 
 
 def _cmd_edeg(args):
-    rng = RngStream(args.seed, 0)
+    # only the Vitale route draws; a stream would load numpy.random for nothing
+    rng = RngStream(args.seed, 0) if args.method == "zonoid_vitale" else None
     result = edeg.edeg_general(
         args.k, args.n, method=args.method, rng=rng, samples=args.samples,
         quad_points=args.quad_points, workers=args.workers,
@@ -224,7 +230,10 @@ def _cmd_transversals(args):
 
 
 def _cmd_rig(args):
-    r = tuple(int(x) for x in args.r.split(","))
+    try:
+        r = tuple(int(x) for x in args.r.split(","))
+    except ValueError:
+        raise ValueError(f"--r must be comma-separated integers, got {args.r!r}")
     est = incidence.rig_union_of_lines_mc(
         r, RngStream(args.seed, 0), args.samples, workers=args.workers)
     expected = math.prod(r)
@@ -241,11 +250,15 @@ def _cmd_zonoid_volume(args):
             raise ValueError("quadrature volume requires k = 2")
         log_value, log_error = zonoid.vol_C_quadrature_log(
             args.m, zonoid.default_profile(), quad_points=args.quad_points)
-        value = log_value.exp()
         params["quad_points"] = args.quad_points
-        return [RunRecord("zonoid-volume", params, value,
-                          stderr=value * log_error, seed=args.seed,
-                          method="quadrature")]
+        if args.k * args.m > edeg._LOG_ONLY_ABOVE:
+            # the volume underflows long before km is large; report its log
+            value, stderr = log_value, log_error
+        else:
+            value = log_value.exp()
+            stderr = value * log_error
+        return [RunRecord("zonoid-volume", params, value, stderr=stderr,
+                          seed=args.seed, method="quadrature")]
     est = zonoid.vol_C_vitale_mc(args.k, args.m, RngStream(args.seed, 0),
                                  args.samples, workers=args.workers)
     params["samples"] = args.samples
@@ -268,14 +281,17 @@ def _cmd_profile_build(args):
 
 
 def _cmd_density_check(args):
+    # the fit runs first: it rejects k = 3, which the slower nested
+    # quadrature of the normalization would otherwise integrate in vain
+    if args.samples > 0:
+        l1 = mc.density_gof(args.k, args.l, args.n, RngStream(args.seed, 1),
+                            args.samples, workers=args.workers)
     records = [RunRecord(
         "density-normalization",
         {"k": args.k, "l": args.l, "n": args.n},
         mc.density_normalization(args.k, args.l, args.n),
         seed=args.seed, method="nested-quadrature")]
     if args.samples > 0:
-        l1 = mc.density_gof(args.k, args.l, args.n, RngStream(args.seed, 1),
-                            args.samples, workers=args.workers)
         records.append(RunRecord(
             "density-gof",
             {"k": args.k, "l": args.l, "n": args.n, "samples": args.samples,
@@ -345,8 +361,7 @@ def _cmd_laplace_demo(args):
 
 def _cmd_bounds(args):
     k, n = args.k, args.n
-    big_n = k * (n - k)
-    if big_n > 30:
+    if k * (n - k) > edeg._LOG_ONLY_ABOVE:
         bound = edeg.edeg_upper_bound_log(k, n)
     else:
         bound = edeg.edeg_upper_bound(k, n)
@@ -386,14 +401,14 @@ def run(argv):
     started = time.perf_counter()
     try:
         records = _HANDLERS[args.command](args)
+        runtime_ms = int(round((time.perf_counter() - started) * 1000.0))
+        for record in records:
+            record.runtime_ms = runtime_ms
+        _emit(_render(records, args.format), args.out)
     except (ValueError, TypeError, RuntimeError, OverflowError,
             ArithmeticError, OSError) as exc:
         print(f"grassdeg: {exc}", file=sys.stderr)
         return 1
-    runtime_ms = int(round((time.perf_counter() - started) * 1000.0))
-    for record in records:
-        record.runtime_ms = runtime_ms
-    _emit(records, args.format, args.out)
     return 0
 
 

@@ -13,8 +13,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.integrate import IntegrationWarning, quad as _adaptive_quad
-
 from .specfun import (
     LogValue,
     log_gamma,
@@ -297,8 +295,11 @@ def laplace_validate(a, b, t1, t2, problem, lambda_grid):
 
     Returns a list of rows {lam, integral, leading, rel_error}; the shared
     exp(-lam a_at_min) factor is handled analytically so huge lambdas cannot
-    underflow the comparison.
+    underflow the comparison.  Imports scipy's adaptive quadrature on
+    call, so the rest of the package starts without scipy.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     rows = []
     amin = problem.a_at_min
     for lam in lambda_grid:
@@ -308,7 +309,7 @@ def laplace_validate(a, b, t1, t2, problem, lambda_grid):
             # Extremely peaked integrands trip scipy's roundoff detector long
             # after the value has converged; the rel_error column is the judge.
             warnings.simplefilter("ignore", IntegrationWarning)
-            scaled_integral = _adaptive_quad(
+            scaled_integral = quad(
                 lambda t: math.exp(-lam * (a(t) - amin)) * b(t),
                 t1,
                 t2,

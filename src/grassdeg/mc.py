@@ -297,8 +297,8 @@ def edeg24_integral(
     if not 2 <= points_per_dim <= 24:
         raise ValueError("points_per_dim must be in [2, 24]")
     coarse = max(points_per_dim // 2, 2)
-    value = _torus_midpoint(points_per_dim)
-    error = abs(value - _torus_midpoint(coarse))
+    value = float(_torus_midpoint(points_per_dim))
+    error = abs(value - float(_torus_midpoint(coarse)))
     return Estimate(
         value=value,
         stderr=error,

@@ -8,8 +8,8 @@ integral of the radial function of D(2) when k = 2, which is the exact route
 used for expected-degree computations.
 
 The k = 2 radial function has no elementary closed form; it is produced once
-as a RadialProfile2 (a monotone-cubic interpolant of the gradient-map curve
-of h) and cached as a small JSON document.
+as a RadialProfile2 (a monotone-cubic PCHIP interpolant of the gradient-map
+curve of h) and cached as a small JSON document.
 """
 
 import json
@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from ._quad import composite_gl_log
 from .geomlin import RngStream
@@ -208,18 +207,54 @@ def _grad_h2_numeric(sigma1, sigma2):
 # ---------------------------------------------------------------------------
 
 
+def _pchip_slopes(x, y):
+    """Knot slopes of the PCHIP interpolant (Fritsch-Carlson, Moler's ends).
+
+    Interior slopes are the weighted harmonic mean of the neighbouring
+    secants, or 0 where the secants change sign or one vanishes; each end
+    takes the one-sided three-point estimate, kept shape-preserving.  The
+    arithmetic follows scipy's PchipInterpolator step for step, so the
+    interpolant is bit-identical to it.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.zeros_like(y)
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    zero = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d[1:-1][~zero] = 1.0 / whmean[~zero]
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
 @dataclass
 class RadialProfile2:
     """Radial function of D(2) on the fundamental arc theta in [0, pi/4].
 
     ``knots`` are (theta, r) pairs with strictly increasing theta; evaluation
     outside the arc folds through the symmetry r(theta) = r(pi/2 - theta).
+    Between knots the radius is the PCHIP cubic, stored per cell as the
+    coefficients (c0, c1, c2, c3) of c0 s^3 + c1 s^2 + c2 s + c3 in the
+    offset s from the cell's left knot (the rows of a (4, cells) array).
     Should the knots start above theta = 0, values below the first knot come
     from an even-quadratic extension (the radial function is even in theta).
     """
 
     knots: list
-    _interp: PchipInterpolator = field(init=False, repr=False, compare=False)
+    _theta: np.ndarray = field(init=False, repr=False, compare=False)
+    _coef: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.knots) < 4:
@@ -243,7 +278,14 @@ class RadialProfile2:
             # one-sided estimate (the mirror cells are never evaluated).
             theta = np.concatenate([-theta[3:0:-1], theta])
             r = np.concatenate([r[3:0:-1], r])
-        self._interp = PchipInterpolator(theta, r, extrapolate=False)
+        d = _pchip_slopes(theta, r)
+        h = np.diff(theta)
+        secant = np.diff(r) / h
+        cubic = (d[:-1] + d[1:] - 2.0 * secant) / h
+        self._theta = theta
+        self._coef = np.stack(
+            [cubic / h, (secant - d[:-1]) / h - cubic, d[:-1], r[:-1]]
+        )
 
     def radius(self, theta):
         """Radial value at any angle in [0, pi/2] (scalar or array)."""
@@ -260,10 +302,27 @@ class RadialProfile2:
         # the radial function is symmetric in theta, so its slope at 0 is 0
         curv = (r1 - r0) / (t1 * t1 - t0 * t0)
         below = t < t0
-        out = np.empty_like(t)
-        out[below] = r0 + curv * (t[below] ** 2 - t0 * t0)
-        out[~below] = self._interp(t[~below])
+        if below.any():
+            out = np.empty_like(t)
+            out[below] = r0 + curv * (t[below] ** 2 - t0 * t0)
+            out[~below] = self._cubic(t[~below])
+        else:
+            out = self._cubic(t)
         return float(out[0]) if scalar else out
+
+    def _cubic(self, t):
+        """The PCHIP cubic at angles t in [theta_0, pi/4]."""
+        cell = np.searchsorted(self._theta, t, side="right") - 1
+        np.minimum(cell, len(self._theta) - 2, out=cell)
+        s = t - self._theta[cell]
+        c0, c1, c2, c3 = self._coef.take(cell, axis=1)
+        # c3 + c2 s + c1 s^2 + c0 s^3 summed left to right: scipy PPoly's rounding
+        s2 = s * s
+        out = c2 * s
+        out += c3
+        out += c1 * s2
+        out += c0 * (s2 * s)
+        return out
 
     def save(self, path):
         """Write the knots as a versioned JSON document (exact round-trip)."""

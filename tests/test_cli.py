@@ -1,12 +1,20 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grassdeg.cli import DEFAULT_SEED, SCHEMA_VERSION, run
-from grassdeg.zonoid import RadialProfile2
+from grassdeg.cli import _HANDLERS, DEFAULT_SEED, SCHEMA_VERSION, run
+from grassdeg.zonoid import RadialProfile2, default_profile, vol_C_quadrature_log
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 SCHEMA_KEYS = {
     "version",
@@ -29,10 +37,14 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def invoke_json(capsys, *argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 0, err
-    return json.loads(out)
+    return json.loads(out, parse_constant=reject_constant)
 
 
 def check_record(rec):
@@ -90,6 +102,43 @@ def test_zonoid_volume_quadrature(capsys):
     assert math.isclose(rec["value"], 0.05830126446298619, rel_tol=1e-8)
     # the panel-doubling error, absolute on the direct value
     assert 0.0 < rec["stderr"] < 1e-8 * rec["value"]
+
+
+def test_zonoid_volume_switches_to_log_for_large_km(capsys):
+    rec = invoke_json(capsys, "zonoid-volume", "--k", "2", "--m", "200")
+    check_record(rec)
+    log_value, log_error = vol_C_quadrature_log(200, default_profile())
+    assert rec["value"] is None
+    assert rec["log_value"] == log_value.log_magnitude < -1000.0
+    assert rec["stderr"] == log_error > 0.0
+
+
+@pytest.mark.parametrize("argv", [("transversals", "--samples", "1"),
+                                  ("vitale", "--d", "3", "--samples", "1")])
+def test_single_draw_has_null_stderr(capsys, argv):
+    rec = invoke_json(capsys, *argv)
+    check_record(rec)
+    assert rec["n_samples"] == 1
+    assert rec["stderr"] is None
+
+
+def test_quadrature_commands_never_import_scipy():
+    script = (
+        "import contextlib, io, sys\n"
+        "from grassdeg.cli import run\n"
+        "for argv in (['edeg', '--k', '2', '--n', '4'],\n"
+        "             ['edeg-lines', '--n', '17'],\n"
+        "             ['zonoid-volume', '--k', '2', '--m', '2'],\n"
+        "             ['bounds', '--k', '2', '--n', '40']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert run(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_profile_build_writes_cache(tmp_path, capsys):
@@ -210,3 +259,86 @@ def test_subcommand_smoke(capsys, argv):
     records = payload if isinstance(payload, list) else [payload]
     for rec in records:
         check_record(rec)
+
+
+# ------------------------------------------------------------- argv fuzz
+
+def ints(lo, hi, likely_hi):
+    """Integers in [lo, hi] as argv text, half of them in [1, likely_hi]."""
+    return st.one_of(st.integers(min_value=1, max_value=likely_hi),
+                     st.integers(min_value=lo, max_value=hi)).map(str)
+
+
+SMALL = ints(-2, 60, 6)
+SAMPLES = ints(-2, 256, 256)
+DENSITY_DIM = ints(-2, 8, 4)  # the k = 3 normalization takes seconds at large n
+ANGLE = st.sampled_from(["0.01", "0.3", "1.5", "2", "0", "-1", "1e-300",
+                         "nan", "inf"])
+R_LIST = st.one_of(
+    st.lists(st.integers(min_value=1, max_value=4), min_size=4, max_size=4).map(
+        lambda xs: ",".join(map(str, xs))),
+    st.lists(st.integers(min_value=-2, max_value=12), max_size=6).map(
+        lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["", ",", "1,,1,1", "a,b,c,d", "1.5,1,1,1", " 1,1,1,1",
+                     "1;1;1;1", "2,2,2,2,", "-1,1,1,1", "1e3,1,1,1"]),
+    st.text(alphabet="0123456789,-. x", max_size=12),
+)
+
+# option -> value strategy (None for a flag); an option may be left out
+OPTIONS = {
+    "edeg": {"--k": SMALL, "--n": SMALL, "--samples": SAMPLES,
+             "--method": st.sampled_from(["zonoid_quadrature", "zonoid_vitale",
+                                          "nope"]),
+             "--quad-points": SMALL},
+    "edeg-lines": {"--n": SMALL, "--quad-points": SMALL},
+    "alpha": {"--k": SMALL, "--m": SMALL, "--samples": SAMPLES},
+    "transversals": {"--samples": SAMPLES},
+    "rig": {"--r": R_LIST, "--samples": SAMPLES},
+    "zonoid-volume": {"--k": SMALL, "--m": SMALL, "--samples": SAMPLES,
+                      "--method": st.sampled_from(["quadrature", "vitale"]),
+                      "--quad-points": SMALL},
+    "profile-build": {"--grid": st.integers(min_value=-2, max_value=80).map(str),
+                      "--differentiation": st.sampled_from(["analytic",
+                                                            "numeric"])},
+    "density-check": {"--k": DENSITY_DIM, "--l": DENSITY_DIM, "--n": DENSITY_DIM,
+                      "--samples": SAMPLES},
+    "schubert-ratio": {"--k": SMALL, "--n": SMALL, "--mc": None, "--eps": ANGLE,
+                       "--delta": ANGLE, "--samples": SAMPLES},
+    "vitale": {"--d": SMALL, "--samples": SAMPLES},
+    "laplace-demo": {},
+    "bounds": {"--k": SMALL, "--n": SMALL},
+}
+COMMON = {"--seed": SMALL, "--workers": ints(-2, 4, 2)}
+
+
+@st.composite
+def argvs(draw, command):
+    argv = [command]
+    for option, values in {**OPTIONS[command], **COMMON}.items():
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            continue  # missing, required or not
+        argv.append(option)
+        if values is not None:
+            argv.append(draw(values))
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_HANDLERS))  # OPTIONS covers each
+@pytest.mark.filterwarnings("ignore:panel doubling")  # few --quad-points
+@settings(max_examples=40)
+@given(data=st.data())
+def test_argv_fuzz_exits_cleanly(command, data):
+    argv = data.draw(argvs(command))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err, argv
+    if code == 0:
+        payload = json.loads(out, parse_constant=reject_constant)
+        for rec in payload if isinstance(payload, list) else [payload]:
+            check_record(rec)
+    elif code == 1:
+        assert out == "" and err.startswith("grassdeg: "), (argv, err)
+    else:
+        assert code == 2, (argv, code, err)  # argparse usage error

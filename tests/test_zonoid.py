@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from grassdeg import zonoid
 from grassdeg.geomlin import RngStream
@@ -24,6 +25,7 @@ from grassdeg.zonoid import (
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+QUARTER_PI = math.pi / 4.0
 
 positive = st.floats(min_value=0.05, max_value=3.0)
 
@@ -173,6 +175,67 @@ def test_max_radial_equals_max_support(profile2):
 def test_axis_value_matches_closed_form(profile2):
     # r(0) = h(e_1) = rho_1 / sqrt(2 pi) = 1/pi, pinned as an exact knot
     assert math.isclose(profile2.radius(0.0), 1.0 / math.pi, rel_tol=1e-12)
+
+
+def scipy_pchip(knots):
+    """scipy's PCHIP on the knots a RadialProfile2 interpolates (the oracle)."""
+    theta = np.array([t for t, _ in knots])
+    r = np.array([v for _, v in knots])
+    if theta[0] == 0.0:  # the profile's mirror across theta = 0
+        theta = np.concatenate([-theta[3:0:-1], theta])
+        r = np.concatenate([r[3:0:-1], r])
+    return PchipInterpolator(theta, r, extrapolate=False)
+
+
+def test_default_profile_is_bit_identical_to_scipy_pchip(profile2):
+    knots = np.array([t for t, _ in profile2.knots])
+    ts = np.concatenate([np.linspace(0.0, math.pi / 2.0, 100_001), knots,
+                         math.pi / 2.0 - knots])
+    folded = np.where(ts > QUARTER_PI, math.pi / 2.0 - ts, ts)
+    assert np.array_equal(profile2.radius(ts), scipy_pchip(profile2.knots)(folded))
+
+
+R2 = radius_R(2)
+radii = st.one_of(st.sampled_from([0.12, 0.2, 0.3, 0.34, R2]),
+                  st.floats(min_value=0.05, max_value=R2))
+
+
+@st.composite
+def knot_sets(draw):
+    """Valid profile knots: monotone, non-monotone or with flat cells."""
+    count = draw(st.integers(min_value=4, max_value=12))
+    widths = draw(st.lists(st.floats(min_value=0.05, max_value=1.0),
+                           min_size=count - 1, max_size=count - 1))
+    start = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    theta = start + (QUARTER_PI - start) * np.cumsum([0.0] + widths) / sum(widths)
+    theta[-1] = QUARTER_PI
+    r = draw(st.lists(radii, min_size=count - 1, max_size=count - 1)) + [R2]
+    return [(float(t), float(v)) for t, v in zip(theta, r)]
+
+
+# the right end slope flips sign and is zeroed; the left end overshoots
+# three secants and is capped (the two branches of _pchip_end_slope)
+ZEROED_END = [(0.1, 0.2), (0.3, 0.21), (0.5, 0.35), (QUARTER_PI, R2)]
+CAPPED_END = [(0.1, 0.2), (0.4, 0.3), (0.41, 0.25), (QUARTER_PI, R2)]
+
+
+def test_pchip_end_slope_branches():
+    assert zonoid._pchip_end_slope(QUARTER_PI - 0.5, 0.2,
+                                   (R2 - 0.35) / (QUARTER_PI - 0.5), 0.7) == 0.0
+    m0 = 0.1 / 0.3
+    assert zonoid._pchip_end_slope(0.3, 0.01, m0, -5.0) == 3.0 * m0
+
+
+@given(knot_sets())
+@example(ZEROED_END)
+@example(CAPPED_END)
+def test_profile_matches_scipy_pchip_on_random_knots(knots):
+    profile = RadialProfile2(knots=knots)
+    theta = np.array([t for t, _ in knots])
+    ts = np.concatenate([theta, 0.5 * (theta[:-1] + theta[1:]),
+                         np.linspace(theta[0], QUARTER_PI, 257)])
+    np.testing.assert_allclose(profile.radius(ts), scipy_pchip(knots)(ts),
+                               rtol=1e-13, atol=0.0)
 
 
 def test_profile_roundtrip(tmp_path, profile2):
