@@ -9,9 +9,9 @@ def composite_gl_log(log_f, a, b, points=32, panels=16):
     """log of the integral of exp(log_f) over [a, b]; integrand must be >= 0.
 
     The terms are summed by a max-shifted logsumexp that holds the largest
-    terms out of the sum and adds them back through log1p (scipy's
-    logsumexp arithmetic); an integrand that is zero at every node gives
-    -inf.
+    terms out of the sum and adds them back through log1p (the arithmetic
+    of scipy's logsumexp from scipy 1.15 on); an integrand that is zero at
+    every node gives -inf.
     """
     x, w = np.polynomial.legendre.leggauss(points)
     edges = np.linspace(a, b, panels + 1)

@@ -29,7 +29,8 @@ class RunRecord:
             self.log_value = value.log_magnitude
         else:
             self.value = float(value)
-        self.stderr = float(stderr)
+        # one draw has no standard error: null, never a non-JSON Infinity
+        self.stderr = float(stderr) if math.isfinite(stderr) else None
         self.n_samples = int(n_samples)
         self.seed = int(seed)
         self.method = method
@@ -49,8 +50,7 @@ class RunRecord:
             "quantity": self.quantity,
             "params": self.params,
             "value": self.value,
-            # one draw has no standard error: null, never a non-JSON Infinity
-            "stderr": self.stderr if math.isfinite(self.stderr) else None,
+            "stderr": self.stderr,
             "n_samples": self.n_samples,
             "degenerate_count": self.degenerate_count,
             "seed": self.seed,

@@ -302,12 +302,9 @@ class RadialProfile2:
         # the radial function is symmetric in theta, so its slope at 0 is 0
         curv = (r1 - r0) / (t1 * t1 - t0 * t0)
         below = t < t0
-        if below.any():
-            out = np.empty_like(t)
-            out[below] = r0 + curv * (t[below] ** 2 - t0 * t0)
-            out[~below] = self._cubic(t[~below])
-        else:
-            out = self._cubic(t)
+        out = np.empty_like(t)
+        out[below] = r0 + curv * (t[below] ** 2 - t0 * t0)
+        out[~below] = self._cubic(t[~below])
         return float(out[0]) if scalar else out
 
     def _cubic(self, t):

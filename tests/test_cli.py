@@ -120,6 +120,10 @@ def test_single_draw_has_null_stderr(capsys, argv):
     check_record(rec)
     assert rec["n_samples"] == 1
     assert rec["stderr"] is None
+    code, out, err = invoke(capsys, *argv, "--format", "csv")
+    assert code == 0, err
+    header, row = list(csv.reader(io.StringIO(out)))
+    assert row[header.index("stderr")] == ""
 
 
 def test_quadrature_commands_never_import_scipy():

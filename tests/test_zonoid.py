@@ -219,13 +219,6 @@ ZEROED_END = [(0.1, 0.2), (0.3, 0.21), (0.5, 0.35), (QUARTER_PI, R2)]
 CAPPED_END = [(0.1, 0.2), (0.4, 0.3), (0.41, 0.25), (QUARTER_PI, R2)]
 
 
-def test_pchip_end_slope_branches():
-    assert zonoid._pchip_end_slope(QUARTER_PI - 0.5, 0.2,
-                                   (R2 - 0.35) / (QUARTER_PI - 0.5), 0.7) == 0.0
-    m0 = 0.1 / 0.3
-    assert zonoid._pchip_end_slope(0.3, 0.01, m0, -5.0) == 3.0 * m0
-
-
 @given(knot_sets())
 @example(ZEROED_END)
 @example(CAPPED_END)
