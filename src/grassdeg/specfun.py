@@ -18,6 +18,7 @@ __all__ = [
     "rho",
     "elliptic_E",
     "elliptic_K",
+    "elliptic_KE",
     "vol_sphere",
     "vol_rp",
     "vol_cp",
@@ -125,6 +126,13 @@ def elliptic_K(s):
     if not 0.0 <= s < 1.0:
         raise ValueError("elliptic_K parameter must lie in [0, 1), got %r" % (s,))
     return _agm_elliptic(s)[0]
+
+
+def elliptic_KE(s):
+    """(K(s), E(s)) from one AGM sweep: each equals elliptic_K / elliptic_E."""
+    if not 0.0 <= s < 1.0:
+        raise ValueError("elliptic_KE parameter must lie in [0, 1), got %r" % (s,))
+    return _agm_elliptic(s)
 
 
 # ---------------------------------------------------------------------------

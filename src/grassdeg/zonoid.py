@@ -25,7 +25,7 @@ from .mc import Estimate, run_kernel
 from .specfun import (
     LogValue,
     elliptic_E,
-    elliptic_K,
+    elliptic_KE,
     log_gamma,
     multivariate_gamma_log,
     rho,
@@ -143,11 +143,13 @@ def support_C(desc, X, method="closed", rng=None, samples=None, workers=1):
 # ---------------------------------------------------------------------------
 
 
-def _ek_diff_over_s(s):
-    """(E(s) - K(s)) / s, stable down to s = 0 where it equals -pi/4.
+def _e_and_ek_diff_over_s(s):
+    """(E(s), (E(s) - K(s)) / s); the second is stable down to s = 0, where
+    it equals -pi/4.
 
     Near zero the difference E - K cancels catastrophically, so a power
-    series in s takes over below 1e-3.
+    series in s takes over below 1e-3.  Above it one AGM sweep gives both
+    integrals.
     """
     if not 0.0 <= s < 1.0:
         raise ValueError("need 0 <= s < 1")
@@ -162,8 +164,9 @@ def _ek_diff_over_s(s):
             power *= s
             if term < 1e-18 * acc:
                 break
-        return -_HALF_PI * acc
-    return (elliptic_E(s) - elliptic_K(s)) / s
+        return elliptic_E(s), -_HALF_PI * acc
+    k, e = elliptic_KE(s)
+    return e, (e - k) / s
 
 
 def _grad_h2(sigma1, sigma2):
@@ -180,8 +183,8 @@ def _grad_h2(sigma1, sigma2):
     ratio = b / a
     s = 1.0 - ratio * ratio
     s = min(max(s, 0.0), 1.0 - 1e-15)
-    dd = _ek_diff_over_s(s)
-    d_major = (elliptic_E(s) + (1.0 - s) * dd) / math.pi
+    e, dd = _e_and_ek_diff_over_s(s)
+    d_major = (e + (1.0 - s) * dd) / math.pi
     d_minor = -(ratio * dd) / math.pi
     return (d_minor, d_major) if swap else (d_major, d_minor)
 

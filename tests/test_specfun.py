@@ -10,6 +10,7 @@ from grassdeg.specfun import (
     deg_grassmann_complex_log,
     elliptic_E,
     elliptic_K,
+    elliptic_KE,
     log_gamma,
     multivariate_gamma_log,
     rho,
@@ -98,6 +99,18 @@ def test_elliptic_endpoints():
     assert math.isclose(elliptic_E(0.0), math.pi / 2.0, rel_tol=1e-15)
     assert elliptic_E(1.0) == 1.0
     assert math.isclose(elliptic_K(0.0), math.pi / 2.0, rel_tol=1e-15)
+
+
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_elliptic_KE_is_both_integrals(s):
+    # the one-sweep pair the radial profile build reads equals the two calls
+    assert elliptic_KE(s) == (elliptic_K(s), elliptic_E(s))
+
+
+def test_elliptic_KE_rejects_s_outside_0_1():
+    for s in (-1e-300, 1.0, 2.0):
+        with pytest.raises(ValueError, match="elliptic_KE"):
+            elliptic_KE(s)
 
 
 # ----------------------------------------------------------------- volumes
