@@ -400,6 +400,8 @@ def run(argv):
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
+        if args.workers < 1:  # also on commands that run no Monte Carlo
+            raise ValueError("workers must be >= 1")
         records = _HANDLERS[args.command](args)
         runtime_ms = int(round((time.perf_counter() - started) * 1000.0))
         for record in records:

@@ -4,6 +4,12 @@ Small dense linear algebra for subspace geometry: orthonormal frames
 representing points of G(k,n), the principal angles between two subspaces,
 the relative-position functional sigma, and a counter-based RNG wrapper
 that makes every Monte Carlo run reproducible from (seed, stream_id).
+
+The batched helpers at the end (``small_det``, ``principal_cos2``,
+``singular_values``) serve the Monte Carlo kernels, which hold one tiny
+matrix per draw: up to 4x4 and for two-column frames they are elementwise
+closed forms, because per-matrix LAPACK calls cost more than the arithmetic.
+Above that size they call ``np.linalg``, which is also their test oracle.
 """
 
 import math
@@ -21,6 +27,10 @@ __all__ = [
     "wedge_norm",
     "sigma_rel",
     "sigma_many",
+    "det3",
+    "small_det",
+    "principal_cos2",
+    "singular_values",
 ]
 
 _ORTHO_TOL = 1e-12
@@ -166,3 +176,150 @@ def sigma_many(*frames):
     if total > n:
         raise ValueError("total dimension %d exceeds ambient %d" % (total, n))
     return wedge_norm(np.vstack(cols))
+
+
+# ---------------------------------------------------------------------------
+# batched closed forms for the per-draw matrices of the Monte Carlo kernels
+# ---------------------------------------------------------------------------
+
+
+def det3(r0, r1, r2):
+    """Determinant of the 3x3 matrix with rows r0, r1, r2, by cofactors of r0.
+
+    Each row is a triple of arrays (or scalars) that broadcast together, so
+    a caller can sweep rows over a grid without stacking the matrices.
+    """
+    a0, a1, a2 = r0
+    b0, b1, b2 = r1
+    c0, c1, c2 = r2
+    return a0 * (b1 * c2 - c1 * b2) + a1 * (b2 * c0 - c2 * b0) + a2 * (b0 * c1 - c0 * b1)
+
+
+# Laplace expansion of a 4x4 determinant along its first two rows: the column
+# pair of the top 2x2 minor, the complementary pair below, and the sign.
+_LAPLACE4 = (
+    ((0, 1), (2, 3), 1.0),
+    ((0, 2), (1, 3), -1.0),
+    ((0, 3), (1, 2), 1.0),
+    ((1, 2), (0, 3), 1.0),
+    ((1, 3), (0, 2), -1.0),
+    ((2, 3), (0, 1), 1.0),
+)
+
+
+def small_det(mats):
+    """Determinants of a stack of n x n matrices, real or complex.
+
+    n <= 4 is expanded by cofactors elementwise (Laplace along the top two
+    rows for n = 4); larger n calls ``np.linalg.det``.
+    """
+    mats = np.asarray(mats)
+    n = mats.shape[-1]
+    if mats.ndim < 2 or mats.shape[-2] != n:
+        raise ValueError("expected a stack of square matrices")
+    if n > 4:
+        return np.linalg.det(mats)
+
+    def e(i, j):
+        return mats[..., i, j]
+
+    if n == 1:
+        return e(0, 0).copy()
+    if n == 2:
+        return e(0, 0) * e(1, 1) - e(1, 0) * e(0, 1)
+    if n == 3:
+        return det3(*[[e(i, j) for j in range(3)] for i in range(3)])
+    total = 0.0
+    for (a, b), (c, d), sign in _LAPLACE4:
+        top = e(0, a) * e(1, b) - e(1, a) * e(0, b)
+        bottom = e(2, c) * e(3, d) - e(3, c) * e(2, d)
+        total = total + sign * top * bottom
+    return total
+
+
+def _squared_minors(u, v):
+    """(r, s, (u_r v_s - u_s v_r)^2) for every pair r < s of entries of u, v."""
+    n = u.shape[-1]
+    for r in range(n):
+        for s in range(r + 1, n):
+            m = u[..., r] * v[..., s] - u[..., s] * v[..., r]
+            yield r, s, m * m
+
+
+def _roots_descending(det_a, mixed, det_b, disc):
+    """Roots of det_a lam^2 - mixed lam + det_b = 0, larger first.
+
+    ``disc`` is mixed^2 - 4 det_a det_b, computed by the caller in whatever
+    form it has.  The larger root adds two nonnegative terms; the smaller is
+    det_b over det_a times the larger (0 when both vanish), so neither
+    cancels.
+    """
+    big = (mixed + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * det_a)
+    denom = det_a * big
+    small = np.divide(det_b, denom, out=np.zeros_like(big), where=denom > 0.0)
+    return np.stack([big, small], axis=-1)
+
+
+def principal_cos2(g, j):
+    """Squared cosines of the principal angles between span(g) and span(e_1..e_j).
+
+    ``g`` is a stack of n x k matrices of full column rank; the result has
+    min(k, j) values per matrix, descending (the angles ascending), in
+    [0, 1].  For k <= 2 they are the roots of det(B - lam A) = 0, with
+    A = g^T g and B the same product over the first j rows of g.  det A and
+    det B are sums of squared 2x2 minors (Cauchy-Binet), and so is the middle
+    coefficient, 2 det B plus the squared minors with one row in the top
+    block.  Only the discriminant subtracts: where the two cosines nearly
+    coincide they carry an error of order sqrt(eps), on a set of draws whose
+    density vanishes there.  For k >= 3 they are the squared singular values
+    of the top j rows of an orthonormal basis (QR, then SVD).
+    """
+    g = np.asarray(g, dtype=float)
+    n, k = g.shape[-2:]
+    if not (1 <= k <= n and 1 <= j <= n):
+        raise ValueError("need 1 <= k <= n and 1 <= j <= n")
+    if k == 1:
+        sq = g[..., 0] * g[..., 0]
+        c2 = (sq[..., :j].sum(axis=-1) / sq.sum(axis=-1))[..., None]
+    elif k == 2:
+        det_a = det_b = cross = 0.0
+        for r, s, m2 in _squared_minors(g[..., 0], g[..., 1]):
+            det_a = det_a + m2
+            if s < j:
+                det_b = det_b + m2
+            elif r < j:
+                cross = cross + m2
+        mixed = 2.0 * det_b + cross
+        c2 = _roots_descending(det_a, mixed, det_b, mixed * mixed - 4.0 * det_a * det_b)
+    else:
+        q, _ = np.linalg.qr(g)
+        c2 = np.linalg.svd(q[..., :j, :], compute_uv=False) ** 2
+    return np.clip(c2[..., : min(k, j)], 0.0, 1.0)
+
+
+def singular_values(x):
+    """Singular values of a stack of k x m matrices with k <= m, descending.
+
+    For k <= 2 the squares are the eigenvalues of x x^T = [[p, q], [q, r]]:
+    the larger from p + r and the discriminant (p - r)^2 + 4 q^2, the smaller
+    as det(x x^T) over it, with the determinant a sum of squared 2x2 minors.
+    Each matrix is scaled by its largest entry first, so no square
+    overflows.  k >= 3 calls ``np.linalg.svd``.
+    """
+    x = np.asarray(x, dtype=float)
+    k, m = x.shape[-2:]
+    if k > m:
+        raise ValueError("need k <= m")
+    if k >= 3:
+        return np.linalg.svd(x, compute_uv=False)
+    scale = np.abs(x).max(axis=(-2, -1))
+    scale = np.where(scale > 0.0, scale, 1.0)
+    y = x / scale[..., None, None]
+    if k == 1:
+        sv2 = (y[..., 0, :] ** 2).sum(axis=-1)[..., None]
+    else:
+        u, v = y[..., 0, :], y[..., 1, :]
+        p, q, r = (u * u).sum(axis=-1), (u * v).sum(axis=-1), (v * v).sum(axis=-1)
+        det = sum(m2 for _, _, m2 in _squared_minors(u, v))
+        sv2 = _roots_descending(1.0, p + r, det, (p - r) ** 2 + 4.0 * q * q)
+    return np.sqrt(sv2) * scale[..., None]

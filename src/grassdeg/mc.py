@@ -15,7 +15,13 @@ from fractions import Fraction
 import numpy as np
 
 from ._quad import composite_gl_log
-from .geomlin import RngStream
+from .geomlin import (
+    RngStream,
+    det3,
+    principal_cos2,
+    singular_values,
+    small_det,
+)
 from .specfun import (
     log_gamma,
     multivariate_gamma_log,
@@ -140,6 +146,8 @@ def _run_chunks(fn, rng, samples, workers):
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if not isinstance(rng, RngStream):
         raise TypeError("rng must be an RngStream")
 
@@ -148,7 +156,7 @@ def _run_chunks(fn, rng, samples, workers):
         return fn(rng.substream(index).generator, count)
 
     jobs = list(enumerate(_chunk_sizes(samples)))
-    if workers and workers > 1:
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one_chunk, jobs))
     return [one_chunk(j) for j in jobs]
@@ -209,7 +217,7 @@ def alpha_mc(k, m, rng, samples, workers=1):
         y /= np.linalg.norm(y, axis=2, keepdims=True)
         gram = np.matmul(x, np.transpose(x, (0, 2, 1)))
         gram *= np.matmul(y, np.transpose(y, (0, 2, 1)))
-        det = np.linalg.det(gram)
+        det = small_det(gram)
         good = det > -1e-9
         return np.sqrt(np.clip(det[good], 0.0, None)), int(count - good.sum())
 
@@ -242,7 +250,7 @@ def alpha_complex_mc(k, m, rng, samples, workers=1):
         y /= np.linalg.norm(y, axis=2, keepdims=True)
         gram = np.matmul(x, np.conj(np.transpose(x, (0, 2, 1))))
         gram *= np.matmul(y, np.conj(np.transpose(y, (0, 2, 1))))
-        det = np.linalg.det(gram).real
+        det = small_det(gram).real
         good = det > -1e-9
         return np.clip(det[good], 0.0, None), int(count - good.sum())
 
@@ -259,13 +267,14 @@ def alpha_complex_mc(k, m, rng, samples, workers=1):
 _TORUS_PREFACTOR = math.pi**6 / 128.0
 
 
-def _torus_absdet(t, s):
-    """|det| of the 3x3 matrix with columns (sin t sin s, cos t sin s, sin t cos s)."""
-    st, ct = np.sin(t), np.cos(t)
-    ss, cs = np.sin(s), np.cos(s)
-    # stacking puts the three columns along rows; |det| is transpose-invariant
-    mats = np.stack([st * ss, ct * ss, st * cs], axis=-1)
-    return np.abs(np.linalg.det(mats))
+def _torus_rows(t, s):
+    """Row entries (sin t sin s, cos t sin s, sin t cos s) at angle pairs (t, s).
+
+    Row i of the integrand's 3x3 matrix is these entries at (t_i, s_i); the
+    determinant is transpose-invariant, so rows and columns may swap.
+    """
+    st, ss = np.sin(t), np.sin(s)
+    return st * ss, np.cos(t) * ss, st * np.cos(s)
 
 
 def edeg24_integral(
@@ -284,7 +293,9 @@ def edeg24_integral(
         def kernel(gen, count):
             t = gen.uniform(0.0, 2.0 * math.pi, (count, 3))
             s = gen.uniform(0.0, 2.0 * math.pi, (count, 3))
-            return _torus_absdet(t, s) * _TORUS_PREFACTOR, 0
+            a, b, c = _torus_rows(t, s)
+            rows = [(a[:, i], b[:, i], c[:, i]) for i in range(3)]
+            return np.abs(det3(*rows)) * _TORUS_PREFACTOR, 0
 
         return run_kernel(
             kernel, rng, samples, workers=workers, method="edeg24-torus-mc"
@@ -318,22 +329,14 @@ def _torus_midpoint(p):
     """
     theta = (np.arange(p) + 0.5) * (2.0 * math.pi / p)
     t, s = np.meshgrid(theta, theta, indexing="ij")
-    t = t.ravel()
-    s = s.ravel()
-    # column entries for every (t, s) node pair
-    a = np.sin(t) * np.sin(s)
-    b = np.cos(t) * np.sin(s)
-    c = np.sin(t) * np.cos(s)
+    a, b, c = _torus_rows(t.ravel(), s.ravel())  # one row per (t, s) node
+    first = (a[:, None], b[:, None], c[:, None])
+    second = (a[None, :], b[None, :], c[None, :])
     total = 0.0
-    for j in range(t.size):
-        # det with column 3 fixed at node j, expanded along that column
-        m1 = b * c[j] - c * b[j]
-        m2 = c * a[j] - a * c[j]
-        m3 = a * b[j] - b * a[j]
-        total += np.abs(
-            a[:, None] * m1[None, :] + b[:, None] * m2[None, :] + c[:, None] * m3[None, :]
-        ).sum()
-    mean = total / float(t.size) ** 3
+    for j in range(a.size):
+        # every (first, second) pair of nodes, third row fixed at node j
+        total += np.abs(det3(first, second, (a[j], b[j], c[j]))).sum()
+    mean = total / float(a.size) ** 3
     return mean * _TORUS_PREFACTOR
 
 
@@ -371,14 +374,10 @@ def schubert_ratio_mc(k, n, eps, delta, rng, samples, workers=1):
 
     def kernel(gen, count):
         g = gen.standard_normal((count, n, k))
-        q, _ = np.linalg.qr(g)
-        overlap = np.transpose(q[:, :j, :], (0, 2, 1))  # = Q^T [e_1..e_j]
-        sv = np.linalg.svd(overlap, compute_uv=False)
-        cos1 = np.clip(sv[:, 0], 0.0, 1.0)  # largest sv <-> smallest angle
-        hit = np.arccos(cos1) <= eps
-        if sv.shape[1] >= 2:
-            cos2 = np.clip(sv[:, 1], 0.0, 1.0)
-            hit &= np.arccos(cos2) >= delta
+        angles = np.arccos(np.sqrt(principal_cos2(g, j)[:, :2]))  # ascending
+        hit = angles[:, 0] <= eps
+        if k >= 2:
+            hit &= angles[:, 1] >= delta
         return hit.astype(float) / (2.0 * eps), 0
 
     return run_kernel(
@@ -431,17 +430,21 @@ def density_pdf(k, l, n, theta):
     return float(value)
 
 
-def _density_symmetrized(k, l, n):
-    """Density extended symmetrically to the whole cube [0, pi/2]^k, over k!."""
+def _density_symmetrized(k, l, n, xp=math):
+    """Density extended symmetrically to the whole cube [0, pi/2]^k, over k!.
+
+    ``xp`` supplies cos and sin: ``math`` for the scalar calls of adaptive
+    quadrature, ``np`` to evaluate on broadcast grids of angles.
+    """
     c = math.exp(_density_log_constant(k, l, n)) / math.factorial(k)
 
     def pdf_sym(*angles):
         value = c
         for t in angles:
-            value *= math.cos(t) ** (l - k) * math.sin(t) ** (n - l - k)
+            value = value * xp.cos(t) ** (l - k) * xp.sin(t) ** (n - l - k)
         for i in range(k):
             for j in range(i + 1, k):
-                value *= abs(math.cos(angles[i]) ** 2 - math.cos(angles[j]) ** 2)
+                value = value * abs(xp.cos(angles[i]) ** 2 - xp.cos(angles[j]) ** 2)
         return value
 
     return pdf_sym
@@ -483,34 +486,29 @@ def density_normalization(k, l, n, quad_points=200):
 
 
 def _gof_expected(k, l, n, bins):
-    """Exact bin probabilities on the ordered-angle region, by per-cell GL."""
-    pdf_sym = _density_symmetrized(k, l, n)
+    """Exact bin probabilities on the ordered-angle region, by per-cell GL.
+
+    The density is evaluated on the grid of 8 Gauss-Legendre nodes per bin
+    and summed per cell; for k = 2 only nodes with t1 <= t2 count, which
+    leaves the cells below the diagonal at zero.  The k = 2 grid is taken
+    one row of bins at a time, which keeps its temporaries at 8 x 8*bins.
+    """
+    pdf_sym = _density_symmetrized(k, l, n, xp=np)
     edges = np.linspace(0.0, math.pi / 2.0, bins + 1)
     x8, w8 = np.polynomial.legendre.leggauss(8)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    nodes = mids[:, None] + half * x8[None, :]  # (bins, 8)
-    weights = half * w8
+    t = (mids[:, None] + half * x8[None, :]).ravel()  # bin-major nodes
+    w = np.tile(half * w8, bins)
 
     if k == 1:
-        prob = np.empty(bins)
-        for b in range(bins):
-            prob[b] = sum(
-                weights[a] * pdf_sym(nodes[b, a]) for a in range(8)
-            )
-        return prob
-
-    prob = np.zeros((bins, bins))
-    for b1 in range(bins):
-        for b2 in range(b1, bins):
-            acc = 0.0
-            for a1 in range(8):
-                t1 = nodes[b1, a1]
-                for a2 in range(8):
-                    t2 = nodes[b2, a2]
-                    if t1 <= t2:  # ordered region only
-                        acc += weights[a1] * weights[a2] * 2.0 * pdf_sym(t1, t2)
-            prob[b1, b2] = acc
+        return (w * pdf_sym(t)).reshape(bins, 8).sum(axis=1)
+    t2, w2 = t[None, :], 2.0 * w[None, :]
+    prob = np.empty((bins, bins))
+    for b in range(bins):
+        t1, w1 = t[8 * b : 8 * b + 8, None], w[8 * b : 8 * b + 8, None]
+        cell = np.where(t1 <= t2, w1 * w2 * pdf_sym(t1, t2), 0.0)
+        prob[b] = cell.reshape(8, bins, 8).sum(axis=(0, 2))
     return prob
 
 
@@ -528,17 +526,10 @@ def density_gof(k, l, n, rng, samples, bins=30, workers=1):
 
     def histogram(gen, count):
         g = gen.standard_normal((count, n, k))
-        q, _ = np.linalg.qr(g)
-        overlap = np.transpose(q[:, :l, :], (0, 2, 1))
-        sv = np.clip(np.linalg.svd(overlap, compute_uv=False), 0.0, 1.0)
-        angles = np.sort(np.arccos(sv), axis=1)  # ascending
+        angles = np.arccos(np.sqrt(principal_cos2(g, l)))  # ascending
         idx = np.minimum((angles / width).astype(np.int64), bins - 1)
-        counts = np.zeros([bins] * k, dtype=np.int64)
-        if k == 1:
-            np.add.at(counts, idx[:, 0], 1)
-        else:
-            np.add.at(counts, (idx[:, 0], idx[:, 1]), 1)
-        return counts
+        flat = idx[:, 0] if k == 1 else idx[:, 0] * bins + idx[:, 1]
+        return np.bincount(flat, minlength=bins**k).reshape([bins] * k)
 
     counts = sum(_run_chunks(histogram, rng, samples, workers))
 
@@ -561,15 +552,17 @@ def vitale_closed_form(d):
     )
 
 def vitale_check(d, rng, samples, workers=1):
-    """Monte Carlo estimate of E|det G| for a d x d Gaussian matrix, d <= 12."""
+    """Monte Carlo estimate of E|det G| for a d x d Gaussian matrix, d <= 12.
+
+    A draw is degenerate when its determinant is exactly 0.
+    """
     if not 1 <= d <= 12:
         raise ValueError("d must be in [1, 12]")
 
     def kernel(gen, count):
-        g = gen.standard_normal((count, d, d))
-        sign, logab = np.linalg.slogdet(g)
-        good = sign != 0
-        return np.exp(logab[good]), int(count - good.sum())
+        det = small_det(gen.standard_normal((count, d, d)))
+        good = det != 0.0
+        return np.abs(det[good]), int(count - good.sum())
 
     return run_kernel(kernel, rng, samples, workers=workers, method="vitale-mc")
 
@@ -622,7 +615,7 @@ def integration_formula_check(
     def kernel(gen, count):
         x = gen.standard_normal((count, 2, m))
         x /= np.linalg.norm(x, axis=(1, 2), keepdims=True)
-        sv = np.linalg.svd(x, compute_uv=False)
+        sv = singular_values(x)
         return f_of_sv(sv[:, 0], sv[:, 1]), 0
 
     sphere_area = vol_sphere_log(2 * m - 1).exp()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._quad import composite_gl_log
-from .geomlin import RngStream
+from .geomlin import RngStream, singular_values, small_det
 from .mc import Estimate, run_kernel
 from .specfun import (
     LogValue,
@@ -130,7 +130,7 @@ def support_C(desc, X, method="closed", rng=None, samples=None, workers=1):
     X = np.asarray(X, dtype=float)
     if X.shape != (desc.k, desc.m):
         raise ValueError(f"X must have shape ({desc.k}, {desc.m})")
-    sv = np.linalg.svd(X, compute_uv=False)
+    sv = singular_values(X)
     out = g_k(desc.k, sv, method=method, rng=rng, samples=samples, workers=workers)
     scale = 1.0 / math.sqrt(2.0 * math.pi)
     if isinstance(out, Estimate):
@@ -631,8 +631,10 @@ def vol_C_quadrature(m, profile, quad_points=32):
 def vol_C_vitale_mc(k, m, rng, samples, workers=1):
     """Volume of C(k, m) as E|det M| / (km)! over rank-one Gaussian columns.
 
-    M stacks the km vectorized products x_i y_i^T; determinants are taken in
-    log magnitude so large km cannot overflow.
+    M stacks the km vectorized products x_i y_i^T.  Up to km = 4 the
+    determinant is a cofactor expansion; above that it is taken in log
+    magnitude so large km cannot overflow.  A draw is degenerate when its
+    determinant is exactly 0.
     """
     if k < 1 or m < k:
         raise ValueError("need 1 <= k <= m")
@@ -645,6 +647,10 @@ def vol_C_vitale_mc(k, m, rng, samples, workers=1):
         x = gen.standard_normal((count, n, k))
         y = gen.standard_normal((count, n, m))
         mats = (x[:, :, :, None] * y[:, :, None, :]).reshape(count, n, n)
+        if n <= 4:
+            det = small_det(mats)
+            good = det != 0.0
+            return np.abs(det[good]) / math.factorial(n), int(count - good.sum())
         sign, logab = np.linalg.slogdet(mats)
         good = sign != 0
         return np.exp(logab[good] - log_fact), int(count - good.sum())

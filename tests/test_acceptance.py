@@ -267,6 +267,9 @@ def test_criterion_11_worker_count_determinism(criterion_log):
             (2, 1, 1, 1), RngStream(SEED, 9), 100_000, workers=w
         ),
         "vitale": lambda w: mc.vitale_check(3, RngStream(SEED, 13), 200_000, workers=w),
+        "vitale-volume": lambda w: zonoid.vol_C_vitale_mc(
+            2, 2, RngStream(SEED, 14), 200_000, workers=w
+        ),
     }
     mismatched = [name for name, fn in runs.items() if fn(1) != fn(8)]
     elapsed = time.perf_counter() - t0

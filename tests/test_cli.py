@@ -230,6 +230,15 @@ def test_quad_points_out_of_range_exit_1(capsys):
             assert "Traceback" not in err
 
 
+def test_nonpositive_workers_exit_1(capsys):
+    for command in (("transversals", "--samples", "10"), ("bounds", "--k", "2", "--n", "4")):
+        for workers in ("0", "-2"):
+            code, out, err = invoke(capsys, *command, "--workers", workers)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("grassdeg: ") and "workers must be >= 1" in err
+
+
 def test_usage_errors_exit_2(capsys):
     code, _, _ = invoke(capsys, "no-such-command")
     assert code == 2

@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grassdeg.geomlin import (
     Frame,
     RngStream,
     principal_angles,
+    principal_cos2,
     sample_gaussian_matrix,
     sample_uniform_subspace,
     sigma_many,
     sigma_rel,
+    singular_values,
+    small_det,
     wedge_norm,
 )
 
@@ -179,3 +182,152 @@ def test_sigma_many_rejects_overfull_input():
     fs = [frame_of(e[:, [i]]) for i in range(3)]
     with pytest.raises(ValueError):
         sigma_many(*fs, frame_of(e[:, [0]]))
+
+
+# ---------------------------------------------- batched closed forms vs LAPACK
+
+EPS = np.finfo(float).eps
+
+
+def _structured(rng, n, kind, complex_):
+    def draw(shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if complex_ else z
+
+    if kind == "general":
+        return draw((n, n))
+    if kind == "rank-one":
+        return np.outer(draw(n), draw(n))
+    if kind == "repeated-column":
+        m = draw((n, n))
+        m[:, -1] = m[:, 0]
+        return m
+    if kind == "zero-column":
+        m = draw((n, n))
+        m[:, n // 2] = 0.0
+        return m
+    # rows vec(x y^T) of the Vitale volume matrices of C(k, n/k), k = 2 at n = 4
+    k = 2 if n == 4 else 1
+    x, y = draw((n, k)), draw((n, n // k))
+    return (x[:, :, None] * y[:, None, :]).reshape(n, n)
+
+
+@settings(max_examples=200)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    kind=st.sampled_from(["general", "rank-one", "repeated-column", "zero-column",
+                          "vitale-volume"]),
+    complex_=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log_scale=st.floats(min_value=-30.0, max_value=30.0),
+)
+def test_small_det_matches_lapack_within_the_hadamard_bound(n, kind, complex_, seed,
+                                                            log_scale):
+    m = _structured(RngStream(seed, 0), n, kind, complex_) * math.exp(log_scale)
+    fast = small_det(m[None])[0]
+    oracle = np.linalg.det(m)
+    # |det| <= prod of column norms (Hadamard).  A cofactor expansion's rounding
+    # is bounded by n^(n/2) (n+1) eps times that product; numpy's det is
+    # sign * exp(log|det|), whose rounding grows with |log|det|| as well
+    hadamard = float(np.prod(np.linalg.norm(m, axis=0)))
+    log_term = abs(math.log(hadamard)) if hadamard > 0.0 else 0.0
+    c = 2.0 * n ** (n / 2) * (n + 1) + log_term
+    assert abs(fast - oracle) <= c * EPS * hadamard
+
+
+def test_small_det_is_lapack_above_four_and_rejects_non_square():
+    m = RngStream(7, 0).standard_normal((5, 6, 6))
+    assert np.array_equal(small_det(m), np.linalg.det(m))
+    assert np.array_equal(small_det(m[:, :3, :3].copy() * 0.0), np.zeros(5))
+    with pytest.raises(ValueError):
+        small_det(np.ones((3, 2)))
+
+
+def _cos2_oracle(g, j):
+    # the QR + SVD path the kernels used before the closed form
+    q, _ = np.linalg.qr(g)
+    sv = np.linalg.svd(np.swapaxes(q[:, :j, :], 1, 2), compute_uv=False)
+    return np.clip(sv, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("n, k, j", [(4, 2, 2), (3, 1, 2), (5, 2, 3), (6, 2, 2)])
+def test_principal_cos2_gives_the_kernels_qr_svd_flags_and_bins(n, k, j):
+    # schubert flags for eps = delta in {0.01, 0.03, 0.04} and the 30-bin gof
+    # histogram index, both from the same 2^20 draws through each path
+    draws = 2**20 if (n, j) in ((4, 2), (3, 2)) else 2**17
+    width = math.pi / 2.0 / 30
+    stream = RngStream(8, n * 10 + k)
+    for chunk in range(draws // 2**16):
+        g = stream.substream(chunk).standard_normal((2**16, n, k))
+        fast = np.arccos(np.sqrt(principal_cos2(g, j)))
+        slow = np.arccos(_cos2_oracle(g, j))  # descending svd: ascending angles
+        assert np.max(np.abs(fast - slow)) < 1e-6
+        for eps in (0.01, 0.03, 0.04):
+            hit_fast, hit_slow = fast[:, 0] <= eps, slow[:, 0] <= eps
+            if k == 2:
+                hit_fast &= fast[:, 1] >= eps
+                hit_slow &= slow[:, 1] >= eps
+            assert np.array_equal(hit_fast, hit_slow)
+        bins_fast = np.minimum((fast / width).astype(np.int64), 29)
+        bins_slow = np.minimum((np.sort(slow, axis=1) / width).astype(np.int64), 29)
+        assert np.array_equal(bins_fast, bins_slow)
+
+
+def test_principal_cos2_three_columns_is_the_qr_svd_path():
+    g = RngStream(9, 0).standard_normal((500, 6, 3))
+    q, _ = np.linalg.qr(g)
+    sv = np.linalg.svd(q[:, :3, :], compute_uv=False)
+    assert np.array_equal(principal_cos2(g, 3), np.clip(sv**2, 0.0, 1.0))
+
+
+def test_principal_cos2_degenerate_frames_stay_finite():
+    e = np.eye(4)
+    tilted = np.stack([e[0], (e[1] + e[2]) / math.sqrt(2.0)], axis=1)
+    cases = {
+        "contains e1": (np.stack([e[0], e[2]], axis=1), 2, [1.0, 0.0]),
+        "contains e1, tilted": (tilted, 2, [1.0, 0.5]),
+        "orthogonal to the top block": (np.stack([e[2], e[3]], axis=1), 2, [0.0, 0.0]),
+        "equal to the top block (j = k)": (np.stack([e[1], e[0]], axis=1), 2,
+                                           [1.0, 1.0]),
+        "line orthogonal to the top block": (e[:, 3:], 3, [0.0]),
+        "top block is the whole space": (np.stack([e[0], e[3]], axis=1), 4,
+                                         [1.0, 1.0]),
+        "fewer top rows than columns": (np.stack([e[0], e[3]], axis=1), 1, [1.0]),
+    }
+    for name, (g, j, expect) in cases.items():
+        got = principal_cos2(g, j)
+        assert np.all(np.isfinite(got)), name
+        assert np.allclose(got, expect, atol=1e-15), (name, got)
+    with pytest.raises(ValueError):
+        principal_cos2(e[:, :2], 0)
+    with pytest.raises(ValueError):
+        principal_cos2(np.ones((1, 2)), 1)  # two columns in R^1
+
+
+@given(
+    k=st.integers(min_value=1, max_value=2),
+    extra=st.integers(min_value=0, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log_scale=st.floats(min_value=-300.0, max_value=300.0),
+)
+@example(k=2, extra=1, seed=0, log_scale=300.0)
+def test_singular_values_match_lapack(k, extra, seed, log_scale):
+    x = RngStream(seed, 0).standard_normal((3, k, k + extra))
+    x[2, 1 % k] = x[2, 0]  # rank one when k = 2
+    x *= 10.0**log_scale
+    fast = singular_values(x)
+    oracle = np.linalg.svd(x, compute_uv=False)
+    assert np.all(np.isfinite(fast))
+    top = oracle[:, :1]
+    assert np.all(np.abs(fast - oracle) <= 16.0 * EPS * top)
+
+
+def test_singular_values_of_zero_and_wide_stacks():
+    assert np.array_equal(singular_values(np.zeros((2, 5))), np.zeros(2))
+    # equal singular values: the discriminant is a sum of squares, so no sqrt(eps)
+    equal = singular_values(3.0 * np.eye(2, 3))
+    assert np.allclose(equal, [3.0, 3.0], rtol=0.0, atol=4.0 * EPS)
+    x = RngStream(10, 0).standard_normal((4, 3, 5))
+    assert np.array_equal(singular_values(x), np.linalg.svd(x, compute_uv=False))
+    with pytest.raises(ValueError):
+        singular_values(np.ones((3, 2)))

@@ -124,6 +124,9 @@ def test_kernel_input_validation():
         run_kernel(_unit_kernel, RngStream(0, 0), 0)
     with pytest.raises(TypeError):
         run_kernel(_unit_kernel, np.random.default_rng(0), 100)
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_kernel(_unit_kernel, RngStream(0, 0), 100, workers=workers)
 
 
 # ------------------------------------------------------------------ alpha
@@ -279,6 +282,43 @@ def test_density_pdf_2_2_4_closed_form():
 
 def test_density_normalization_simplest_case():
     assert abs(density_normalization(1, 1, 2) - 1.0) < 1e-9
+
+
+def _gof_expected_loop(k, l, n, bins):
+    # the per-node loop the vectorized _gof_expected replaced, kept as its oracle
+    pdf_sym = mc._density_symmetrized(k, l, n)
+    edges = np.linspace(0.0, math.pi / 2.0, bins + 1)
+    x8, w8 = np.polynomial.legendre.leggauss(8)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    nodes = mids[:, None] + half * x8[None, :]
+    weights = half * w8
+    if k == 1:
+        return np.array([sum(weights[a] * pdf_sym(nodes[b, a]) for a in range(8))
+                         for b in range(bins)])
+    prob = np.zeros((bins, bins))
+    for b1 in range(bins):
+        for b2 in range(b1, bins):
+            acc = 0.0
+            for a1 in range(8):
+                t1 = nodes[b1, a1]
+                for a2 in range(8):
+                    t2 = nodes[b2, a2]
+                    if t1 <= t2:
+                        acc += weights[a1] * weights[a2] * 2.0 * pdf_sym(t1, t2)
+            prob[b1, b2] = acc
+    return prob
+
+
+@pytest.mark.parametrize("k, l, n, bins", [(2, 2, 4, 30), (2, 3, 6, 7), (1, 1, 2, 30),
+                                           (1, 2, 5, 11)])
+def test_gof_expected_matches_the_loop(k, l, n, bins):
+    fast = mc._gof_expected(k, l, n, bins)
+    slow = _gof_expected_loop(k, l, n, bins)
+    assert fast.shape == slow.shape
+    assert np.max(np.abs(fast - slow)) <= 1e-15
+    if k == 2:
+        assert np.all(np.tril(fast, -1) == 0.0)  # below the diagonal t1 > t2
 
 
 def test_density_gof_is_deterministic_and_small():
