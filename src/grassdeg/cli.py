@@ -16,70 +16,49 @@ SCHEMA_VERSION = 1
 DEFAULT_SEED = 20250817  # fixed: published numbers must be reproducible
 
 
-class RunRecord:
-    """One reported quantity; serializes to the versioned JSON schema."""
-
-    def __init__(self, quantity, params, value, stderr=0.0, n_samples=0,
-                 seed=DEFAULT_SEED, method="closed-form", degenerate_count=0):
-        self.quantity = quantity
-        self.params = params
-        self.log_value = None
-        if isinstance(value, LogValue):
-            self.value = None
-            self.log_value = value.log_magnitude
-        else:
-            self.value = float(value)
-        # one draw has no standard error: null, never a non-JSON Infinity
-        self.stderr = float(stderr) if math.isfinite(stderr) else None
-        self.n_samples = int(n_samples)
-        self.seed = int(seed)
-        self.method = method
-        self.degenerate_count = int(degenerate_count)
-        self.runtime_ms = 0
-        self.tool_version = __version__
-
-    @classmethod
-    def from_estimate(cls, quantity, params, est):
-        return cls(quantity, params, est.value, stderr=est.stderr,
-                   n_samples=est.n_samples, seed=est.seed, method=est.method,
-                   degenerate_count=est.degenerate_count)
-
-    def to_dict(self):
-        out = {
-            "version": SCHEMA_VERSION,
-            "quantity": self.quantity,
-            "params": self.params,
-            "value": self.value,
-            "stderr": self.stderr,
-            "n_samples": self.n_samples,
-            "degenerate_count": self.degenerate_count,
-            "seed": self.seed,
-            "method": self.method,
-            "runtime_ms": self.runtime_ms,
-            "tool_version": self.tool_version,
-        }
-        if self.log_value is not None:
-            out["log_value"] = self.log_value
-        return out
+def _exact(value, method, stderr=0.0, n_samples=0):
+    """An Estimate of a value that no random stream produced."""
+    return mc.Estimate(value, stderr, n_samples, seed=0, method=method)
 
 
-def _render(records, fmt):
-    """The report text; a non-finite number left in a JSON record raises."""
+def _render(records, fmt, shared):
+    """The report text of (quantity, params, Estimate) records.
+
+    ``shared`` holds the fields every record of the run carries: the seed
+    as given, runtime_ms, version and tool_version.  One draw has no
+    standard error: a non-finite stderr is reported as null, never as a
+    non-JSON Infinity, and any other non-finite number in a JSON record
+    raises.
+    """
+    rows = []
+    for quantity, params, est in records:
+        on_log = isinstance(est.value, LogValue)
+        row = dict(
+            shared,
+            quantity=quantity,
+            params=params,
+            value=None if on_log else float(est.value),
+            stderr=float(est.stderr) if math.isfinite(est.stderr) else None,
+            n_samples=int(est.n_samples),
+            degenerate_count=int(est.degenerate_count),
+            method=est.method,
+        )
+        if on_log:
+            row["log_value"] = est.value.log_magnitude
+        rows.append(row)
     if fmt == "json":
-        dicts = [r.to_dict() for r in records]
-        payload = dicts[0] if len(dicts) == 1 else dicts
+        payload = rows[0] if len(rows) == 1 else rows
         return json.dumps(payload, sort_keys=True, indent=2,
                           allow_nan=False) + "\n"
     base_cols = ["quantity", "value", "log_value", "stderr", "n_samples",
                  "degenerate_count", "seed", "method", "runtime_ms"]
-    param_cols = sorted({k for r in records for k in r.params})
+    param_cols = sorted({k for row in rows for k in row["params"]})
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(base_cols + [f"param_{c}" for c in param_cols])
-    for r in records:
-        row = [getattr(r, c) for c in base_cols]
-        row += [r.params.get(c, "") for c in param_cols]
-        writer.writerow(row)
+    for row in rows:
+        writer.writerow([row.get(c) for c in base_cols]
+                        + [row["params"].get(c, "") for c in param_cols])
     return buf.getvalue()
 
 
@@ -187,46 +166,37 @@ def _parser():
 def _cmd_edeg(args):
     # only the Vitale route draws; a stream would load numpy.random for nothing
     rng = RngStream(args.seed, 0) if args.method == "zonoid_vitale" else None
-    result = edeg.edeg_general(
+    est = edeg.edeg_general(
         args.k, args.n, method=args.method, rng=rng, samples=args.samples,
         quad_points=args.quad_points, workers=args.workers,
     )
     params = {"k": args.k, "n": args.n, "method": args.method}
     if args.method == "zonoid_vitale":
         params["samples"] = args.samples
-        n_samples = args.samples
     else:
         params["quad_points"] = args.quad_points
-        n_samples = 0
-    return [RunRecord("edeg", params, result.value,
-                      stderr=result.error_estimate, n_samples=n_samples,
-                      seed=args.seed, method=result.method)]
+    return [("edeg", params, est)]
 
 
 def _cmd_edeg_lines(args):
-    result = edeg.edeg_lines_quadrature(args.n, quad_points=args.quad_points)
+    est = edeg.edeg_lines_quadrature(args.n, quad_points=args.quad_points)
     asym = edeg.log_edeg_lines_asymptotic(args.n)
-    return [RunRecord(
-        "edeg-lines",
-        {"n": args.n, "quad_points": args.quad_points,
-         "log_asymptotic": asym},
-        result.value, stderr=result.error_estimate,
-        seed=args.seed, method=result.method,
-    )]
+    return [("edeg-lines",
+             {"n": args.n, "quad_points": args.quad_points,
+              "log_asymptotic": asym}, est)]
 
 
 def _cmd_alpha(args):
     est = mc.alpha_mc(args.k, args.m, RngStream(args.seed, 0), args.samples,
                       workers=args.workers)
-    return [RunRecord.from_estimate(
-        "alpha", {"k": args.k, "m": args.m, "samples": args.samples}, est)]
+    return [("alpha", {"k": args.k, "m": args.m, "samples": args.samples},
+             est)]
 
 
 def _cmd_transversals(args):
     est = incidence.edeg24_transversal_mc(
         RngStream(args.seed, 0), args.samples, workers=args.workers)
-    return [RunRecord.from_estimate(
-        "edeg24-transversal", {"samples": args.samples}, est)]
+    return [("edeg24-transversal", {"samples": args.samples}, est)]
 
 
 def _cmd_rig(args):
@@ -237,10 +207,9 @@ def _cmd_rig(args):
     est = incidence.rig_union_of_lines_mc(
         r, RngStream(args.seed, 0), args.samples, workers=args.workers)
     expected = math.prod(r)
-    return [RunRecord.from_estimate(
-        "rig-union-of-lines",
-        {"r": list(r), "samples": args.samples,
-         "count_multiplier": expected}, est)]
+    return [("rig-union-of-lines",
+             {"r": list(r), "samples": args.samples,
+              "count_multiplier": expected}, est)]
 
 
 def _cmd_zonoid_volume(args):
@@ -248,21 +217,16 @@ def _cmd_zonoid_volume(args):
     if args.method == "quadrature":
         if args.k != 2:
             raise ValueError("quadrature volume requires k = 2")
-        log_value, log_error = zonoid.vol_C_quadrature_log(
+        volume = zonoid.vol_C_quadrature_log(
             args.m, zonoid.default_profile(), quad_points=args.quad_points)
         params["quad_points"] = args.quad_points
-        if args.k * args.m > edeg._LOG_ONLY_ABOVE:
-            # the volume underflows long before km is large; report its log
-            value, stderr = log_value, log_error
-        else:
-            value = log_value.exp()
-            stderr = value * log_error
-        return [RunRecord("zonoid-volume", params, value, stderr=stderr,
-                          seed=args.seed, method="quadrature")]
+        # the volume underflows long before km is large; report its log
+        return [("zonoid-volume", params,
+                 edeg._on_scale(volume, args.k * args.m))]
     est = zonoid.vol_C_vitale_mc(args.k, args.m, RngStream(args.seed, 0),
                                  args.samples, workers=args.workers)
     params["samples"] = args.samples
-    return [RunRecord.from_estimate("zonoid-volume", params, est)]
+    return [("zonoid-volume", params, est)]
 
 
 def _cmd_profile_build(args):
@@ -271,13 +235,10 @@ def _cmd_profile_build(args):
     if args.out:
         profile.save(args.out)
     quarter = profile.radius(math.pi / 4.0)
-    record = RunRecord(
-        "radial-profile",
-        {"grid": args.grid, "differentiation": args.differentiation,
-         "knots": len(profile.knots), "cache_path": args.out or ""},
-        quarter, seed=args.seed, method="gradient-map")
+    params = {"grid": args.grid, "differentiation": args.differentiation,
+              "knots": len(profile.knots), "cache_path": args.out or ""}
     args.out = None  # --out named the profile cache; the report goes to stdout
-    return [record]
+    return [("radial-profile", params, _exact(quarter, "gradient-map"))]
 
 
 def _cmd_density_check(args):
@@ -286,42 +247,37 @@ def _cmd_density_check(args):
     if args.samples > 0:
         l1 = mc.density_gof(args.k, args.l, args.n, RngStream(args.seed, 1),
                             args.samples, workers=args.workers)
-    records = [RunRecord(
-        "density-normalization",
-        {"k": args.k, "l": args.l, "n": args.n},
-        mc.density_normalization(args.k, args.l, args.n),
-        seed=args.seed, method="nested-quadrature")]
+    dims = {"k": args.k, "l": args.l, "n": args.n}
+    records = [("density-normalization", dims,
+                _exact(mc.density_normalization(args.k, args.l, args.n),
+                       "nested-quadrature"))]
     if args.samples > 0:
-        records.append(RunRecord(
-            "density-gof",
-            {"k": args.k, "l": args.l, "n": args.n, "samples": args.samples,
-             "bins": 30},
-            l1, n_samples=args.samples, seed=args.seed, method="binned-l1"))
+        records.append(("density-gof",
+                        dict(dims, samples=args.samples, bins=30),
+                        _exact(l1, "binned-l1", n_samples=args.samples)))
     return records
 
 
 def _cmd_schubert_ratio(args):
     exact = mc.schubert_ratio_exact(args.k, args.n)
     if not args.mc:
-        return [RunRecord("schubert-ratio", {"k": args.k, "n": args.n},
-                          exact, seed=args.seed, method="closed-form")]
+        return [("schubert-ratio", {"k": args.k, "n": args.n},
+                 _exact(exact, "closed-form"))]
     delta = args.eps if args.delta is None else args.delta
     est = mc.schubert_ratio_mc(args.k, args.n, args.eps, delta,
                                RngStream(args.seed, 0), args.samples,
                                workers=args.workers)
-    return [RunRecord.from_estimate(
-        "schubert-ratio",
-        {"k": args.k, "n": args.n, "eps": args.eps, "delta": delta,
-         "samples": args.samples, "exact": exact}, est)]
+    return [("schubert-ratio",
+             {"k": args.k, "n": args.n, "eps": args.eps, "delta": delta,
+              "samples": args.samples, "exact": exact}, est)]
 
 
 def _cmd_vitale(args):
     est = mc.vitale_check(args.d, RngStream(args.seed, 0), args.samples,
                           workers=args.workers)
-    return [RunRecord.from_estimate(
-        "vitale-moment",
-        {"d": args.d, "samples": args.samples,
-         "closed_form": mc.vitale_closed_form(args.d)}, est)]
+    return [("vitale-moment",
+             {"d": args.d, "samples": args.samples,
+              "closed_form": mc.vitale_closed_form(args.d)}, est)]
 
 
 def _cmd_laplace_demo(args):
@@ -346,33 +302,25 @@ def _cmd_laplace_demo(args):
     line_rows = edeg.laplace_validate(
         a_fn, b_fn, 1e-6, math.pi / 4.0, lines, [4.0, 16.0, 64.0])
 
-    records = []
-    for name, rows in (("gaussian-endpoint", gauss_rows),
-                       ("lines-radial", line_rows)):
-        for row in rows:
-            records.append(RunRecord(
-                "laplace-demo",
-                {"problem": name, "lam": row["lam"],
-                 "leading": row["leading"]},
-                row["integral"], stderr=row["rel_error"],
-                seed=args.seed, method="laplace-vs-quadrature"))
-    return records
+    return [("laplace-demo",
+             {"problem": name, "lam": row["lam"], "leading": row["leading"]},
+             _exact(row["integral"], "laplace-vs-quadrature",
+                    stderr=row["rel_error"]))
+            for name, rows in (("gaussian-endpoint", gauss_rows),
+                               ("lines-radial", line_rows))
+            for row in rows]
 
 
 def _cmd_bounds(args):
     k, n = args.k, args.n
-    if k * (n - k) > edeg._LOG_ONLY_ABOVE:
-        bound = edeg.edeg_upper_bound_log(k, n)
-    else:
-        bound = edeg.edeg_upper_bound(k, n)
-    records = [RunRecord("edeg-upper-bound", {"k": k, "n": n}, bound,
-                         seed=args.seed, method="upper_bound")]
+    bound = _exact(edeg.edeg_upper_bound_log(k, n), "upper_bound")
+    records = [("edeg-upper-bound", {"k": k, "n": n},
+                edeg._on_scale(bound, k * (n - k)))]
     if k >= 2:
-        records.append(RunRecord("epsilon-k", {"k": k}, edeg.epsilon_k(k),
-                                 seed=args.seed, method="closed-form"))
-    records.append(RunRecord("log-edeg-leading", {"k": k, "n": n},
-                             edeg.log_edeg_leading(k, n),
-                             seed=args.seed, method="asymptotic"))
+        records.append(("epsilon-k", {"k": k},
+                        _exact(edeg.epsilon_k(k), "closed-form")))
+    records.append(("log-edeg-leading", {"k": k, "n": n},
+                    _exact(edeg.log_edeg_leading(k, n), "asymptotic")))
     return records
 
 
@@ -402,11 +350,16 @@ def run(argv):
     try:
         if args.workers < 1:  # also on commands that run no Monte Carlo
             raise ValueError("workers must be >= 1")
+        if not 0 <= args.seed < 2**64:  # streams key on 64 bits
+            raise ValueError("seed must be in [0, 2^64)")
         records = _HANDLERS[args.command](args)
-        runtime_ms = int(round((time.perf_counter() - started) * 1000.0))
-        for record in records:
-            record.runtime_ms = runtime_ms
-        _emit(_render(records, args.format), args.out)
+        shared = {
+            "seed": args.seed,
+            "runtime_ms": int(round((time.perf_counter() - started) * 1000.0)),
+            "version": SCHEMA_VERSION,
+            "tool_version": __version__,
+        }
+        _emit(_render(records, args.format, shared), args.out)
     except (ValueError, TypeError, RuntimeError, OverflowError,
             ArithmeticError, OSError) as exc:
         print(f"grassdeg: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ asymptotics at finite n.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .specfun import (
     LogValue,
@@ -23,7 +23,6 @@ from .specfun import (
 from .zonoid import default_profile, vol_C_quadrature_log, vol_C_vitale_mc
 
 __all__ = [
-    "EdegResult",
     "LaplaceProblem",
     "edeg_lines_quadrature",
     "edeg_lines_asymptotic",
@@ -36,47 +35,26 @@ __all__ = [
     "laplace_validate",
 ]
 
-_METHODS = ("quadrature", "zonoid_mc")
 _LOG_ONLY_ABOVE = 30  # k(n-k) beyond this: direct floats refused, LogValue returned
 
 
-@dataclass(frozen=True)
-class EdegResult:
-    """Expected degree of G(k, n), tagged with how it was computed.
+def _on_scale(est, big_n, log_factor=0.0):
+    """``est`` times exp(log_factor), on the scale that suits N = big_n.
 
-    ``value`` is a positive float when k(n-k) <= 30 and a LogValue beyond
-    that.  ``error_estimate`` is absolute on a float value and log-scale
-    (relative) on a LogValue: value * |log I_32 - log I_16| or
-    |log I_32 - log I_16| for quadrature (the panel doubling of
-    vol_C_quadrature_log), the standard error or the relative standard
-    error for zonoid Monte Carlo.
+    ``est.value`` is a LogValue with log-scale stderr or a positive float
+    with absolute stderr.  For N > 30 the result is a LogValue with
+    log-scale (relative) stderr, otherwise a float with absolute stderr.
     """
-
-    k: int
-    n: int
-    value: object
-    method: str
-    error_estimate: float
-
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
-        if isinstance(self.value, LogValue):
-            return
-        if not self.value > 0.0:
-            raise ValueError("edeg value must be positive")
-
-    def log_magnitude(self):
-        """log of the value regardless of representation."""
-        if isinstance(self.value, LogValue):
-            return self.value.log_magnitude
-        return math.log(self.value)
-
-
-def _pack_value(log_value, big):
-    if big:
-        return LogValue(log_value)
-    return math.exp(log_value)
+    on_log = isinstance(est.value, LogValue)
+    log_value = log_factor + (
+        est.value.log_magnitude if on_log else math.log(est.value)
+    )
+    if big_n > _LOG_ONLY_ABOVE:
+        error = est.stderr if on_log else est.stderr / est.value
+        return replace(est, value=LogValue(log_value), stderr=error)
+    value = math.exp(log_value)
+    error = value * est.stderr if on_log else est.stderr * math.exp(log_factor)
+    return replace(est, value=value, stderr=error)
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +112,13 @@ def edeg_general(
     quad_points=32,
     workers=1,
 ):
-    """edeg G(k, n) = |G(k,n)| N!/2^N |C(k, n-k)|, N = k(n-k).
+    """edeg G(k, n) = |G(k,n)| N!/2^N |C(k, n-k)|, N = k(n-k), as an Estimate.
 
     Orthocomplement duality k -> n-k is applied first, so zonoid_quadrature
     covers k = 2 and k = n-2; zonoid_vitale estimates |C| by determinant
-    Monte Carlo for any k(n-k) <= 36.
+    Monte Carlo for any k(n-k) <= 36.  The value is a float up to N = 30
+    and a LogValue beyond, with stderr on the same scale: the panel
+    doubling of vol_C_quadrature_log, or the Vitale standard error.
     """
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
@@ -150,7 +130,6 @@ def edeg_general(
         + log_gamma(big_n + 1.0)
         - big_n * math.log(2.0)
     )
-    big = big_n > _LOG_ONLY_ABOVE
 
     if method == "zonoid_quadrature":
         if kk != 2:
@@ -160,13 +139,8 @@ def edeg_general(
             )
         if profile is None:
             profile = default_profile()
-        log_c, log_error = vol_C_quadrature_log(m, profile, quad_points)
-        log_value = log_fixed + log_c.log_magnitude
-        error = log_error if big else math.exp(log_value) * log_error
-        return EdegResult(
-            k=k, n=n, value=_pack_value(log_value, big),
-            method="quadrature", error_estimate=error,
-        )
+        volume = vol_C_quadrature_log(m, profile, quad_points)
+        return _on_scale(volume, big_n, log_fixed)
 
     if method == "zonoid_vitale":
         if big_n > 36:
@@ -178,15 +152,7 @@ def edeg_general(
             raise RuntimeError(
                 "zonoid volume estimate is nonpositive; increase samples"
             )
-        log_value = log_fixed + math.log(est.value)
-        if big:
-            error = est.stderr / est.value  # relative, matching the log scale
-        else:
-            error = est.stderr * math.exp(log_fixed)
-        return EdegResult(
-            k=k, n=n, value=_pack_value(log_value, big),
-            method="zonoid_mc", error_estimate=error,
-        )
+        return replace(_on_scale(est, big_n, log_fixed), method="zonoid_mc")
 
     raise ValueError(f"unknown method {method!r}")
 

@@ -8,6 +8,7 @@ chunk, so results are byte-identical for any worker count.
 """
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,14 +53,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Estimate:
-    """A Monte Carlo (or quadrature) result with its uncertainty.
+    """The result of every route to a number: its value and its error.
 
-    ``value`` averages the non-degenerate draws; ``degenerate_count`` out of
-    ``n_samples`` requested draws were excluded.  For quadrature-backed
-    estimates ``stderr`` is a grid-refinement error proxy and ``seed`` is 0.
+    ``value`` is a float, or a LogValue where the number may overflow (edeg
+    and zonoid volumes once k*m > 30).  ``stderr`` is absolute on a float
+    and log-scale (relative) on a LogValue.  What it measures depends on the
+    method: for Monte Carlo the standard error of the mean (inf after one
+    draw), for quadrature the difference after resolution doubling, for a
+    closed form 0.  ``value`` averages the non-degenerate draws;
+    ``degenerate_count`` out of ``n_samples`` requested draws were
+    excluded.  Where nothing is drawn ``seed`` is 0 and ``n_samples`` counts
+    grid nodes or is 0.
     """
 
-    value: float
+    value: object
     stderr: float
     n_samples: int
     seed: int
@@ -156,8 +163,10 @@ def _run_chunks(fn, rng, samples, workers):
         return fn(rng.substream(index).generator, count)
 
     jobs = list(enumerate(_chunk_sizes(samples)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    # more threads than chunks or cores would only hold more chunk arrays
+    threads = min(workers, len(jobs), os.cpu_count() or 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(one_chunk, jobs))
     return [one_chunk(j) for j in jobs]
 
@@ -451,7 +460,7 @@ def _density_symmetrized(k, l, n, xp=math):
 
 
 def density_normalization(k, l, n, quad_points=200):
-    """Integral of the angle density; should be 1.  Supports k <= 3.
+    """Integral of the angle density; should be 1.  k <= 3 (n <= 12 at k = 3).
 
     Integrates the symmetrized density over the cube with nested adaptive
     quadrature, splitting each inner integral at the outer angles where the
@@ -460,6 +469,9 @@ def density_normalization(k, l, n, quad_points=200):
     _check_density_dims(k, l, n)
     if k > 3:
         raise ValueError("normalization check implemented for k <= 3 only")
+    if k == 3 and n > 12:
+        # three nested adaptive levels: seconds at n = 12, growing with n
+        raise ValueError("normalization check for k = 3 supports n <= 12 only")
     from scipy.integrate import quad
 
     pdf_sym = _density_symmetrized(k, l, n)

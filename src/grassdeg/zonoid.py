@@ -588,9 +588,10 @@ def vol_C_quadrature_log(m, profile, quad_points=32):
 
     The integrand (r(t)^2 cos t sin t)^m (cos^2 t - sin^2 t)/(cos t sin t)^2
     is summed in log scale by composite Gauss-Legendre with quad_points
-    nodes per panel, on 16 and on 32 panels.  Returns (LogValue of the
-    32-panel volume, |log I_32 - log I_16|); that panel-doubling difference
-    is the error estimate of every quadrature route in the package.
+    nodes per panel, on 16 and on 32 panels.  Returns an Estimate whose
+    value is the LogValue of the 32-panel volume and whose stderr is
+    |log I_32 - log I_16|; that panel-doubling difference is the error of
+    every quadrature route in the package.
     """
     _check_vol_c_args(m, profile)
     if not 1 <= quad_points <= MAX_QUAD_POINTS:
@@ -620,12 +621,13 @@ def vol_C_quadrature_log(m, profile, quad_points=32):
             f"{log_error:.2e}; raise quad_points",
             stacklevel=2,
         )
-    return LogValue(_log_vol_C_prefactor(m) + fine), log_error
+    return Estimate(value=LogValue(_log_vol_C_prefactor(m) + fine),
+                    stderr=log_error, n_samples=0, seed=0, method="quadrature")
 
 
 def vol_C_quadrature(m, profile, quad_points=32):
     """Volume of C(2, m) as a float: vol_C_quadrature_log without the log."""
-    return vol_C_quadrature_log(m, profile, quad_points)[0].exp()
+    return vol_C_quadrature_log(m, profile, quad_points).value.exp()
 
 
 def vol_C_vitale_mc(k, m, rng, samples, workers=1):

@@ -37,7 +37,7 @@ def test_criterion_01_three_way_edeg24(criterion_log):
     to = mc.edeg24_integral(mode="mc", rng=RngStream(SEED, 1), samples=10_000_000,
                             workers=8)
     quad = edeg.edeg_lines_quadrature(3)
-    qv, qerr = float(quad.value), quad.error_estimate
+    qv, qerr = float(quad.value), quad.stderr
     elapsed = time.perf_counter() - t0
 
     in_window = all(_within(v, 1.7262, 0.005) for v in (tr.value, to.value, qv))
@@ -195,7 +195,7 @@ def test_criterion_08_bounds(criterion_log):
     est36 = edeg.edeg_general(3, 6, method="zonoid_vitale", rng=RngStream(SEED, 7),
                               samples=200_000)
     bound36 = edeg.edeg_upper_bound(3, 6)
-    checks.append(float(est36.value) <= bound36 + 3.0 * est36.error_estimate)
+    checks.append(float(est36.value) <= bound36 + 3.0 * est36.stderr)
     eps_seq = [edeg.epsilon_k(k) for k in range(2, 51)]
     eps_ok = all(a > b for a, b in zip(eps_seq, eps_seq[1:]))
     eps2_ok = abs(eps_seq[0] - 1.30) < 0.01

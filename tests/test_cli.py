@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassdeg.cli import _HANDLERS, DEFAULT_SEED, SCHEMA_VERSION, run
+from grassdeg.mc import Estimate
 from grassdeg.zonoid import RadialProfile2, default_profile, vol_C_quadrature_log
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -89,6 +90,33 @@ def test_seed_changes_the_estimate(capsys):
     assert a["value"] != b["value"]
 
 
+def test_seed_outside_64_bits_exit_1(capsys):
+    for command in (("transversals", "--samples", "10"), ("bounds", "--k", "2", "--n", "4")):
+        for seed in ("-1", str(2**64)):
+            code, out, err = invoke(capsys, *command, "--seed", seed)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("grassdeg: ") and "seed" in err
+        payload = invoke_json(capsys, *command, "--seed", str(2**64 - 1))
+        for rec in payload if isinstance(payload, list) else [payload]:
+            assert rec["seed"] == 2**64 - 1
+
+
+def test_edeg_vitale_reports_degenerate_draws(capsys, monkeypatch):
+    import grassdeg.edeg
+
+    def fake_vitale(k, m, rng, samples, workers=1):
+        return Estimate(value=0.1, stderr=0.01, n_samples=samples,
+                        seed=rng.seed, method="vitale-volume-mc",
+                        degenerate_count=3)
+
+    monkeypatch.setattr(grassdeg.edeg, "vol_C_vitale_mc", fake_vitale)
+    rec = invoke_json(capsys, "edeg", "--k", "2", "--n", "4", "--method",
+                      "zonoid_vitale", "--samples", "100")
+    assert rec["degenerate_count"] == 3
+    assert rec["n_samples"] == 100 and rec["method"] == "zonoid_mc"
+
+
 def test_rig_multiplier_in_params(capsys):
     rec = invoke_json(capsys, "rig", "--r", "2,1,1,1", "--samples", "5000")
     check_record(rec)
@@ -107,10 +135,10 @@ def test_zonoid_volume_quadrature(capsys):
 def test_zonoid_volume_switches_to_log_for_large_km(capsys):
     rec = invoke_json(capsys, "zonoid-volume", "--k", "2", "--m", "200")
     check_record(rec)
-    log_value, log_error = vol_C_quadrature_log(200, default_profile())
+    volume = vol_C_quadrature_log(200, default_profile())
     assert rec["value"] is None
-    assert rec["log_value"] == log_value.log_magnitude < -1000.0
-    assert rec["stderr"] == log_error > 0.0
+    assert rec["log_value"] == volume.value.log_magnitude < -1000.0
+    assert rec["stderr"] == volume.stderr > 0.0
 
 
 @pytest.mark.parametrize("argv", [("transversals", "--samples", "1"),

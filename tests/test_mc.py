@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -117,6 +118,28 @@ def test_kernel_worker_count_is_invisible(samples):
     eight = run_kernel(_unit_kernel, RngStream(2, 1), samples, workers=8)
     assert one == eight
     assert one.n_samples == samples
+
+
+def test_kernel_threads_bounded_by_chunks_and_cores(monkeypatch):
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", SerialPool)
+    est = run_kernel(_unit_kernel, RngStream(2, 3), 3 * CHUNK, workers=10**6)
+    assert all(w <= min(3, os.cpu_count()) for w in requested)
+    assert est == run_kernel(_unit_kernel, RngStream(2, 3), 3 * CHUNK)
 
 
 def test_kernel_input_validation():
@@ -282,6 +305,12 @@ def test_density_pdf_2_2_4_closed_form():
 
 def test_density_normalization_simplest_case():
     assert abs(density_normalization(1, 1, 2) - 1.0) < 1e-9
+
+
+def test_density_normalization_bounds_n_at_k3():
+    assert abs(density_normalization(3, 3, 6) - 1.0) < 1e-9
+    with pytest.raises(ValueError, match="n <= 12"):
+        density_normalization(3, 3, 13)
 
 
 def _gof_expected_loop(k, l, n, bins):

@@ -362,9 +362,9 @@ def test_vol_quadrature_closes_the_lines_identity(profile2):
 def test_vol_quadrature_log_consistency(profile2):
     for m in (2, 3, 8):
         direct = vol_C_quadrature(m, profile2)
-        logged, log_error = vol_C_quadrature_log(m, profile2)
-        assert math.isclose(logged.log_magnitude, math.log(direct), rel_tol=1e-12)
-        assert 0.0 < log_error < 1e-8
+        logged = vol_C_quadrature_log(m, profile2)
+        assert math.isclose(logged.value.log_magnitude, math.log(direct), rel_tol=1e-12)
+        assert 0.0 < logged.stderr < 1e-8
 
 
 def test_vol_quadrature_validation(profile2):
@@ -378,7 +378,7 @@ def test_volume_gap_to_ball_grows_like_log_m(profile2):
     # |log vol_C(2,m) - log vol_ball(2,m)| / log m stays clearly bounded
     for m in (4, 8, 16, 32, 64):
         gap = abs(
-            vol_C_quadrature_log(m, profile2)[0].log_magnitude
+            vol_C_quadrature_log(m, profile2).value.log_magnitude
             - math.log(vol_ball(2, m))
         )
         assert gap / math.log(m) < 5.0
