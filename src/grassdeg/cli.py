@@ -17,7 +17,11 @@ DEFAULT_SEED = 20250817  # fixed: published numbers must be reproducible
 
 
 def _exact(value, method, stderr=0.0, n_samples=0):
-    """An Estimate of a value that no random stream produced."""
+    """An Estimate of a value that no random stream produced.
+
+    ``stderr=None`` marks a number with no error estimate; it is reported
+    as null.
+    """
     return mc.Estimate(value, stderr, n_samples, seed=0, method=method)
 
 
@@ -25,10 +29,10 @@ def _render(records, fmt, shared):
     """The report text of (quantity, params, Estimate) records.
 
     ``shared`` holds the fields every record of the run carries: the seed
-    as given, runtime_ms, version and tool_version.  One draw has no
-    standard error: a non-finite stderr is reported as null, never as a
-    non-JSON Infinity, and any other non-finite number in a JSON record
-    raises.
+    as given, runtime_ms, version and tool_version.  A stderr of None (no
+    error estimate) or a non-finite one (one draw has no standard error) is
+    reported as null, never as a non-JSON Infinity, and any other
+    non-finite number in a JSON record raises.
     """
     rows = []
     for quantity, params, est in records:
@@ -38,7 +42,8 @@ def _render(records, fmt, shared):
             quantity=quantity,
             params=params,
             value=None if on_log else float(est.value),
-            stderr=float(est.stderr) if math.isfinite(est.stderr) else None,
+            stderr=(float(est.stderr) if est.stderr is not None
+                    and math.isfinite(est.stderr) else None),
             n_samples=int(est.n_samples),
             degenerate_count=int(est.degenerate_count),
             method=est.method,
@@ -254,7 +259,8 @@ def _cmd_density_check(args):
     if args.samples > 0:
         records.append(("density-gof",
                         dict(dims, samples=args.samples, bins=30),
-                        _exact(l1, "binned-l1", n_samples=args.samples)))
+                        _exact(l1, "binned-l1", stderr=None,
+                               n_samples=args.samples)))
     return records
 
 
@@ -302,10 +308,12 @@ def _cmd_laplace_demo(args):
     line_rows = edeg.laplace_validate(
         a_fn, b_fn, 1e-6, math.pi / 4.0, lines, [4.0, 16.0, 64.0])
 
+    # rel_error is the gap to the Laplace leading term, not an error of the
+    # quadrature value, which has no error estimate here
     return [("laplace-demo",
-             {"problem": name, "lam": row["lam"], "leading": row["leading"]},
-             _exact(row["integral"], "laplace-vs-quadrature",
-                    stderr=row["rel_error"]))
+             {"problem": name, "lam": row["lam"], "leading": row["leading"],
+              "rel_error": row["rel_error"]},
+             _exact(row["integral"], "laplace-vs-quadrature", stderr=None))
             for name, rows in (("gaussian-endpoint", gauss_rows),
                                ("lines-radial", line_rows))
             for row in rows]

@@ -2,14 +2,16 @@
 
 Everything here is deterministic closed-form arithmetic: log-gamma (the C
 library's lgamma on x > 0), the multivariate gamma function, complete
-elliptic integrals by AGM iteration, and the volumes that enter every
-expected-degree formula.  Each volume comes in a direct and a log-scale
+elliptic integrals by AGM iteration (on numbers, or elementwise on
+arrays), and the volumes that enter every expected-degree formula.  Each volume comes in a direct and a log-scale
 flavour; the log forms stay finite far beyond the range where the direct
 values overflow a double.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "LogValue",
@@ -94,6 +96,12 @@ def rho(k):
     return math.exp(0.5 * math.log(2.0) + log_gamma((k + 1) / 2.0) - log_gamma(k / 2.0))
 
 
+# The AGM stops once c = (a - b)/2 is at most this fraction of a: the next
+# c is then ~c^2/(4a), below every digit of a and of the c^2 sum.  An
+# absolute test never fires where a and b settle one ulp apart.
+_AGM_RTOL = 1e-15
+
+
 def _agm_elliptic(s):
     # One AGM sweep serving both integrals: returns (K, E) for parameter s,
     # with K = pi / (2 * agm(1, sqrt(1-s))) and
@@ -106,33 +114,82 @@ def _agm_elliptic(s):
         a, b = 0.5 * (a + b), math.sqrt(a * b)
         pow2 *= 2.0
         csum += pow2 * c * c
-        if c < 1e-17:
+        if c <= _AGM_RTOL * a:
             break
     K = math.pi / (2.0 * a)
     return K, K * (1.0 - csum)
 
 
+def _agm_elliptic_array(s):
+    # _agm_elliptic elementwise, with the same arithmetic, until every
+    # element has met the stop.  The sweeps an element runs after its own
+    # stop leave its a and csum as they were (a and b are then equal or an
+    # ulp apart, and pow2 * c^2 falls below csum's last bit), so each
+    # element gets the value the scalar loop returns for it.
+    a, b = np.ones_like(s), np.sqrt(1.0 - s)
+    csum = 0.5 * s
+    pow2 = 0.5
+    for _ in range(60):
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        pow2 *= 2.0
+        csum += pow2 * c * c
+        if (c <= _AGM_RTOL * a).all():
+            break
+    K = math.pi / (2.0 * a)
+    return K, K * (1.0 - csum)
+
+
+def _check_parameter(s, name, upper_closed):
+    if isinstance(s, np.ndarray):
+        inside = (s >= 0.0) & ((s <= 1.0) if upper_closed else (s < 1.0))
+        ok = bool(inside.all())
+    else:
+        ok = 0.0 <= s <= 1.0 if upper_closed else 0.0 <= s < 1.0
+    if not ok:
+        shown = "an array" if isinstance(s, np.ndarray) else repr(s)
+        raise ValueError("%s parameter must lie in [0, 1%s, got %s"
+                         % (name, "]" if upper_closed else ")", shown))
+
+
+def _elliptic(s):
+    """(K, E) by the scalar or the elementwise AGM; s already checked."""
+    if isinstance(s, np.ndarray):
+        return _agm_elliptic_array(np.asarray(s, dtype=float))
+    return _agm_elliptic(s)
+
+
 def elliptic_E(s):
-    """Complete elliptic integral E(s) = int_0^{pi/2} sqrt(1 - s sin^2 t) dt."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("elliptic_E parameter must lie in [0, 1], got %r" % (s,))
+    """Complete elliptic integral E(s) = int_0^{pi/2} sqrt(1 - s sin^2 t) dt.
+
+    ``s`` is a number or an array; an array gives E elementwise.
+    """
+    _check_parameter(s, "elliptic_E", upper_closed=True)
+    if isinstance(s, np.ndarray):
+        one = s == 1.0  # K is infinite there; E(1) = 1
+        e = _elliptic(np.where(one, 0.0, s))[1]
+        return np.where(one, 1.0, e)
     if s == 1.0:
         return 1.0
     return _agm_elliptic(s)[1]
 
 
 def elliptic_K(s):
-    """Complete elliptic integral K(s) = int_0^{pi/2} (1 - s sin^2 t)^{-1/2} dt."""
-    if not 0.0 <= s < 1.0:
-        raise ValueError("elliptic_K parameter must lie in [0, 1), got %r" % (s,))
-    return _agm_elliptic(s)[0]
+    """Complete elliptic integral K(s) = int_0^{pi/2} (1 - s sin^2 t)^{-1/2} dt.
+
+    ``s`` is a number or an array; an array gives K elementwise.
+    """
+    _check_parameter(s, "elliptic_K", upper_closed=False)
+    return _elliptic(s)[0]
 
 
 def elliptic_KE(s):
-    """(K(s), E(s)) from one AGM sweep: each equals elliptic_K / elliptic_E."""
-    if not 0.0 <= s < 1.0:
-        raise ValueError("elliptic_KE parameter must lie in [0, 1), got %r" % (s,))
-    return _agm_elliptic(s)
+    """(K(s), E(s)) from one AGM sweep: each equals elliptic_K / elliptic_E.
+
+    ``s`` is a number or an array; an array gives a pair of arrays.
+    """
+    _check_parameter(s, "elliptic_KE", upper_closed=False)
+    return _elliptic(s)
 
 
 # ---------------------------------------------------------------------------

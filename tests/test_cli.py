@@ -188,6 +188,9 @@ def test_density_check_emits_two_records(capsys):
     names = [r["quantity"] for r in recs]
     assert names == ["density-normalization", "density-gof"]
     assert abs(recs[0]["value"] - 1.0) < 1e-8
+    # the sampled L1 distance carries no standard error
+    assert recs[1]["stderr"] is None
+    assert recs[1]["n_samples"] == 10000
 
 
 def test_schubert_mc_carries_exact_reference(capsys):
@@ -201,7 +204,8 @@ def test_laplace_demo_error_columns_shrink(capsys):
     recs = invoke_json(capsys, "laplace-demo")
     gauss = [r for r in recs if r["params"]["problem"] == "gaussian-endpoint"]
     assert len(gauss) == 3
-    assert gauss[0]["stderr"] > gauss[-1]["stderr"]
+    assert gauss[0]["params"]["rel_error"] > gauss[-1]["params"]["rel_error"]
+    assert all(r["stderr"] is None for r in recs)
 
 
 def test_bounds_switches_to_log_for_large_n(capsys):

@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad
 
 from grassdeg import mc
-from grassdeg.geomlin import RngStream
+from grassdeg.geomlin import RngStream, det3
 from grassdeg.mc import (
     CHUNK,
     StreamingStats,
@@ -124,22 +125,44 @@ def test_kernel_threads_bounded_by_chunks_and_cores(monkeypatch):
     requested = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, thread_name_prefix=""):
             requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
 
         def map(self, fn, jobs):
             return map(fn, jobs)
 
     monkeypatch.setattr(mc, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(mc, "_POOLS", {})  # no pool made by an earlier test
     est = run_kernel(_unit_kernel, RngStream(2, 3), 3 * CHUNK, workers=10**6)
     assert all(w <= min(3, os.cpu_count()) for w in requested)
     assert est == run_kernel(_unit_kernel, RngStream(2, 3), 3 * CHUNK)
+
+
+def test_kernel_pool_threads_are_reused():
+    # fresh threads per call would each take a malloc arena (see mc._POOLS)
+    seen = []
+
+    def kernel(gen, count):
+        seen.append(threading.current_thread())
+        return gen.standard_normal(count), 0
+
+    run_kernel(kernel, RngStream(2, 4), 4 * CHUNK, workers=2)
+    first = set(seen)
+    seen.clear()
+    run_kernel(kernel, RngStream(2, 5), 4 * CHUNK, workers=2)
+    assert set(seen) <= first
+
+
+def test_kernel_nested_in_a_worker_runs_serially():
+    inner = []
+
+    def outer(gen, count):
+        # every worker of the shared pool is busy here; waiting on it would hang
+        inner.append(run_kernel(_unit_kernel, RngStream(3, 1), 2 * CHUNK, workers=2))
+        return gen.standard_normal(count), 0
+
+    run_kernel(outer, RngStream(3, 2), 2 * CHUNK, workers=2)
+    assert inner == [run_kernel(_unit_kernel, RngStream(3, 1), 2 * CHUNK)] * 2
 
 
 def test_kernel_input_validation():
@@ -213,6 +236,71 @@ def test_integral_mc_agrees_and_is_deterministic():
     b = edeg24_integral(mode="mc", rng=RngStream(43, 0), samples=200_000, workers=8)
     assert a == b
     assert abs(a.value - EDEG24) < 4.0 * a.stderr
+
+
+def _torus_rows_by_sines(t, s):
+    return np.sin(t) * np.sin(s), np.cos(t) * np.sin(s), np.sin(t) * np.cos(s)
+
+
+def plain_torus_mc(rng, samples, workers=1):
+    """The six-angle torus kernel: |det3| at uniform draws of every angle."""
+
+    def kernel(gen, count):
+        t = gen.uniform(0.0, 2.0 * math.pi, (count, 3))
+        s = gen.uniform(0.0, 2.0 * math.pi, (count, 3))
+        a, b, c = _torus_rows_by_sines(t, s)
+        rows = [(a[:, i], b[:, i], c[:, i]) for i in range(3)]
+        return np.abs(det3(*rows)) * mc._TORUS_PREFACTOR, 0
+
+    return run_kernel(kernel, rng, samples, workers=workers)
+
+
+def test_half_angle_sin_cos_match_numpy():
+    angle = np.concatenate([
+        [0.0, math.pi / 2.0, math.pi, 1.5 * math.pi, np.nextafter(2.0 * math.pi, 0.0)],
+        np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, 200_000)])
+    sin, cos = mc._sin_cos(angle)
+    assert np.abs(sin - np.sin(angle)).max() <= 2.3e-16
+    assert np.abs(cos - np.cos(angle)).max() <= 2.3e-16
+
+
+def test_torus_conditional_value_is_the_mean_over_the_third_pair():
+    # brute force: |det3| on a midpoint grid over (t3, s3); near-kinks in
+    # t3 (a small eigenvalue) need the finer axis there
+    t, s = np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, (2, 2, 6))
+    conditional = mc._torus_third_pair_mean(t, s)
+    nt, ns = 4096, 1024
+    grid_t = (np.arange(nt) + 0.5) * (2.0 * math.pi / nt)
+    grid_s = (np.arange(ns) + 0.5) * (2.0 * math.pi / ns)
+    for i in range(t.shape[1]):
+        first = _torus_rows_by_sines(t[0, i], s[0, i])
+        second = _torus_rows_by_sines(t[1, i], s[1, i])
+        total = 0.0
+        for block in np.split(grid_t, 8):  # bounds the temporaries
+            third = _torus_rows_by_sines(block[:, None], grid_s[None, :])
+            total += np.abs(det3(first, second, third)).sum()
+        brute = total / (nt * ns) * mc._TORUS_PREFACTOR
+        assert math.isclose(conditional[i], brute, rel_tol=1e-6), i
+
+
+def test_torus_conditional_value_is_zero_for_parallel_rows():
+    # equal pairs give r1 = r2; (0, 0) gives the zero row
+    t = np.array([[0.3, 0.0, 1.0], [0.3, 2.0, 1.0 + 1e-9]])
+    s = np.array([[1.1, 0.0, 2.0], [1.1, 0.7, 2.0]])
+    with np.errstate(all="raise"):
+        value = mc._torus_third_pair_mean(t, s)
+    assert value[0] == 0.0 and value[1] == 0.0
+    assert 0.0 < value[2] < 1e-6
+
+
+def test_torus_conditional_mc_beats_the_six_angle_oracle():
+    samples = 200_000
+    plain = plain_torus_mc(RngStream(44, 0), samples)
+    conditional = edeg24_integral(mode="mc", rng=RngStream(44, 1), samples=samples)
+    assert conditional.stderr <= 0.6 * plain.stderr
+    assert abs(conditional.value - plain.value) <= 3.0 * math.hypot(
+        conditional.stderr, plain.stderr)
+    assert abs(plain.value - EDEG24) < 4.0 * plain.stderr
 
 
 # ---------------------------------------------------------- schubert ratio

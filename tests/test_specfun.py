@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 import scipy.special as ss
 from hypothesis import given, strategies as st
@@ -111,6 +112,58 @@ def test_elliptic_KE_rejects_s_outside_0_1():
     for s in (-1e-300, 1.0, 2.0):
         with pytest.raises(ValueError, match="elliptic_KE"):
             elliptic_KE(s)
+
+
+# parameters near both ends as well as across [0, 1)
+EDGE_S = np.array([0.0, 5e-324, 1e-300, 1e-17, 1e-10, 1e-3, 0.5,
+                   1.0 - 1e-12, 1.0 - 1e-16, np.nextafter(1.0, 0.0)])
+
+
+def _array_s(count=4000, seed=7):
+    return np.concatenate([EDGE_S, np.random.default_rng(seed).uniform(0.0, 1.0, count)])
+
+
+def test_elliptic_array_path_matches_scipy():
+    s = _array_s()
+    k, e = elliptic_KE(s)
+    np.testing.assert_allclose(k, ss.ellipk(s), rtol=2e-15, atol=0.0)
+    np.testing.assert_allclose(e, ss.ellipe(s), rtol=3e-15, atol=0.0)
+    np.testing.assert_array_equal(elliptic_E(s), e)
+    np.testing.assert_array_equal(elliptic_K(s), k)
+
+
+def test_elliptic_array_path_equals_scalar_path():
+    # s near 1 needs the most sweeps, which every other element then runs
+    # past its own stop
+    s = _array_s()
+    k, e = elliptic_KE(s)
+    assert [float(v) for v in k] == [elliptic_K(float(x)) for x in s]
+    assert [float(v) for v in e] == [elliptic_E(float(x)) for x in s]
+
+
+def test_elliptic_E_array_at_s_1():
+    s = np.array([1.0, 0.25, 1.0])
+    e = elliptic_E(s)
+    assert e[0] == e[2] == 1.0
+    assert e[1] == elliptic_E(0.25)
+
+
+def test_elliptic_array_rejects_s_outside_range():
+    for bad in (np.array([0.5, -1e-300]), np.array([0.5, np.nan])):
+        for fn in (elliptic_E, elliptic_K, elliptic_KE):
+            with pytest.raises(ValueError, match=fn.__name__):
+                fn(bad)
+    for fn in (elliptic_K, elliptic_KE):
+        with pytest.raises(ValueError, match=fn.__name__):
+            fn(np.array([0.5, 1.0]))
+
+
+def test_agm_stops_where_a_and_b_settle_one_ulp_apart():
+    # an absolute stop never fires there and the c^2 sum then gathers
+    # ~2^60 ulp^2 of noise, an error of ~1e-14 in E
+    s = np.random.default_rng(11).uniform(0.0, 1.0, 2000)
+    for x in s:
+        assert math.isclose(elliptic_E(float(x)), ss.ellipe(x), rel_tol=3e-15)
 
 
 # ----------------------------------------------------------------- volumes

@@ -7,7 +7,8 @@ from hypothesis import example, given, strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from grassdeg import zonoid
-from grassdeg.geomlin import RngStream
+from grassdeg.geomlin import RngStream, small_det
+from grassdeg.mc import run_kernel
 from grassdeg.zonoid import (
     RadialProfile2,
     ZonoidDescriptor,
@@ -389,6 +390,30 @@ def test_vitale_volume_matches_quadrature(profile2):
         est = vol_C_vitale_mc(2, m, RngStream(31, stream), samples)
         ref = vol_C_quadrature(m, profile2)
         assert abs(est.value - ref) < 4.0 * est.stderr + 1e-12
+
+
+def broadcast_vitale_volume(k, m, rng, samples):
+    """The draw-major (count, n, k, m) row build of the cofactor path."""
+    n = k * m
+
+    def kernel(gen, count):
+        x = gen.standard_normal((count, n, k))
+        y = gen.standard_normal((count, n, m))
+        det = small_det((x[:, :, :, None] * y[:, :, None, :]).reshape(count, n, n))
+        good = det != 0.0
+        return np.abs(det[good]) / math.factorial(n), int(count - good.sum())
+
+    return run_kernel(kernel, rng, samples, method="vitale-volume-mc")
+
+
+def test_vitale_volume_rows_match_the_broadcast_build():
+    # same products, same cofactor arithmetic: equal to the last bit
+    for k, m in ((2, 2), (1, 3), (1, 4)):
+        rng = RngStream(31, k * 10 + m)
+        assert vol_C_vitale_mc(k, m, rng, 40_000) == broadcast_vitale_volume(
+            k, m, rng, 40_000)
+    est = vol_C_vitale_mc(2, 2, RngStream(31, 0), 50_000)
+    assert (est.value, est.stderr) == (0.05952478158557899, 0.0008970039828247747)
 
 
 def test_vitale_volume_input_limits():
