@@ -27,6 +27,22 @@ This gives an enumerative ground truth for the expected-degree machinery:
 averaging the count over uniform 4-tuples of lines is an independent Monte
 Carlo route to edeg G(2,4), and summing counts over unions of lines checks
 the multiplicative law for expected intersections with random subsets.
+
+The Monte Carlo routes draw a line as two points of S^2.  The polar form
+splits into a self-dual and an anti-self-dual half, so a Pluecker vector x
+maps isometrically to a pair (a, b) of 3-vectors,
+
+    x01 = (a0 + b0)/sqrt2,  x23 = (a0 - b0)/sqrt2,
+    x02 = (a1 + b1)/sqrt2,  x13 = (b1 - a1)/sqrt2,
+    x03 = (a2 + b2)/sqrt2,  x12 = (a2 - b2)/sqrt2,
+
+under which polar(x, x') = a.a' - b.b' and the quadric is (|a|^2 - |b|^2)/2.
+Lines are the pairs with |a| = |b|, and SO(4) acts on the halves as
+SO(3) x SO(3), so a uniform line is a pair of independent uniform unit
+vectors (|x|^2 = 2; the count and its degeneracy test do not see the
+scale).  For two independent uniform lines a.a' and b.b' are independent
+Uniform[-1, 1], so the pairing of their unit Pluecker vectors has the
+triangular law on [-1, 1].
 """
 
 import itertools
@@ -35,7 +51,7 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .geomlin import Frame
+from .geomlin import Frame, half_angle_sin_cos
 from .mc import run_kernel
 
 __all__ = [
@@ -52,8 +68,9 @@ __all__ = [
 _MINOR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _QUADRIC_TOL = 1e-10
 _DEGENERATE_TOL = 1e-12  # tau of the degeneracy test in the module docstring
-# Working memory of one sub-batch of a rig chunk; see _rig_rows.
-_RIG_BATCH_BYTES = 16 * 2**20
+# Working memory of one sub-batch of a rig chunk; see _rig_rows.  Each worker
+# thread holds one, so this sets most of a multi-threaded run's peak memory.
+_RIG_BATCH_BYTES = 8 * 2**20
 
 
 def _quadric(x):
@@ -177,60 +194,90 @@ def transversals_of_four(l1, l2, l3, l4):
     return TransversalCount(count=int(counts[0]), degenerate=bool(degenerate[0]))
 
 
-def _random_lines(gen, shape):
-    """Unit Pluecker vectors of uniform random lines: an array shape + (6,).
+def _random_lines(gen, samples, per_sample):
+    """``per_sample`` uniform random lines per sample, as halves (a, b).
 
-    Lines are spans of 4x2 Gaussian matrices, the same law as orthonormal
-    frames from QR: the minors of a basis differ from the frame's only by the
-    positive factor det R, which normalization removes.
+    Returns an array (2, 3, per_sample, samples): [0] holds a and [1] holds
+    b, each a unit vector drawn by Archimedes' map, z = 2u - 1 and azimuth
+    2*pi*v for uniform u, v.  The four uniforms of a line come off ``gen``
+    together, samples first, so drawing a batch in slices of samples reads
+    the same numbers.  Samples run along the last axis, which keeps the
+    counting arithmetic contiguous.
+
+    The draws are copied into one block beside the output and the arithmetic
+    runs in place there.  A sub-batch then frees no temporary larger than
+    that block, so the allocator keeps the memory for the next sub-batch
+    instead of returning it to the system and faulting it back in.
     """
-    pl = _minors_of_basis(gen.standard_normal(shape + (4, 2)))
-    pl /= np.linalg.norm(pl, axis=-1, keepdims=True)
-    return pl
+    work = np.empty((10, per_sample, samples))
+    draws = work[6:]
+    draws[...] = gen.random((samples, per_sample, 4)).T
+    lines = work[:6].reshape(2, 3, per_sample, samples)
+    for (u, v), (x, y, z) in zip((draws[:2], draws[2:]), lines):
+        np.multiply(u, 2.0, out=z)
+        z -= 1.0
+        rho = np.multiply(z, z, out=u)
+        np.subtract(1.0, rho, out=rho)
+        np.sqrt(rho, out=rho)
+        v *= math.pi
+        half_angle_sin_cos(v, out=(y, x))
+        x *= rho
+        y *= rho
+    return lines
 
 
-def edeg24_transversal_mc(rng, samples, workers=1):
-    """Mean transversal count over i.i.d. uniform 4-tuples of lines."""
+def _half_pairing(p, q):
+    """a.a' - b.b' for lines p = (a, b), q = (a', b') as _random_lines draws.
 
-    def kernel(gen, count):
-        counts, degenerate = _count_batch(_random_lines(gen, (count, 4)))
-        return counts[~degenerate].astype(float), int(degenerate.sum())
+    The polar pairing in the halves of the module docstring; broadcasts over
+    the axes after the first two.
+    """
+    (a, b), (c, d) = p, q
+    return (a[0] * c[0] + a[1] * c[1] + a[2] * c[2]
+            - (b[0] * d[0] + b[1] * d[1] + b[2] * d[2]))
 
-    return run_kernel(kernel, rng, samples, workers=workers, method="transversal-mc")
 
-
-def _pick_counts(pl, r):
+def _pick_counts(lines, r):
     """Counts of every pick of one line from each of four unions.
 
-    pl: (n, sum(r), 6) unit vectors, union g in rows sum(r[:g]) onward.
-    Returns (counts, degenerate), each of shape (n, r_0, r_1, r_2, r_3).  The
-    pairings between two unions are computed once as a block B_gh of shape
-    (n, r_g, r_h), so each pick costs only products of these numbers.
+    lines: (2, 3, sum(r), n) halves, union g from line sum(r[:g]) onward.
+    Returns (counts, degenerate), each of shape (r_0, r_1, r_2, r_3, n).
+    The pairings between two unions are computed once as a block B_gh of
+    shape (r_g, r_h, n), so each pick costs only products of these numbers.
     """
     ends = np.cumsum(r)
-    unions = np.split(pl, ends[:-1], axis=1)
+    unions = np.split(lines, ends[:-1], axis=2)
     b01, b02, b03, b12, b13, b23 = (
-        _polar(unions[g][:, :, None, :], unions[h][:, None, :, :])
+        _half_pairing(unions[g][:, :, :, None], unions[h][:, :, None, :])
         for g, h in itertools.combinations(range(4), 2)
     )
-    # pick axes: (n, i0, i1, i2, i3)
-    x = b01[:, :, :, None, None] * b23[:, None, None, :, :]
-    y = b02[:, :, None, :, None] * b13[:, None, :, None, :]
-    z = b03[:, :, None, None, :] * b12[:, None, :, :, None]
+    # pick axes: (i0, i1, i2, i3, n)
+    x = b01[:, :, None, None] * b23[None, None, :, :]
+    y = b02[:, None, :, None] * b13[None, :, None, :]
+    z = b03[:, None, None, :] * b12[None, :, :, None]
     return _count_from_pairings(x, y, z)
 
 
 def _rig_rows(r):
     """Rows of a rig chunk drawn and counted together in _RIG_BATCH_BYTES.
 
-    A row peaks at about 17 doubles per line while its lines are drawn
-    (basis, minors and temporaries), and at 6 per line plus about 12 per pick
-    while its picks are counted.  Depends on r only, so the draws are the
-    same for every worker count.
+    By tracemalloc, a row peaks at 14 doubles per line while its lines are
+    drawn (four uniforms, then the ten-row block of ``_random_lines``), and
+    at those 10 per line plus 7.5 to 14.2 per pick while its picks are
+    counted, the most at r = (1, 1, 1, 1); the model takes 15.  Depends on
+    r only, so the draws are the same for every worker count.
     """
     lines, picks = sum(r), math.prod(r)
-    row_bytes = 8 * max(17 * lines, 6 * lines + 12 * picks)
+    row_bytes = 8 * max(14 * lines, 10 * lines + 15 * picks)
     return max(1, _RIG_BATCH_BYTES // row_bytes)
+
+
+def edeg24_transversal_mc(rng, samples, workers=1):
+    """Mean transversal count over i.i.d. uniform 4-tuples of lines.
+
+    The rig estimator with one line in each union.
+    """
+    return _union_mc((1, 1, 1, 1), rng, samples, workers, "transversal-mc")
 
 
 def rig_union_of_lines_mc(r, rng, samples, workers=1):
@@ -239,17 +286,23 @@ def rig_union_of_lines_mc(r, rng, samples, workers=1):
     Per sample draws r_1 + r_2 + r_3 + r_4 independent uniform lines and sums
     the transversal counts over all r_1 r_2 r_3 r_4 ways of picking one line
     from each union.  A degenerate pick marks the whole sample degenerate.
-
-    A chunk is drawn and counted in sub-batches of ``_rig_rows(r)`` rows, so
-    its memory stays near ``_RIG_BATCH_BYTES`` for any r.  Normal draws come
-    off the generator in sequence, so the sub-batches see the same numbers
-    as one draw of the whole chunk.
     """
     r = tuple(int(x) for x in r)
     if len(r) != 4 or any(x < 1 for x in r):
         raise ValueError("r must be four positive integers")
     if math.prod(r) > 1000:
         raise ValueError("r1*r2*r3*r4 must be <= 1000")
+    return _union_mc(r, rng, samples, workers, "rig-mc")
+
+
+def _union_mc(r, rng, samples, workers, method):
+    """The chunked Monte Carlo behind both estimators.
+
+    A chunk is drawn and counted in sub-batches of ``_rig_rows(r)`` rows, so
+    its memory stays near ``_RIG_BATCH_BYTES`` for any r.  Uniform draws come
+    off the generator in sequence, so the sub-batches see the same numbers
+    as one draw of the whole chunk.
+    """
     total_lines = sum(r)
     rows = _rig_rows(r)
 
@@ -258,9 +311,9 @@ def rig_union_of_lines_mc(r, rng, samples, workers=1):
         bad = np.empty(count, dtype=bool)
         for start in range(0, count, rows):
             n = min(rows, count - start)
-            counts, degenerate = _pick_counts(_random_lines(gen, (n, total_lines)), r)
-            totals[start:start + n] = counts.reshape(n, -1).sum(axis=1)
-            bad[start:start + n] = degenerate.reshape(n, -1).any(axis=1)
+            counts, degenerate = _pick_counts(_random_lines(gen, n, total_lines), r)
+            totals[start:start + n] = counts.reshape(-1, n).sum(axis=0)
+            bad[start:start + n] = degenerate.reshape(-1, n).any(axis=0)
         return totals[~bad], int(bad.sum())
 
-    return run_kernel(kernel, rng, samples, workers=workers, method="rig-mc")
+    return run_kernel(kernel, rng, samples, workers=workers, method=method)

@@ -20,6 +20,7 @@ from ._quad import composite_gl_log
 from .geomlin import (
     RngStream,
     det3,
+    half_angle_sin_cos,
     principal_cos2,
     singular_values,
     small_det,
@@ -307,27 +308,14 @@ _TORUS_PREFACTOR = math.pi**6 / 128.0
 _TORUS_CONDITIONAL_PREFACTOR = (2.0 / math.pi) ** 2 * _TORUS_PREFACTOR
 
 
-def _sin_cos(angle):
-    """(sin, cos) of ``angle`` from the tangent w of its half angle.
-
-    sin = 2w / (1 + w^2) and cos = (1 - w^2) / (1 + w^2): one tangent costs
-    less than half of a sine and a cosine, and both results are within
-    2.3e-16 of np.sin and np.cos.
-    """
-    w = np.tan(0.5 * angle)
-    w2 = w * w
-    inv = 1.0 / (1.0 + w2)
-    return 2.0 * w * inv, (1.0 - w2) * inv
-
-
 def _torus_rows(t, s):
     """Row entries (sin t sin s, cos t sin s, sin t cos s) at angle pairs (t, s).
 
     Row i of the integrand's 3x3 matrix is these entries at (t_i, s_i); the
     determinant is transpose-invariant, so rows and columns may swap.
     """
-    st, ct = _sin_cos(t)
-    ss, cs = _sin_cos(s)
+    st, ct = half_angle_sin_cos(0.5 * t)
+    ss, cs = half_angle_sin_cos(0.5 * s)
     return st * ss, ct * ss, st * cs
 
 

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -354,6 +355,9 @@ OPTIONS = {
     "bounds": {"--k": SMALL, "--n": SMALL},
 }
 COMMON = {"--seed": SMALL, "--workers": ints(-2, 4, 2)}
+# tracemalloc peak of one fuzzed run: the largest seen is 23.4 MiB
+# (density-check --k 1 --l 5 --n 6), so this leaves a margin of 2x
+FUZZ_PEAK_BYTES = 48 * 2**20
 
 
 @st.composite
@@ -375,10 +379,16 @@ def argvs(draw, command):
 def test_argv_fuzz_exits_cleanly(command, data):
     argv = data.draw(argvs(command))
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     out, err = out.getvalue(), err.getvalue()
     assert "Traceback" not in err, argv
+    assert peak < FUZZ_PEAK_BYTES, (argv, peak)
     if code == 0:
         payload = json.loads(out, parse_constant=reject_constant)
         for rec in payload if isinstance(payload, list) else [payload]:

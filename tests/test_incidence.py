@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import kstest
 
 from grassdeg import incidence
 from grassdeg.geomlin import Frame, RngStream, principal_angles, sample_uniform_subspace
@@ -11,6 +12,7 @@ from grassdeg.incidence import (
     PluckerLine,
     TransversalCount,
     _count_batch,
+    _minors_of_basis,
     _pick_counts,
     _polar,
     _quadric,
@@ -68,6 +70,28 @@ def svd_count_batch(pluckers, tol=1e-12):
     counts = np.where(disc > 0.0, 2, 0).astype(np.int64)
     counts[degenerate] = 0
     return counts, degenerate
+
+
+def unit_pluckers(lines):
+    """Unit Pluecker vectors of lines drawn as halves: (2, 3, m, n) -> (n, m, 6).
+
+    The isometry of the incidence module docstring, divided by |x| = sqrt 2.
+    """
+    (a0, a1, a2), (b0, b1, b2) = lines
+    p = np.stack([a0 + b0, a1 + b1, a2 + b2, a2 - b2, b1 - a1, a0 - b0], axis=-1)
+    return np.swapaxes(p, 0, 1) / 2.0
+
+
+def gaussian_basis_lines(gen, shape):
+    """The earlier sampler, kept as the oracle of the law of _random_lines.
+
+    Unit Pluecker vectors of the spans of 4x2 Gaussian matrices, an array
+    shape + (6,): the same law as orthonormal frames from QR, since the
+    minors of a basis differ from the frame's by the positive factor det R.
+    """
+    pl = _minors_of_basis(gen.standard_normal(shape + (4, 2)))
+    pl /= np.linalg.norm(pl, axis=-1, keepdims=True)
+    return pl
 
 
 def oracle_of_four(*lines):
@@ -264,31 +288,87 @@ def test_counts_are_rigid_motion_and_relabeling_invariant():
 # ------------------------------------------- the closed form vs its oracle
 
 
-def test_counts_match_svd_oracle_on_gaussian_draws():
+def test_counts_match_svd_oracle_on_sampler_draws():
     # the draws of the first two chunks of edeg24_transversal_mc(RngStream(57, 0))
     rng = RngStream(57, 0)
     for index in range(2):
-        pl = _random_lines(rng.substream(index).generator, (CHUNK, 4))
-        counts, degenerate = _count_batch(pl)
+        lines = _random_lines(rng.substream(index).generator, CHUNK, 4)
+        pl = unit_pluckers(lines)
+        assert pl.shape == (CHUNK, 4, 6)
+        counts, degenerate = _pick_counts(lines, (1, 1, 1, 1))
+        counts, degenerate = counts.reshape(CHUNK), degenerate.reshape(CHUNK)
         want_counts, want_degenerate = svd_count_batch(pl)
         assert np.array_equal(counts, want_counts)
         assert np.array_equal(degenerate, want_degenerate)
         assert set(np.unique(counts)) == {0, 2}
+        plucker_counts, plucker_degenerate = _count_batch(pl)
+        assert np.array_equal(plucker_counts, want_counts)
+        assert np.array_equal(plucker_degenerate, want_degenerate)
 
 
 def test_rig_pick_counts_match_svd_oracle():
     # every pick of the first chunk of rig_union_of_lines_mc((16, 4, 1, 1), ...)
     r = (16, 4, 1, 1)
-    pl = _random_lines(RngStream(58, 0).substream(0).generator, (CHUNK, sum(r)))
-    counts, degenerate = _pick_counts(pl, r)
-    assert counts.shape == degenerate.shape == (CHUNK,) + r
+    lines = _random_lines(RngStream(58, 0).substream(0).generator, CHUNK, sum(r))
+    pl = unit_pluckers(lines)
+    assert pl.shape == (CHUNK, sum(r), 6)
+    counts, degenerate = _pick_counts(lines, r)
+    assert counts.shape == degenerate.shape == r + (CHUNK,)
     starts = np.cumsum((0,) + r[:-1])
     for pick in np.ndindex(*r):
         idx = [int(s + i) for s, i in zip(starts, pick)]
         want_counts, want_degenerate = svd_count_batch(pl[:, idx, :])
-        at = (slice(None),) + pick
-        assert np.array_equal(counts[at], want_counts), pick
-        assert np.array_equal(degenerate[at], want_degenerate), pick
+        assert np.array_equal(counts[pick], want_counts), pick
+        assert np.array_equal(degenerate[pick], want_degenerate), pick
+
+
+# ------------------------------------------------------ the line sampler
+
+
+def triangular_cdf(t):
+    """CDF of the difference of two independent Uniform[-1, 1], halved."""
+    t = np.clip(t, -1.0, 1.0)
+    return np.where(t < 0.0, 0.5 * (1.0 + t) ** 2, 1.0 - 0.5 * (1.0 - t) ** 2)
+
+
+def test_pairing_of_two_uniform_lines_is_triangular():
+    # for independent uniform lines a.a' and b.b' are independent
+    # Uniform[-1, 1], so the unit pairing is their difference halved
+    n = 200_000
+    drawn = unit_pluckers(_random_lines(RngStream(62, 0).generator, n, 2))
+    oracle = gaussian_basis_lines(RngStream(62, 1).generator, (n, 2))
+    for pl in (drawn, oracle):
+        m = _polar(pl[:, 0], pl[:, 1])
+        assert kstest(m, triangular_cdf).pvalue > 0.01
+        # E m^2 = 1/6, sd of m^2 below 0.2
+        assert abs(np.mean(m * m) - 1.0 / 6.0) < 4.0 * 0.2 / math.sqrt(n)
+
+
+def test_drawn_lines_are_unit_points_of_the_quadric():
+    pl = unit_pluckers(_random_lines(RngStream(63, 0).generator, 50_000, 4))
+    assert np.abs(np.linalg.norm(pl, axis=-1) - 1.0).max() < 1e-15
+    assert np.abs(_quadric(pl)).max() < 1e-15
+
+
+class _FixedUniforms:
+    """A generator stand-in whose ``random`` returns the given draws."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def random(self, shape):
+        assert shape == self.draws.shape
+        return self.draws.copy()
+
+
+def test_line_draw_is_finite_at_the_ends_of_the_uniforms():
+    top = np.nextafter(1.0, 0.0)
+    points = [(u, v) for u in (0.0, top) for v in (0.0, 0.5, top)]
+    draws = np.array([[[*a, *b]] for a in points for b in points])  # (36, 1, 4)
+    with np.errstate(all="raise"):
+        lines = _random_lines(_FixedUniforms(draws), len(draws), 1)
+    assert np.all(np.isfinite(lines))
+    assert np.abs(np.linalg.norm(lines, axis=1) - 1.0).max() < 1e-15
 
 
 # --------------------------------------------------------------- the MC
@@ -300,7 +380,7 @@ def test_transversal_mc_reproducible_and_anchored():
     assert a == b
     assert a.degenerate_count == 0
     assert abs(a.value - 1.726231248998883) < 4.0 * a.stderr
-    assert a.value == 1.7257999999999998  # what the SVD count gave on these draws
+    assert a.value == 1.7258099999999998  # what the SVD count gave on these draws
 
 
 def test_rig_validation():
@@ -331,21 +411,23 @@ def test_rig_doubling_one_union_doubles_the_mean():
 def test_rig_matches_the_svd_count_estimate():
     est = rig_union_of_lines_mc((2, 2, 1, 1), RngStream(61, 0), 50_000)
     # what the per-pick SVD count gave on these draws
-    assert (est.value, est.stderr) == (6.90608, 0.006490148157974689)
+    assert (est.value, est.stderr) == (6.90324, 0.006476726720171244)
     assert est.degenerate_count == 0
 
 
 def test_rig_sub_batches_do_not_change_the_estimate(monkeypatch):
     r = (2, 2, 1, 1)
     default = rig_union_of_lines_mc(r, RngStream(59, 0), CHUNK + 5000)
-    monkeypatch.setattr(incidence, "_RIG_BATCH_BYTES", 1000 * 8 * 17 * sum(r))
+    # 1000 rows of the count's 10 doubles per line and 15 per pick
+    monkeypatch.setattr(incidence, "_RIG_BATCH_BYTES",
+                        1000 * 8 * (10 * sum(r) + 15 * math.prod(r)))
     assert incidence._rig_rows(r) == 1000  # uneven sub-batches in both chunks
     small = rig_union_of_lines_mc(r, RngStream(59, 0), CHUNK + 5000)
     assert small == default
 
 
 def test_rig_chunk_memory_is_bounded():
-    r = (1000, 1, 1, 1)  # one chunk of bases alone would take 1.05 GB
+    r = (1000, 1, 1, 1)  # one chunk of draws alone would take 1.84 GB
     tracemalloc.start()
     try:
         est = rig_union_of_lines_mc(r, RngStream(60, 0), CHUNK)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad
 
 from grassdeg import mc
-from grassdeg.geomlin import RngStream, det3
+from grassdeg.geomlin import RngStream, det3, half_angle_sin_cos
 from grassdeg.mc import (
     CHUNK,
     StreamingStats,
@@ -259,9 +259,13 @@ def test_half_angle_sin_cos_match_numpy():
     angle = np.concatenate([
         [0.0, math.pi / 2.0, math.pi, 1.5 * math.pi, np.nextafter(2.0 * math.pi, 0.0)],
         np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, 200_000)])
-    sin, cos = mc._sin_cos(angle)
+    sin, cos = half_angle_sin_cos(0.5 * angle)
     assert np.abs(sin - np.sin(angle)).max() <= 2.3e-16
     assert np.abs(cos - np.cos(angle)).max() <= 2.3e-16
+    out = (np.empty_like(angle), np.empty_like(angle))
+    got = half_angle_sin_cos(0.5 * angle, out=out)
+    assert got[0] is out[0] and got[1] is out[1]
+    assert np.array_equal(out[0], sin) and np.array_equal(out[1], cos)
 
 
 def test_torus_conditional_value_is_the_mean_over_the_third_pair():
