@@ -131,8 +131,6 @@ def _parser():
                        help="build and cache the k=2 radial profile "
                             "(--out names the profile JSON, report to stdout)")
     p.add_argument("--grid", type=int, default=512)
-    p.add_argument("--differentiation", choices=("analytic", "numeric"),
-                   default="analytic")
 
     p = sub.add_parser("density-check", parents=[common],
                        help="principal-angle density: normalization and fit")
@@ -235,13 +233,12 @@ def _cmd_zonoid_volume(args):
 
 
 def _cmd_profile_build(args):
-    profile = zonoid.build_radial_profile_2(
-        args.grid, differentiation=args.differentiation)
+    profile = zonoid.build_radial_profile_2(args.grid)
     if args.out:
         profile.save(args.out)
     quarter = profile.radius(math.pi / 4.0)
-    params = {"grid": args.grid, "differentiation": args.differentiation,
-              "knots": len(profile.knots), "cache_path": args.out or ""}
+    params = {"grid": args.grid, "knots": len(profile.knots),
+              "cache_path": args.out or ""}
     args.out = None  # --out named the profile cache; the report goes to stdout
     return [("radial-profile", params, _exact(quarter, "gradient-map"))]
 

@@ -62,7 +62,7 @@ def _on_scale(est, big_n, log_factor=0.0):
 # ---------------------------------------------------------------------------
 
 
-def edeg_lines_quadrature(n, profile=None, quad_points=32):
+def edeg_lines_quadrature(n, quad_points=32):
     """edeg G(2, n+1) through the one-dimensional radial integral.
 
     The lines formula is the case k = 2, m = n - 1 of
@@ -71,7 +71,7 @@ def edeg_lines_quadrature(n, profile=None, quad_points=32):
     """
     if n < 3:
         raise ValueError("n must be >= 3 (the radial weight needs m = n-1 >= 2)")
-    return edeg_general(2, n + 1, profile=profile, quad_points=quad_points)
+    return edeg_general(2, n + 1, quad_points=quad_points)
 
 
 def edeg_lines_asymptotic(n):
@@ -108,7 +108,6 @@ def edeg_general(
     method="zonoid_quadrature",
     rng=None,
     samples=None,
-    profile=None,
     quad_points=32,
     workers=1,
 ):
@@ -137,9 +136,7 @@ def edeg_general(
                 "zonoid_quadrature requires k = 2 or k = n-2 (the exact "
                 "radial profile exists only there); use zonoid_vitale"
             )
-        if profile is None:
-            profile = default_profile()
-        volume = vol_C_quadrature_log(m, profile, quad_points)
+        volume = vol_C_quadrature_log(m, default_profile(), quad_points)
         return _on_scale(volume, big_n, log_fixed)
 
     if method == "zonoid_vitale":

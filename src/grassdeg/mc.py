@@ -29,7 +29,9 @@ from .specfun import (
     elliptic_E,
     log_gamma,
     multivariate_gamma_log,
+    vol_orthogonal_log,
     vol_sphere_log,
+    vol_stiefel_log,
 )
 
 CHUNK = 16384
@@ -564,10 +566,12 @@ def density_normalization(k, l, n, quad_points=200):
 def _gof_expected(k, l, n, bins):
     """Exact bin probabilities on the ordered-angle region, by per-cell GL.
 
-    The density is evaluated on the grid of 8 Gauss-Legendre nodes per bin
-    and summed per cell; for k = 2 only nodes with t1 <= t2 count, which
-    leaves the cells below the diagonal at zero.  The k = 2 grid is taken
-    one row of bins at a time, which keeps its temporaries at 8 x 8*bins.
+    For k = 1 each bin sums 8 Gauss-Legendre nodes.  For k = 2 a cell above
+    the diagonal (t1 < t2 throughout) takes the 8 x 8 tensor rule, one row
+    of bins at a time, which keeps the temporaries at 8 x 8*bins; a diagonal
+    cell is the triangle t1 <= t2 of its square, integrated by the collapsed
+    8 x 8 rule t2 = lo + h u, t1 = lo + h u v over (u, v) in [0, 1]^2, whose
+    Jacobian is h^2 u.  Cells below the diagonal are zero.
     """
     pdf_sym = _density_symmetrized(k, l, n, xp=np)
     edges = np.linspace(0.0, math.pi / 2.0, bins + 1)
@@ -579,12 +583,18 @@ def _gof_expected(k, l, n, bins):
 
     if k == 1:
         return (w * pdf_sym(t)).reshape(bins, 8).sum(axis=1)
-    t2, w2 = t[None, :], 2.0 * w[None, :]
-    prob = np.empty((bins, bins))
-    for b in range(bins):
+    prob = np.zeros((bins, bins))
+    for b in range(bins - 1):
         t1, w1 = t[8 * b : 8 * b + 8, None], w[8 * b : 8 * b + 8, None]
-        cell = np.where(t1 <= t2, w1 * w2 * pdf_sym(t1, t2), 0.0)
-        prob[b] = cell.reshape(8, bins, 8).sum(axis=(0, 2))
+        t2, w2 = t[None, 8 * b + 8 :], 2.0 * w[None, 8 * b + 8 :]
+        cell = w1 * w2 * pdf_sym(t1, t2)
+        prob[b, b + 1 :] = cell.reshape(8, bins - 1 - b, 8).sum(axis=(0, 2))
+    u, wu = 0.5 * (1.0 + x8), 0.5 * w8  # the rule on [0, 1]
+    width = 2.0 * half
+    t2 = edges[:-1, None, None] + width * u[:, None]  # (bins, u, 1)
+    t1 = edges[:-1, None, None] + width * (u[:, None] * u[None, :])  # (bins, u, v)
+    wd = 2.0 * width * width * (wu * u)[:, None] * wu[None, :]
+    prob[np.diag_indices(bins)] = (wd * pdf_sym(t1, t2)).sum(axis=(1, 2))
     return prob
 
 
@@ -701,9 +711,9 @@ def integration_formula_check(
 
     # |O(2)| |S(2,m)| / 2^2 times the ordered-sector integral in the angle
     # parametrization sigma = (cos t, sin t), t in [0, pi/4].
-    log_o2 = 2.0 * math.log(2.0) + 2.0 * math.log(math.pi) - multivariate_gamma_log(2, 1.0)
-    log_s2m = 2.0 * math.log(2.0) + m * math.log(math.pi) - multivariate_gamma_log(2, m / 2.0)
-    prefactor = math.exp(log_o2 + log_s2m - 2.0 * math.log(2.0))
+    prefactor = math.exp(vol_orthogonal_log(2).log_magnitude
+                         + vol_stiefel_log(2, m).log_magnitude
+                         - 2.0 * math.log(2.0))
 
     def log_weighted(t):
         c, s = np.cos(t), np.sin(t)

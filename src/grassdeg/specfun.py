@@ -2,8 +2,9 @@
 
 Everything here is deterministic closed-form arithmetic: log-gamma (the C
 library's lgamma on x > 0), the multivariate gamma function, complete
-elliptic integrals by AGM iteration (on numbers, or elementwise on
-arrays), and the volumes that enter every expected-degree formula.  Each volume comes in a direct and a log-scale
+elliptic integrals by one elementwise AGM iteration (a number passes
+through it as a 0-d array), and the volumes that enter every
+expected-degree formula.  Each volume comes in a direct and a log-scale
 flavour; the log forms stay finite far beyond the range where the direct
 values overflow a double.
 """
@@ -103,31 +104,16 @@ _AGM_RTOL = 1e-15
 
 
 def _agm_elliptic(s):
-    # One AGM sweep serving both integrals: returns (K, E) for parameter s,
-    # with K = pi / (2 * agm(1, sqrt(1-s))) and
+    # One AGM sweep serving both integrals, elementwise over the array s:
+    # returns (K, E) with K = pi / (2 * agm(1, sqrt(1-s))) and
     # E = K * (1 - sum_j 2^{j-1} c_j^2), c_0 = sqrt(s), c_j = (a-b)/2.
-    a, b = 1.0, math.sqrt(1.0 - s)
-    csum = 0.5 * s  # 2^{-1} * c_0^2
-    pow2 = 0.5
-    for _ in range(60):
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        pow2 *= 2.0
-        csum += pow2 * c * c
-        if c <= _AGM_RTOL * a:
-            break
-    K = math.pi / (2.0 * a)
-    return K, K * (1.0 - csum)
-
-
-def _agm_elliptic_array(s):
-    # _agm_elliptic elementwise, with the same arithmetic, until every
-    # element has met the stop.  The sweeps an element runs after its own
-    # stop leave its a and csum as they were (a and b are then equal or an
-    # ulp apart, and pow2 * c^2 falls below csum's last bit), so each
-    # element gets the value the scalar loop returns for it.
+    # The sweeps run until every element has met the stop.  Those an
+    # element runs after its own stop leave its a and csum as they were (a
+    # and b are then equal or an ulp apart, and pow2 * c^2 falls below
+    # csum's last bit), so each element gets the value a loop over it alone
+    # would return.
     a, b = np.ones_like(s), np.sqrt(1.0 - s)
-    csum = 0.5 * s
+    csum = 0.5 * s  # 2^{-1} * c_0^2
     pow2 = 0.5
     for _ in range(60):
         c = 0.5 * (a - b)
@@ -140,23 +126,20 @@ def _agm_elliptic_array(s):
     return K, K * (1.0 - csum)
 
 
-def _check_parameter(s, name, upper_closed):
-    if isinstance(s, np.ndarray):
-        inside = (s >= 0.0) & ((s <= 1.0) if upper_closed else (s < 1.0))
-        ok = bool(inside.all())
-    else:
-        ok = 0.0 <= s <= 1.0 if upper_closed else 0.0 <= s < 1.0
-    if not ok:
+def _parameter(s, name, upper_closed):
+    """``s`` as a float array, checked to lie in [0, 1) or [0, 1]."""
+    x = np.asarray(s, dtype=float)
+    inside = (x >= 0.0) & ((x <= 1.0) if upper_closed else (x < 1.0))
+    if not inside.all():
         shown = "an array" if isinstance(s, np.ndarray) else repr(s)
         raise ValueError("%s parameter must lie in [0, 1%s, got %s"
                          % (name, "]" if upper_closed else ")", shown))
+    return x
 
 
-def _elliptic(s):
-    """(K, E) by the scalar or the elementwise AGM; s already checked."""
-    if isinstance(s, np.ndarray):
-        return _agm_elliptic_array(np.asarray(s, dtype=float))
-    return _agm_elliptic(s)
+def _like(s, value):
+    """``value`` as an array for an array ``s``, as a float for a number."""
+    return value if isinstance(s, np.ndarray) else float(value)
 
 
 def elliptic_E(s):
@@ -164,14 +147,10 @@ def elliptic_E(s):
 
     ``s`` is a number or an array; an array gives E elementwise.
     """
-    _check_parameter(s, "elliptic_E", upper_closed=True)
-    if isinstance(s, np.ndarray):
-        one = s == 1.0  # K is infinite there; E(1) = 1
-        e = _elliptic(np.where(one, 0.0, s))[1]
-        return np.where(one, 1.0, e)
-    if s == 1.0:
-        return 1.0
-    return _agm_elliptic(s)[1]
+    x = _parameter(s, "elliptic_E", upper_closed=True)
+    one = x == 1.0  # K is infinite there; E(1) = 1
+    e = _agm_elliptic(np.where(one, 0.0, x))[1]
+    return _like(s, np.where(one, 1.0, e))
 
 
 def elliptic_K(s):
@@ -179,8 +158,8 @@ def elliptic_K(s):
 
     ``s`` is a number or an array; an array gives K elementwise.
     """
-    _check_parameter(s, "elliptic_K", upper_closed=False)
-    return _elliptic(s)[0]
+    x = _parameter(s, "elliptic_K", upper_closed=False)
+    return _like(s, _agm_elliptic(x)[0])
 
 
 def elliptic_KE(s):
@@ -188,8 +167,8 @@ def elliptic_KE(s):
 
     ``s`` is a number or an array; an array gives a pair of arrays.
     """
-    _check_parameter(s, "elliptic_KE", upper_closed=False)
-    return _elliptic(s)
+    k, e = _agm_elliptic(_parameter(s, "elliptic_KE", upper_closed=False))
+    return _like(s, k), _like(s, e)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ from .specfun import (
     elliptic_E,
     elliptic_KE,
     log_gamma,
-    multivariate_gamma_log,
     rho,
+    vol_orthogonal_log,
+    vol_stiefel_log,
 )
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "build_radial_profile_2",
     "default_profile",
     "radial_D",
-    "radial_duality_2",
     "vol_C_quadrature",
     "vol_C_quadrature_log",
     "vol_C_vitale_mc",
@@ -53,6 +53,7 @@ _QUARTER_PI = math.pi / 4.0
 _HALF_PI = math.pi / 2.0
 _T_MIN = 1e-3  # gradient-map parameter kept away from the axes
 MAX_QUAD_POINTS = 256  # Gauss-Legendre nodes per panel of the radial integral
+MAX_GRID_SIZE = 65_536  # gradient-map grid of a profile: 16x the default's
 PROFILE_FORMAT_VERSION = 1
 
 
@@ -144,65 +145,58 @@ def support_C(desc, X, method="closed", rng=None, samples=None, workers=1):
 
 
 def _e_and_ek_diff_over_s(s):
-    """(E(s), (E(s) - K(s)) / s); the second is stable down to s = 0, where
-    it equals -pi/4.
+    """(E(s), (E(s) - K(s)) / s) elementwise on an array s in [0, 1); the
+    second is stable down to s = 0, where it equals -pi/4.
 
     Near zero the difference E - K cancels catastrophically, so a power
-    series in s takes over below 1e-3.  Above it one AGM sweep gives both
-    integrals.
+    series in s takes over below 1e-3.  One AGM sweep gives both integrals.
     """
-    if not 0.0 <= s < 1.0:
-        raise ValueError("need 0 <= s < 1")
-    if s < 1e-3:
-        d = 1.0
-        acc = 0.0
-        power = 1.0
-        for n in range(1, 40):
-            d *= ((2.0 * n - 1.0) / (2.0 * n)) ** 2
-            term = d * (2.0 * n / (2.0 * n - 1.0)) * power
-            acc += term
-            power *= s
-            if term < 1e-18 * acc:
-                break
-        return elliptic_E(s), -_HALF_PI * acc
+    s = np.asarray(s)
     k, e = elliptic_KE(s)
-    return e, (e - k) / s
+    small = s < 1e-3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dd = np.asarray((e - k) / s)
+    dd[small] = -_HALF_PI * _ek_diff_series(s[small])
+    return e, dd
+
+
+def _ek_diff_series(s):
+    # (K - E) / s * 2/pi = sum_n d_n (2n/(2n-1)) s^(n-1), with
+    # d_n = prod_{j<=n} ((2j-1)/(2j))^2, summed until every element's last
+    # term is below 1e-18 of its sum; the terms an element adds after that
+    # are below half an ulp of its sum and leave it as it was
+    d = 1.0
+    acc = np.zeros_like(s)
+    power = np.ones_like(s)
+    for n in range(1, 40):
+        d *= ((2.0 * n - 1.0) / (2.0 * n)) ** 2
+        term = d * (2.0 * n / (2.0 * n - 1.0)) * power
+        acc += term
+        power *= s
+        if (term < 1e-18 * acc).all():
+            break
+    return acc
 
 
 def _grad_h2(sigma1, sigma2):
-    """Analytic gradient of h(s1, s2) = sqrt(s1^2+s2^2-weighted Gaussian mean).
+    """Analytic gradient of h(s1, s2) = g_2(s1, s2) / sqrt(2*pi), elementwise.
 
     Valid for sigma1, sigma2 > 0.  Writing s = 1 - (min/max)^2, the partial
     derivatives combine E(s) with (E(s) - K(s))/s; both stay finite on the
     open quadrant.
     """
+    sigma1, sigma2 = np.asarray(sigma1, dtype=float), np.asarray(sigma2, dtype=float)
     swap = sigma2 > sigma1
-    a, b = (sigma2, sigma1) if swap else (sigma1, sigma2)
-    if b <= 0.0 or a <= 0.0:
+    a = np.where(swap, sigma2, sigma1)
+    b = np.where(swap, sigma1, sigma2)
+    if np.any(b <= 0.0):
         raise ValueError("analytic gradient needs strictly positive entries")
     ratio = b / a
-    s = 1.0 - ratio * ratio
-    s = min(max(s, 0.0), 1.0 - 1e-15)
+    s = np.clip(1.0 - ratio * ratio, 0.0, 1.0 - 1e-15)
     e, dd = _e_and_ek_diff_over_s(s)
     d_major = (e + (1.0 - s) * dd) / math.pi
     d_minor = -(ratio * dd) / math.pi
-    return (d_minor, d_major) if swap else (d_major, d_minor)
-
-
-def _grad_h2_numeric(sigma1, sigma2):
-    """Central-difference gradient of h, for cross-validating the analytic path."""
-    step = 1e-6 * math.hypot(sigma1, sigma2)
-    if step == 0.0:
-        raise ValueError("gradient undefined at the origin")
-    inv = 1.0 / math.sqrt(2.0 * math.pi)
-
-    def h(x, y):
-        return inv * _g2_closed(x, y)
-
-    return (
-        (h(sigma1 + step, sigma2) - h(sigma1 - step, sigma2)) / (2.0 * step),
-        (h(sigma1, sigma2 + step) - h(sigma1, sigma2 - step)) / (2.0 * step),
-    )
+    return np.where(swap, d_minor, d_major), np.where(swap, d_major, d_minor)
 
 
 # ---------------------------------------------------------------------------
@@ -349,24 +343,21 @@ class RadialProfile2:
         return cls(knots=knots)
 
 
-def build_radial_profile_2(grid_size, differentiation="analytic"):
+def build_radial_profile_2(grid_size):
     """Construct the D(2) radial profile from the gradient map of h.
 
-    Walks gamma(t) = grad h(cos t, sin t) over an odd grid on
-    [t_min, pi/2 - t_min]; each point contributes the knot
-    (atan2(gamma_2, gamma_1), |gamma|), and the knots with angle <= pi/4 form
-    the profile.  The angle sequence must come out strictly increasing —
-    a non-monotone sequence means the differentiation went wrong, and the
-    build aborts with a diagnostic rather than emit a corrupt interpolant.
+    Evaluates gamma(t) = grad h(cos t, sin t) on an odd grid over
+    [t_min, pi/2 - t_min] in one array pass; each point gives the knot
+    (atan2(gamma_2, gamma_1), |gamma|), and the knots before the first angle
+    past pi/4 form the profile.  The angle sequence must come out strictly
+    increasing -- a non-monotone sequence means the gradient went wrong, and
+    the build aborts with a diagnostic rather than emit a corrupt
+    interpolant.  grid_size lies in [64, MAX_GRID_SIZE].
     """
-    if grid_size < 64:
-        raise ValueError("grid_size must be >= 64")
-    if differentiation == "analytic":
-        grad = _grad_h2
-    elif differentiation == "numeric":
-        grad = _grad_h2_numeric
-    else:
-        raise ValueError(f"unknown differentiation {differentiation!r}")
+    if not 64 <= grid_size <= MAX_GRID_SIZE:
+        raise ValueError(
+            f"grid_size must be in [64, {MAX_GRID_SIZE}], got {grid_size!r}"
+        )
     count = grid_size + 1 if grid_size % 2 == 0 else grid_size  # pi/4 on-grid
     ts = np.linspace(_T_MIN, _HALF_PI - _T_MIN, count)
     # graded ramp into the axis: the gradient map expands angles there (the
@@ -374,29 +365,28 @@ def build_radial_profile_2(grid_size, differentiation="analytic"):
     ramp = _T_MIN * 2.0 ** (-0.5 * np.arange(20, 0, -1))
     ts = np.concatenate([ramp, ts])
 
+    g1, g2 = _grad_h2(np.cos(ts), np.sin(ts))
+    theta = np.arctan2(g2, g1)
+    # past the fundamental arc symmetry covers the rest
+    past = theta > _QUARTER_PI + 1e-12
+    end = int(np.argmax(past)) if past.any() else len(ts)
     # The axis value is known in closed form: the boundary normal at theta=0
     # is axis-aligned, so r(0) = h(e_1) = rho_1 / sqrt(2 pi) = 1/pi.
-    knots = [(0.0, 1.0 / math.pi)]
-    for t in ts:
-        g1, g2 = grad(math.cos(t), math.sin(t))
-        theta = math.atan2(g2, g1)
-        if theta > _QUARTER_PI + 1e-12:
-            break  # past the fundamental arc; symmetry covers the rest
-        knots.append((theta, math.hypot(g1, g2)))
+    theta = np.concatenate([[0.0], theta[:end]])
+    r = np.concatenate([[1.0 / math.pi], np.hypot(g1[:end], g2[:end])])
 
-    angles = [t for t, _ in knots]
-    diffs = np.diff(angles)
+    diffs = np.diff(theta)
     if np.any(diffs <= 0.0):
         bad = int(np.argmax(diffs <= 0.0))
         raise RuntimeError(
             "gradient-map angle is not strictly increasing at knot "
-            f"{bad}: theta[{bad}]={angles[bad]:.6g}, "
-            f"theta[{bad + 1}]={angles[bad + 1]:.6g}; "
-            f"differentiation={differentiation!r} looks inconsistent"
+            f"{bad}: theta[{bad}]={theta[bad]:.6g}, "
+            f"theta[{bad + 1}]={theta[bad + 1]:.6g}; the gradient of h "
+            "looks inconsistent"
         )
+    knots = list(zip(theta.tolist(), r.tolist()))
     # pin the endpoint exactly: gamma(pi/4) = (1/4, 1/4)
-    t_last, r_last = knots[-1]
-    if abs(t_last - _QUARTER_PI) < 1e-9:
+    if abs(knots[-1][0] - _QUARTER_PI) < 1e-9:
         knots[-1] = (_QUARTER_PI, radius_R(2))
     else:
         knots.append((_QUARTER_PI, radius_R(2)))
@@ -517,50 +507,6 @@ def _radial_duality_mc(k, u, rng, samples):
     return value
 
 
-def radial_duality_2(sigma, grid_size=4096):
-    """k = 2 radial value by direct duality minimization with exact h.
-
-    Independent of the profile pipeline: minimizes h(tau)/<sigma, tau> over a
-    fine angle grid and polishes with golden-section search.  Used to
-    cross-check RadialProfile2.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (2,):
-        raise ValueError("sigma must have shape (2,)")
-    if abs(np.linalg.norm(sigma) - 1.0) > 1e-8:
-        raise ValueError("sigma must be a unit vector")
-    u = np.abs(sigma)
-    inv = 1.0 / math.sqrt(2.0 * math.pi)
-
-    def objective(phi):
-        tau = (math.cos(phi), math.sin(phi))
-        dot = u[0] * tau[0] + u[1] * tau[1]
-        if dot <= 1e-12:
-            return math.inf
-        return inv * _g2_closed(tau[0], tau[1]) / dot
-
-    phis = np.linspace(0.0, _HALF_PI, grid_size)
-    vals = [objective(p) for p in phis]
-    j = int(np.argmin(vals))
-    lo = phis[max(j - 1, 0)]
-    hi = phis[min(j + 1, grid_size - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
-    return min(fc, fd)
-
-
 # ---------------------------------------------------------------------------
 # volumes
 # ---------------------------------------------------------------------------
@@ -568,11 +514,8 @@ def radial_duality_2(sigma, grid_size=4096):
 
 def _log_vol_C_prefactor(m):
     """log of |O(2)| |S(2,m)| / (2m * 2^2)."""
-    log_o2 = 2.0 * math.log(2.0) + 2.0 * math.log(math.pi) \
-        - multivariate_gamma_log(2, 1.0)
-    log_s = 2.0 * math.log(2.0) + m * math.log(math.pi) \
-        - multivariate_gamma_log(2, m / 2.0)
-    return log_o2 + log_s - math.log(8.0 * m)
+    return (vol_orthogonal_log(2).log_magnitude
+            + vol_stiefel_log(2, m).log_magnitude - math.log(8.0 * m))
 
 
 def _check_vol_c_args(m, profile):

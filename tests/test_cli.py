@@ -343,9 +343,8 @@ OPTIONS = {
     "zonoid-volume": {"--k": SMALL, "--m": SMALL, "--samples": SAMPLES,
                       "--method": st.sampled_from(["quadrature", "vitale"]),
                       "--quad-points": SMALL},
-    "profile-build": {"--grid": st.integers(min_value=-2, max_value=80).map(str),
-                      "--differentiation": st.sampled_from(["analytic",
-                                                            "numeric"])},
+    "profile-build": {"--grid": st.one_of(st.integers(min_value=-2, max_value=80),
+                                          st.just(65_537)).map(str)},
     "density-check": {"--k": DENSITY_DIM, "--l": DENSITY_DIM, "--n": DENSITY_DIM,
                       "--samples": SAMPLES},
     "schubert-ratio": {"--k": SMALL, "--n": SMALL, "--mc": None, "--eps": ANGLE,

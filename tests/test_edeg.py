@@ -22,14 +22,14 @@ from grassdeg.specfun import LogValue
 # ------------------------------------------------------------ line counts
 
 
-def test_lines_quadrature_reference_values(profile2):
+def test_lines_quadrature_reference_values():
     # n = 3 is the planted anchor of the whole package
-    r3 = edeg_lines_quadrature(3, profile=profile2)
+    r3 = edeg_lines_quadrature(3)
     assert math.isclose(float(r3.value), 1.726231248998883, rel_tol=1e-10)
     assert r3.method == "quadrature"
-    r4 = edeg_lines_quadrature(4, profile=profile2)
+    r4 = edeg_lines_quadrature(4)
     assert math.isclose(float(r4.value), 3.431903106381258, rel_tol=1e-10)
-    r10 = edeg_lines_quadrature(10, profile=profile2)
+    r10 = edeg_lines_quadrature(10)
     assert math.isclose(float(r10.value), 434.01543760689935, rel_tol=1e-9)
 
 
@@ -38,15 +38,15 @@ def test_lines_quadrature_rejects_small_n():
         edeg_lines_quadrature(2)
 
 
-def test_lines_error_estimate_is_tight(profile2):
-    r = edeg_lines_quadrature(3, profile=profile2)
+def test_lines_error_estimate_is_tight():
+    r = edeg_lines_quadrature(3)
     assert 0.0 <= r.stderr < 1e-6
 
 
-def test_lines_switch_to_log_scale_at_large_n(profile2):
-    small = edeg_lines_quadrature(17, profile=profile2)  # N = 32 > 30
+def test_lines_switch_to_log_scale_at_large_n():
+    small = edeg_lines_quadrature(17)  # N = 32 > 30
     assert isinstance(small.value, LogValue)
-    below = edeg_lines_quadrature(16, profile=profile2)  # N = 30: still direct
+    below = edeg_lines_quadrature(16)  # N = 30: still direct
     assert isinstance(below.value, float)
     # the log-scale value continues the direct sequence smoothly: the step
     # n -> n+1 multiplies by roughly (pi/2)^2 for large n
@@ -63,10 +63,10 @@ def test_lines_asymptotic_values():
         )
 
 
-def test_lines_ratio_to_asymptotic_shrinks(profile2):
+def test_lines_ratio_to_asymptotic_shrinks():
     ratios = []
     for n in (3, 10, 20):
-        quad = edeg_lines_quadrature(n, profile=profile2)
+        quad = edeg_lines_quadrature(n)
         log_quad = (
             quad.value.log_magnitude
             if isinstance(quad.value, LogValue)
@@ -81,30 +81,28 @@ def test_lines_ratio_to_asymptotic_shrinks(profile2):
 # ------------------------------------------------------------ edeg_general
 
 
-def test_general_routes_through_the_small_side(profile2):
+def test_general_routes_through_the_small_side():
     for n in (3, 4):
-        assert edeg_lines_quadrature(n, profile=profile2) == edeg_general(
-            2, n + 1, profile=profile2
-        )
-    a = edeg_general(3, 5, profile=profile2)
-    b = edeg_general(2, 5, profile=profile2)
+        assert edeg_lines_quadrature(n) == edeg_general(2, n + 1)
+    a = edeg_general(3, 5)
+    b = edeg_general(2, 5)
     assert a.value == b.value and a.stderr == b.stderr
 
 
-def test_general_matches_lines_in_log_scale(profile2):
-    a = edeg_general(2, 18, profile=profile2)
+def test_general_matches_lines_in_log_scale():
+    a = edeg_general(2, 18)
     assert isinstance(a.value, LogValue)
-    assert edeg_lines_quadrature(17, profile=profile2) == a
+    assert edeg_lines_quadrature(17) == a
 
 
-def test_general_error_estimate_is_positive_at_every_resolution(profile2):
+def test_general_error_estimate_is_positive_at_every_resolution():
     for points in (8, 16, 32):
-        r = edeg_general(2, 4, profile=profile2, quad_points=points)
+        r = edeg_general(2, 4, quad_points=points)
         assert r.stderr > 0.0
         assert math.isclose(float(r.value), 1.726231248998883, rel_tol=1e-7)
 
 
-def test_general_quadrature_makes_two_passes(profile2, monkeypatch):
+def test_general_quadrature_makes_two_passes(monkeypatch):
     import grassdeg.zonoid as zonoid
 
     calls = []
@@ -115,7 +113,7 @@ def test_general_quadrature_makes_two_passes(profile2, monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(zonoid, "composite_gl_log", counted)
-    edeg_general(2, 4, profile=profile2)
+    edeg_general(2, 4)
     assert calls == [16, 32]
 
 
@@ -126,14 +124,14 @@ def test_general_vitale_route_unbiased_for_trivial_case():
     assert abs(float(r.value) - 1.0) < 4.0 * r.stderr + 1e-9
 
 
-def test_general_vitale_matches_quadrature(profile2):
+def test_general_vitale_matches_quadrature():
     mcres = edeg_general(2, 4, method="zonoid_vitale", rng=RngStream(60, 1),
                          samples=300_000)
-    quad = edeg_general(2, 4, profile=profile2)
+    quad = edeg_general(2, 4)
     assert abs(float(mcres.value) - float(quad.value)) < 4.0 * mcres.stderr
 
 
-def test_general_method_validation(profile2):
+def test_general_method_validation():
     with pytest.raises(ValueError):
         edeg_general(2, 4, method="dartboard")
     with pytest.raises(ValueError):
@@ -145,7 +143,7 @@ def test_general_method_validation(profile2):
                      samples=10)  # N = 40 > 36
     for points in (0, 257):  # outside 1..MAX_QUAD_POINTS
         with pytest.raises(ValueError, match="quad_points"):
-            edeg_general(2, 4, profile=profile2, quad_points=points)
+            edeg_general(2, 4, quad_points=points)
 
 
 # ----------------------------------------------------------------- bounds
@@ -157,9 +155,9 @@ def test_upper_bound_closed_form_24():
     )
 
 
-def test_upper_bound_dominates_quadrature(profile2):
+def test_upper_bound_dominates_quadrature():
     for n in (4, 5, 6):
-        val = float(edeg_general(2, n, profile=profile2).value)
+        val = float(edeg_general(2, n).value)
         assert val < edeg_upper_bound(2, n)
 
 

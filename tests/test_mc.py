@@ -406,7 +406,9 @@ def test_density_normalization_bounds_n_at_k3():
 
 
 def _gof_expected_loop(k, l, n, bins):
-    # the per-node loop the vectorized _gof_expected replaced, kept as its oracle
+    # the per-node loop the vectorized _gof_expected replaced, kept as its
+    # oracle: tensor Gauss-Legendre off the diagonal, and on a diagonal cell
+    # the collapsed rule t2 = lo + h u, t1 = lo + h u v with Jacobian h^2 u
     pdf_sym = mc._density_symmetrized(k, l, n)
     edges = np.linspace(0.0, math.pi / 2.0, bins + 1)
     x8, w8 = np.polynomial.legendre.leggauss(8)
@@ -417,16 +419,23 @@ def _gof_expected_loop(k, l, n, bins):
     if k == 1:
         return np.array([sum(weights[a] * pdf_sym(nodes[b, a]) for a in range(8))
                          for b in range(bins)])
+    u, wu = 0.5 * (1.0 + x8), 0.5 * w8
+    width = edges[1] - edges[0]
     prob = np.zeros((bins, bins))
     for b1 in range(bins):
-        for b2 in range(b1, bins):
+        acc = 0.0
+        for a1 in range(8):
+            t2 = edges[b1] + width * u[a1]
+            for a2 in range(8):
+                t1 = edges[b1] + width * u[a1] * u[a2]
+                acc += width**2 * u[a1] * wu[a1] * wu[a2] * 2.0 * pdf_sym(t1, t2)
+        prob[b1, b1] = acc
+        for b2 in range(b1 + 1, bins):
             acc = 0.0
             for a1 in range(8):
-                t1 = nodes[b1, a1]
                 for a2 in range(8):
-                    t2 = nodes[b2, a2]
-                    if t1 <= t2:
-                        acc += weights[a1] * weights[a2] * 2.0 * pdf_sym(t1, t2)
+                    acc += weights[a1] * weights[a2] * 2.0 * pdf_sym(
+                        nodes[b1, a1], nodes[b2, a2])
             prob[b1, b2] = acc
     return prob
 
@@ -440,6 +449,12 @@ def test_gof_expected_matches_the_loop(k, l, n, bins):
     assert np.max(np.abs(fast - slow)) <= 1e-15
     if k == 2:
         assert np.all(np.tril(fast, -1) == 0.0)  # below the diagonal t1 > t2
+
+
+@pytest.mark.parametrize("k, l, n, bins", [(2, 2, 4, 30), (2, 3, 6, 7), (1, 1, 2, 30)])
+def test_gof_expected_sums_to_one(k, l, n, bins):
+    # the density integrates to 1 over the ordered region, so the cells do too
+    assert abs(mc._gof_expected(k, l, n, bins).sum() - 1.0) < 1e-12
 
 
 def test_density_gof_is_deterministic_and_small():

@@ -9,6 +9,7 @@ from scipy.interpolate import PchipInterpolator
 from grassdeg import zonoid
 from grassdeg.geomlin import RngStream, small_det
 from grassdeg.mc import run_kernel
+from grassdeg.specfun import elliptic_E
 from grassdeg.zonoid import (
     RadialProfile2,
     ZonoidDescriptor,
@@ -16,7 +17,6 @@ from grassdeg.zonoid import (
     g_k,
     q_k,
     radial_D,
-    radial_duality_2,
     radius_R,
     support_C,
     vol_C_quadrature,
@@ -112,6 +112,55 @@ def test_descriptor_validation():
 # --------------------------------------------------------- h and its grad
 
 
+def h2(x, y):
+    """h = g_2 / sqrt(2 pi) on the open quadrant, elementwise:
+    max(x, y) E(1 - (min/max)^2) / pi."""
+    a, b = np.maximum(x, y), np.minimum(x, y)
+    return a * elliptic_E(1.0 - (b / a) ** 2) / math.pi
+
+
+def grad_h2_numeric(sigma1, sigma2):
+    """Central-difference gradient of h, the oracle of the analytic path."""
+    step = 1e-6 * np.hypot(sigma1, sigma2)
+    return (
+        (h2(sigma1 + step, sigma2) - h2(sigma1 - step, sigma2)) / (2.0 * step),
+        (h2(sigma1, sigma2 + step) - h2(sigma1, sigma2 - step)) / (2.0 * step),
+    )
+
+
+def radial_duality_2(sigma, grid_size=4096):
+    """k = 2 radial value by direct duality minimization with exact h.
+
+    Independent of the profile pipeline: minimizes h(tau)/<sigma, tau> over a
+    fine angle grid and polishes with golden-section search.
+    """
+    u = np.abs(np.asarray(sigma, dtype=float))
+
+    def objective(phi):
+        c, s = np.cos(phi), np.sin(phi)
+        dot = u[0] * c + u[1] * s
+        return np.where(dot > 1e-12, h2(c, s) / np.maximum(dot, 1e-12), np.inf)
+
+    phis = np.linspace(0.0, math.pi / 2.0, grid_size)
+    j = int(np.argmin(objective(phis)))
+    a = phis[max(j - 1, 0)]
+    b = phis[min(j + 1, grid_size - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = objective(c), objective(d)
+    for _ in range(80):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = objective(d)
+    return float(min(fc, fd))
+
+
 @given(positive, positive)
 def test_euler_relation_for_h(s1, s2):
     h = g_k(2, np.array([s1, s2])) / SQRT_2PI
@@ -127,10 +176,10 @@ def test_gradient_at_orbit_direction():
 
 
 def test_analytic_gradient_matches_finite_differences():
-    for t in np.linspace(0.05, math.pi / 2 - 0.05, 25):
-        a = zonoid._grad_h2(math.cos(t), math.sin(t))
-        b = zonoid._grad_h2_numeric(math.cos(t), math.sin(t))
-        assert max(abs(a[0] - b[0]), abs(a[1] - b[1])) < 1e-6
+    t = np.linspace(0.05, math.pi / 2 - 0.05, 25)
+    a = zonoid._grad_h2(np.cos(t), np.sin(t))
+    b = grad_h2_numeric(np.cos(t), np.sin(t))
+    assert np.max(np.abs(np.subtract(a, b))) < 1e-6
 
 
 # ----------------------------------------------------------- the profile
@@ -264,24 +313,18 @@ def test_profile_validation():
         )
 
 
-def test_builder_rejects_small_grid_and_bad_mode():
-    with pytest.raises(ValueError):
-        build_radial_profile_2(32)
-    with pytest.raises(ValueError):
-        build_radial_profile_2(128, differentiation="symbolic")
+def test_builder_rejects_grid_outside_bounds():
+    for grid in (32, 63, zonoid.MAX_GRID_SIZE + 1, 10**9):
+        with pytest.raises(ValueError, match="grid_size"):
+            build_radial_profile_2(grid)
+    assert len(build_radial_profile_2(zonoid.MAX_GRID_SIZE).knots) > 2070
 
 
 def test_builder_aborts_on_inconsistent_gradient(monkeypatch):
-    monkeypatch.setattr(zonoid, "_grad_h2", lambda c, s: (1.0, 1.0))
+    monkeypatch.setattr(zonoid, "_grad_h2",
+                        lambda c, s: (np.ones_like(c), np.ones_like(c)))
     with pytest.raises(RuntimeError, match="not strictly increasing"):
         build_radial_profile_2(64)
-
-
-def test_numeric_differentiation_reproduces_profile():
-    numeric = build_radial_profile_2(128, differentiation="numeric")
-    analytic = build_radial_profile_2(128, differentiation="analytic")
-    ts = np.linspace(0.0, math.pi / 4.0, 301)
-    assert np.max(np.abs(numeric.radius(ts) - analytic.radius(ts))) < 1e-7
 
 
 # ------------------------------------------------------------ radial_D
