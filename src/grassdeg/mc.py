@@ -19,7 +19,6 @@ import numpy as np
 from ._quad import composite_gl_log
 from .geomlin import (
     RngStream,
-    det3,
     half_angle_sin_cos,
     principal_cos2,
     singular_values,
@@ -69,8 +68,8 @@ class Estimate:
     (the sampled goodness-of-fit distance, the Laplace demo's quadrature).
     ``value`` averages the non-degenerate draws;
     ``degenerate_count`` out of ``n_samples`` requested draws were
-    excluded.  Where nothing is drawn ``seed`` is 0 and ``n_samples`` counts
-    grid nodes or is 0.
+    excluded.  Where nothing is drawn ``seed`` is 0 and ``n_samples`` is 0,
+    except for the torus midpoint rule, where it counts the p^4 grid nodes.
     """
 
     value: object
@@ -358,11 +357,11 @@ def edeg24_integral(
 ):
     """Average line count over four random lines, via its torus integral.
 
-    mode="quadrature" uses a midpoint rule on the six-angle integrand with
-    points_per_dim points per angle (<= 24; the error proxy compares
-    against half the resolution); mode="mc" averages, over uniform draws of
-    the first two angle pairs on [0, 2*pi)^4, the integrand's closed-form
-    mean over the third pair.
+    Both modes average, over the first two angle pairs on [0, 2*pi)^4, the
+    integrand's closed-form mean over the third pair.  mode="quadrature"
+    takes the midpoint rule with points_per_dim points per angle (in
+    [4, 24]; p^4 nodes), and its error is the difference from the rule at
+    half the points; mode="mc" averages uniform draws.
     """
     if mode == "mc":
         if rng is None or samples is None:
@@ -380,39 +379,31 @@ def edeg24_integral(
         raise ValueError(f"unknown mode {mode!r}")
     if points_per_dim is None:
         points_per_dim = 16
-    if not 2 <= points_per_dim <= 24:
-        raise ValueError("points_per_dim must be in [2, 24]")
-    coarse = max(points_per_dim // 2, 2)
-    value = float(_torus_midpoint(points_per_dim))
-    error = abs(value - float(_torus_midpoint(coarse)))
+    if not 4 <= points_per_dim <= 24:
+        raise ValueError("points_per_dim must be in [4, 24]")
+    value = _conditional_midpoint(points_per_dim)
     return Estimate(
         value=value,
-        stderr=error,
-        n_samples=points_per_dim**6,
+        stderr=abs(value - _conditional_midpoint(points_per_dim // 2)),
+        n_samples=points_per_dim**4,
         seed=0,
         method="edeg24-quadrature",
         degenerate_count=0,
     )
 
 
-def _torus_midpoint(p):
-    """Midpoint rule for the torus integral at p points per dimension.
+def _conditional_midpoint(p):
+    """Midpoint rule for the conditional torus integrand, p points per angle.
 
-    The six angles split as three (t_i, s_i) pairs; for fixed (t_3, s_3) the
-    inner four-fold integral is an outer product over the remaining pairs, so
-    the sweep costs p^2 vectorized passes instead of p^6 scalar ones.
+    One pass per node of the first angle keeps the arrays at p^3 entries.
     """
     theta = (np.arange(p) + 0.5) * (2.0 * math.pi / p)
-    t, s = np.meshgrid(theta, theta, indexing="ij")
-    a, b, c = _torus_rows(t.ravel(), s.ravel())  # one row per (t, s) node
-    first = (a[:, None], b[:, None], c[:, None])
-    second = (a[None, :], b[None, :], c[None, :])
+    s1, t2, s2 = (x.ravel() for x in np.meshgrid(theta, theta, theta, indexing="ij"))
     total = 0.0
-    for j in range(a.size):
-        # every (first, second) pair of nodes, third row fixed at node j
-        total += np.abs(det3(first, second, (a[j], b[j], c[j]))).sum()
-    mean = total / float(a.size) ** 3
-    return mean * _TORUS_PREFACTOR
+    for t1 in theta:
+        t = np.stack([np.full_like(t2, t1), t2])
+        total += float(_torus_third_pair_mean(t, np.stack([s1, s2])).sum())
+    return total / p**4
 
 
 # ---------------------------------------------------------------------------

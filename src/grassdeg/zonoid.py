@@ -7,9 +7,12 @@ over singular-value decompositions; its volume reduces to a one-dimensional
 integral of the radial function of D(2) when k = 2, which is the exact route
 used for expected-degree computations.
 
-The k = 2 radial function has no elementary closed form; it is produced once
-as a RadialProfile2 (a monotone-cubic PCHIP interpolant of the gradient-map
-curve of h) and cached as a small JSON document.
+h, its gradient and its Hessian are one-dimensional integrals for every k,
+evaluated by one fixed trapezoid rule to a few ulps, so the support data
+and the k >= 3 radial function (Newton on the convex dual problem) are
+deterministic.  The k = 2 radial function has no elementary closed form; it
+is produced once as a RadialProfile2 (a monotone-cubic PCHIP interpolant of
+the gradient-map curve of h) and cached as a small JSON document.
 """
 
 import json
@@ -20,11 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._quad import composite_gl_log
-from .geomlin import RngStream, singular_values, small_det
+from .geomlin import singular_values, small_det
 from .mc import Estimate, run_kernel
 from .specfun import (
     LogValue,
-    elliptic_E,
     elliptic_KE,
     log_gamma,
     rho,
@@ -69,43 +71,58 @@ def radius_R(k):
     return rho(k) / math.sqrt(2.0 * math.pi * k)
 
 
-def g_k(k, sigma, method="closed", rng=None, samples=None, workers=1):
+# E|diag(tau) z| = (1/2 sqrt(pi)) int_0^inf (1 - P(s)) s^(-3/2) ds with
+# P(s) = prod (1 + 2 s tau_i^2)^(-1/2), by the trapezoid rule in y = log s.
+# With max|tau_i| = 1 the integrand is analytic in the strip |Im y| < pi, so
+# the error falls like exp(-2 pi^2 / step), and the two ends lose below an
+# ulp; step 0.25 leaves only rounding.  The trapezoid weights carry ds = s dy
+# and the constants of h = E|diag(tau) z| / sqrt(2 pi) and of its derivatives.
+_LOG_S = np.linspace(-110.0, 70.0, 721)
+_S = np.exp(_LOG_S)
+_TRAPEZOID = np.full(_LOG_S.size, _LOG_S[1] - _LOG_S[0])
+_TRAPEZOID[[0, -1]] *= 0.5
+_W_VALUE = _TRAPEZOID / (2.0 * math.pi * math.sqrt(2.0)) / np.sqrt(_S)
+_W_DERIV = _TRAPEZOID / (math.pi * math.sqrt(2.0)) * np.sqrt(_S)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _support_data(tau):
+    """h(tau), grad h(tau) and Hess h(tau) of D(k), for tau != 0.
+
+    With w_j = 1/(1 + 2 s tau_j^2), differentiating under the integral gives
+      d_j E|diag(tau) z| = (tau_j / sqrt(pi)) int P w_j s^(-1/2) ds,
+      d_jl E|diag(tau) z| = (1/sqrt(pi)) int P s^(-1/2) (delta_jl w_j
+                            - 2 s tau_j tau_l w_j w_l (1 + 2 delta_jl)) ds.
+    tau is scaled to max|tau_i| = 1 first (h is 1-homogeneous), and 1 - P is
+    taken as -expm1(-sum(log1p)/2): 1 - P itself cancels at small s.
+    """
+    scale = float(np.max(np.abs(tau)))
+    t = tau / scale
+    a = _S[:, None] * (2.0 * t * t)
+    half_log_p = 0.5 * np.log1p(a).sum(axis=1)
+    value = float(_W_VALUE @ -np.expm1(-half_log_p))
+    weight = _W_DERIV * np.exp(-half_log_p)
+    w = 1.0 / (1.0 + a)
+    v = t * w
+    hess = np.diag(weight @ (w - 2.0 * a * w * w))
+    hess -= 2.0 * (v.T * (weight * _S)) @ v
+    return value * scale, t * (weight @ w), hess / scale
+
+
+def g_k(k, sigma):
     """Expected norm E sqrt(sum sigma_i^2 z_i^2) for standard Gaussian z.
 
-    The closed path (k = 1 via the half-normal mean, k = 2 via the complete
-    elliptic integral E) is exact; for k >= 3 only the Monte Carlo path is
-    available and an Estimate is returned instead of a bare float.
+    One 1-D integral for every k (see _support_data); the relative error is
+    a few ulps.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (k,):
         raise ValueError(f"sigma must have shape ({k},)")
-    if method == "closed":
-        if k == 1:
-            return rho(1) * abs(float(sigma[0]))
-        if k == 2:
-            return _g2_closed(float(sigma[0]), float(sigma[1]))
-        raise ValueError("closed form only available for k in {1, 2}; use method='mc'")
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
-    if rng is None or samples is None:
-        raise ValueError("mc method needs rng and samples")
-    sq = sigma**2
-
-    def kernel(gen, count):
-        z = gen.standard_normal((count, k))
-        return np.sqrt((z * z) @ sq), 0
-
-    return run_kernel(kernel, rng, samples, workers=workers, method="g_k-mc")
-
-
-def _g2_closed(s1, s2):
-    a, b = abs(s1), abs(s2)
-    if a < b:
-        a, b = b, a
-    if a == 0.0:
+    if not np.all(np.isfinite(sigma)):
+        raise ValueError("sigma must be finite")
+    if not sigma.any():
         return 0.0
-    s = 1.0 - (b / a) ** 2
-    return math.sqrt(2.0 / math.pi) * a * elliptic_E(s)
+    return _support_data(sigma)[0] * _SQRT_2PI
 
 
 @dataclass(frozen=True)
@@ -122,21 +139,15 @@ class ZonoidDescriptor:
             raise ValueError("need m >= k")
 
 
-def support_C(desc, X, method="closed", rng=None, samples=None, workers=1):
+def support_C(desc, X):
     """Support function of C(k, m) at the matrix X: g_k(sv(X)) / sqrt(2*pi).
 
-    Depends on X only through its singular values.  Keyword arguments are
-    forwarded to g_k, so k >= 3 requires method='mc' and returns an Estimate.
+    Depends on X only through its singular values.
     """
     X = np.asarray(X, dtype=float)
     if X.shape != (desc.k, desc.m):
         raise ValueError(f"X must have shape ({desc.k}, {desc.m})")
-    sv = singular_values(X)
-    out = g_k(desc.k, sv, method=method, rng=rng, samples=samples, workers=workers)
-    scale = 1.0 / math.sqrt(2.0 * math.pi)
-    if isinstance(out, Estimate):
-        return out.scaled(scale, method="support_C-mc")
-    return out * scale
+    return g_k(desc.k, singular_values(X)) / _SQRT_2PI
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +420,14 @@ def default_profile():
 # ---------------------------------------------------------------------------
 
 
-def radial_D(k, sigma, profile=None, rng=None, samples=20000):
+def radial_D(k, sigma, profile=None):
     """Radial function of D(k) at a unit vector sigma.
 
     k = 1 is the constant 1/pi; k = 2 reads the supplied RadialProfile2;
-    k >= 3 minimizes h(tau)/<sigma, tau> over the sphere (support-to-radial
-    convex duality) with g_k evaluated on one fixed Gaussian bank, so the
-    objective is smooth and descent is meaningful.
+    k >= 3 is min h(tau) subject to <|sigma|, tau> = 1 (support-to-radial
+    convex duality), found by Newton's method on that hyperplane from
+    tau = |sigma| with backtracking.  Raises RuntimeError if Newton does not
+    converge.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (k,):
@@ -429,82 +441,37 @@ def radial_D(k, sigma, profile=None, rng=None, samples=20000):
             raise ValueError("k = 2 requires a RadialProfile2")
         theta = math.atan2(abs(float(sigma[1])), abs(float(sigma[0])))
         return float(profile.radius(theta))
-    if rng is None:
-        rng = RngStream(20240601, 0)
-    return _radial_duality_mc(k, np.abs(sigma), rng, samples)
+    return _radial_newton(np.abs(sigma))
 
 
-def _radial_duality_mc(k, u, rng, samples):
-    z2 = rng.substream(0).generator.standard_normal((samples, k)) ** 2
-    inv_sqrt2pi = 1.0 / math.sqrt(2.0 * math.pi)
-
-    def h_of(tau):
-        return float(np.sqrt(z2 @ (tau * tau)).mean()) * inv_sqrt2pi
-
-    def grad_h(tau):
-        norms = np.sqrt(z2 @ (tau * tau))
-        norms = np.maximum(norms, 1e-300)
-        return (z2 / norms[:, None]).mean(axis=0) * tau * inv_sqrt2pi
-
-    def objective(tau):
-        dot = float(u @ tau)
-        if dot <= 1e-9:
-            return math.inf
-        return h_of(tau) / dot
-
-    # coarse pass: random directions (sign-aligned with u) plus u itself
-    n_grid = (2**k) * 100
-    cand = rng.substream(1).generator.standard_normal((n_grid, k))
-    cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-    dots = cand @ u
-    cand[dots < 0.0] *= -1.0  # h is even, so fold onto the <u, tau> > 0 side
-    best_tau = u / np.linalg.norm(u)
-    best_val = objective(best_tau)
-    block = 256
-    for start in range(0, n_grid, block):
-        sub = cand[start : start + block]
-        hs = np.sqrt(np.einsum("sk,bk->sb", z2, sub * sub)).mean(axis=0)
-        hs *= inv_sqrt2pi
-        vals = hs / np.maximum(sub @ u, 1e-9)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            best_tau = sub[j].copy()
-
-    # local descent on the sphere with backtracking; the bank makes the
-    # objective a fixed smooth function, so its exact gradient is available
-    tau = best_tau
-    value = best_val
-    last_rel_drop = 0.0
-    step = 0.5  # warm-started across iterations: grows while steps succeed
+def _radial_newton(u):
+    # columns: an orthonormal basis of the hyperplane's directions, u-perp
+    basis = np.linalg.svd(u[None, :])[2][1:].T
+    tau = u
+    value, grad, hess = _support_data(tau)
     for _ in range(50):
-        dot = float(u @ tau)
-        grad = grad_h(tau) / dot - (h_of(tau) / dot**2) * u
-        grad -= (grad @ tau) * tau  # tangent component
-        if float(np.linalg.norm(grad)) < 1e-7 * value:
-            last_rel_drop = 0.0
-            break
-        improved = False
-        while step > 1e-12:
-            trial = tau - step * grad
-            trial /= np.linalg.norm(trial)
-            trial_val = objective(trial)
-            if trial_val < value * (1.0 - 1e-12):
-                last_rel_drop = (value - trial_val) / value
-                tau, value = trial, trial_val
-                improved = True
-                step *= 2.0
+        reduced = basis.T @ grad
+        step = np.linalg.solve(basis.T @ hess @ basis, -reduced)
+        decrement = -float(reduced @ step)  # Newton's: value - min ~ decrement / 2
+        step = basis @ step
+        if abs(decrement) <= 1e-12 * value:
+            # the quadratic region: one full step leaves ~ decrement^2
+            return min(value, _support_data(tau + step)[0])
+        t = 1.0
+        while True:
+            trial = _support_data(tau + t * step)
+            if trial[0] <= value - 0.25 * t * decrement:
                 break
-            step *= 0.5
-        if not improved:
-            last_rel_drop = 0.0  # at the floor of the bank's resolution
-            break
-    if last_rel_drop > 1e-5:
-        raise RuntimeError(
-            "radial minimization still descending after 50 steps "
-            f"(k={k}, last value {value:.6g}, last drop {last_rel_drop:.2e})"
-        )
-    return value
+            t *= 0.5
+            if t < 1e-10:
+                raise RuntimeError(
+                    f"radial Newton step found no decrease (k={u.size}, "
+                    f"value {value:.17g}, decrement {decrement:.2e})")
+        tau = tau + t * step
+        value, grad, hess = trial
+    raise RuntimeError(
+        f"radial Newton not converged after 50 steps (k={u.size}, "
+        f"value {value:.17g}, decrement {decrement:.2e})")
 
 
 # ---------------------------------------------------------------------------

@@ -146,11 +146,15 @@ def test_kernel_pool_threads_are_reused():
         seen.append(threading.current_thread())
         return gen.standard_normal(count), 0
 
-    run_kernel(kernel, RngStream(2, 4), 4 * CHUNK, workers=2)
-    first = set(seen)
-    seen.clear()
-    run_kernel(kernel, RngStream(2, 5), 4 * CHUNK, workers=2)
-    assert set(seen) <= first
+    pools = []
+    for stream in (4, 5):
+        seen.clear()
+        run_kernel(kernel, RngStream(2, stream), 4 * CHUNK, workers=2)
+        pool = mc._POOLS.get(2)  # None on one core: the caller runs every chunk
+        pools.append(pool)
+        threads = set(pool._threads) if pool else {threading.current_thread()}
+        assert set(seen) <= threads
+    assert pools[0] is pools[1]
 
 
 def test_kernel_nested_in_a_worker_runs_serially():
@@ -216,12 +220,27 @@ def test_integral_quadrature_refines_toward_the_anchor():
     assert abs(coarse.value - EDEG24) < 0.015
     assert abs(fine.value - EDEG24) < 0.003
     assert abs(fine.value - EDEG24) < abs(coarse.value - EDEG24)
-    assert fine.n_samples == 24**6
+    assert fine.n_samples == 24**4
+
+
+def test_integral_quadrature_error_exceeds_the_true_error():
+    # the error is not monotone in p, but the half-resolution difference
+    # stays above it at each of these p
+    for p in (8, 12, 16, 24):
+        est = edeg24_integral(mode="quadrature", points_per_dim=p)
+        assert abs(est.value - EDEG24) < est.stderr, p
 
 
 def test_integral_quadrature_point_cap():
     with pytest.raises(ValueError):
         edeg24_integral(mode="quadrature", points_per_dim=25)
+
+
+def test_integral_quadrature_needs_a_coarser_rule():
+    # at 2 points the half-resolution rule was the rule itself: stderr 0.0
+    for p in (2, 3):
+        with pytest.raises(ValueError, match="points_per_dim"):
+            edeg24_integral(mode="quadrature", points_per_dim=p)
 
 
 def test_integral_mode_validation():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from scipy.interpolate import PchipInterpolator
+from scipy.special import elliprg
 
 from grassdeg import zonoid
 from grassdeg.geomlin import RngStream, small_det
@@ -35,8 +36,9 @@ positive = st.floats(min_value=0.05, max_value=3.0)
 
 
 def test_g_closed_orbit_values():
-    assert math.isclose(g_k(1, np.array([2.0])), 2.0 * math.sqrt(2.0 / math.pi),
-                        rel_tol=1e-14)
+    for s in (2.0, -0.3, 1e-9, 7.5e4):  # k = 1: the half-normal mean
+        assert math.isclose(g_k(1, np.array([s])), abs(s) * math.sqrt(2.0 / math.pi),
+                            rel_tol=1e-14)
     assert math.isclose(g_k(2, np.array([1.0, 1.0])), math.sqrt(math.pi / 2.0),
                         rel_tol=1e-12)
     assert math.isclose(g_k(2, np.array([1.0, 0.0])), math.sqrt(2.0 / math.pi),
@@ -63,17 +65,30 @@ def test_g2_triangle_inequality(a1, a2, b1, b2):
     assert g_k(2, x + y) <= g_k(2, x) + g_k(2, y) + 1e-12
 
 
-def test_g_closed_unavailable_for_k3():
+def test_g2_matches_the_elliptic_form():
+    sig = RngStream(7, 0).generator.uniform(0.0, 3.0, (500, 2))
+    sig[:4] = [[1.0, 1e-9], [1e-9, 1.0], [2.0, 0.0], [1.0, 1.0 - 1e-12]]
+    for s1, s2 in sig:
+        assert math.isclose(g_k(2, np.array([s1, s2])), h2(s1, s2) * SQRT_2PI,
+                            rel_tol=1e-14)
+
+
+def test_g3_matches_carlson_rg():
+    # E|diag(sigma) z| = 2 sqrt(2/pi) R_G(sigma_1^2, sigma_2^2, sigma_3^2)
+    sig = RngStream(7, 1).generator.uniform(0.0, 3.0, (500, 3))
+    sig[:5] = [[1.0, 1e-9, 1e-9], [1.0, 0.0, 0.3], [1e-9, 1.0, 2e-9],
+               [1.0, 1e-5, 1e-7], [0.0, 0.0, 4.0]]
+    for s in sig:
+        oracle = 2.0 * math.sqrt(2.0 / math.pi) * elliprg(*(s * s))
+        assert math.isclose(g_k(3, s), oracle, rel_tol=1e-14), s
+
+
+def test_g_of_zero_and_input_validation():
+    assert g_k(3, np.zeros(3)) == 0.0
     with pytest.raises(ValueError):
-        g_k(3, np.array([1.0, 0.5, 0.2]))
-
-
-def test_g2_mc_matches_closed():
-    sig = np.array([1.3, 0.4])
-    closed = g_k(2, sig)
-    est = g_k(2, sig, method="mc", rng=RngStream(5, 0), samples=200_000)
-    assert abs(est.value - closed) < 4.0 * est.stderr + 1e-9
-    assert est.n_samples == 200_000
+        g_k(3, np.ones(2))
+    with pytest.raises(ValueError):
+        g_k(2, np.array([1.0, math.inf]))
 
 
 # ----------------------------------------------------- support function
@@ -180,6 +195,29 @@ def test_analytic_gradient_matches_finite_differences():
     a = zonoid._grad_h2(np.cos(t), np.sin(t))
     b = grad_h2_numeric(np.cos(t), np.sin(t))
     assert np.max(np.abs(np.subtract(a, b))) < 1e-6
+
+
+def test_integral_gradient_matches_the_analytic_k2_gradient():
+    t = np.concatenate([np.linspace(1e-3, math.pi / 2 - 1e-3, 201),
+                        [math.pi / 4.0]])
+    c, s = np.cos(t), np.sin(t)
+    analytic = np.stack(zonoid._grad_h2(c, s), axis=1)
+    integral = np.array([zonoid._support_data(np.array(p))[1] for p in zip(c, s)])
+    assert np.max(np.abs(integral - analytic)) < 1e-13
+
+
+def test_support_hessian_matches_gradient_differences():
+    tau = np.array([0.8, 0.5, 0.3, 1e-3])
+    value, grad, hess = zonoid._support_data(tau)
+    assert math.isclose(grad @ tau, value, rel_tol=1e-14)  # Euler: h is 1-homogeneous
+    assert np.max(np.abs(hess @ tau)) < 1e-14  # and grad h 0-homogeneous
+    assert np.max(np.abs(hess - hess.T)) < 1e-15
+    step = 1e-6
+    for j in range(4):
+        e = np.eye(4)[j] * step
+        numeric = (zonoid._support_data(tau + e)[1]
+                   - zonoid._support_data(tau - e)[1]) / (2.0 * step)
+        assert np.max(np.abs(numeric - hess[j])) < 1e-7 * max(1.0, abs(hess[j, j]))
 
 
 # ----------------------------------------------------------- the profile
@@ -367,19 +405,41 @@ def test_duality_agreement_on_a_small_grid(profile2):
 
 def test_radial_k3_orbit_direction():
     u = np.ones(3) / math.sqrt(3.0)
-    val = radial_D(3, u, rng=RngStream(19, 0), samples=40_000)
-    assert abs(val - radius_R(3)) < 5e-3
+    assert math.isclose(radial_D(3, u), radius_R(3), rel_tol=1e-13)
+
+
+def test_radial_k3_axis_is_one_over_pi():
+    assert math.isclose(radial_D(3, np.array([0.0, -1.0, 0.0])), 1.0 / math.pi,
+                        rel_tol=1e-13)
 
 
 def test_radial_k3_generic_direction_below_cap():
     v = np.array([0.8, 0.5, math.sqrt(1.0 - 0.64 - 0.25)])
-    val = radial_D(3, v, rng=RngStream(19, 1), samples=40_000)
+    val = radial_D(3, v)
     assert 0.0 < val < radius_R(3)
+    assert math.isclose(val, 0.354314243334527, rel_tol=1e-13)
 
 
-def test_radial_k4_default_stream():
-    val = radial_D(4, np.ones(4) / 2.0)
-    assert abs(val - radius_R(4)) < 5e-3
+def test_radial_k3_in_a_coordinate_plane_is_the_k2_value():
+    for t in (0.2, 0.55):
+        sig = np.array([math.cos(t), 0.0, math.sin(t)])
+        assert math.isclose(radial_D(3, sig), radial_duality_2(sig[[0, 2]]),
+                            rel_tol=1e-12)
+
+
+def test_radial_k4_orbit_direction():
+    assert math.isclose(radial_D(4, np.ones(4) / 2.0), radius_R(4), rel_tol=1e-13)
+
+
+def test_radial_newton_failure_is_a_runtime_error(monkeypatch):
+    # a Hessian of the wrong sign turns every Newton step uphill
+    def wrong_hessian(tau):
+        d = tau - np.array([3.0, 0.0, 0.0])
+        return float(d @ d), 2.0 * d, -2.0 * np.eye(3)
+
+    monkeypatch.setattr(zonoid, "_support_data", wrong_hessian)
+    with pytest.raises(RuntimeError, match="radial Newton"):
+        radial_D(3, np.array([0.8, 0.5, math.sqrt(0.11)]))
 
 
 # ------------------------------------------------------------- volumes
