@@ -13,7 +13,8 @@ CASES = [(1, 1, 2), (2, 2, 4), (2, 3, 5)]
 
 for k, l, n in CASES:
     z = density_normalization(k, l, n)
-    print(f"integral of the (k={k}, l={l}, n={n}) density: {z:.12f}  (want 1)")
+    print(f"integral of the (k={k}, l={l}, n={n}) density: {z.value:.15f}  "
+          f"(want 1; rule error {z.stderr:.1e})")
 
 l1 = density_gof(2, 2, 4, RngStream(11, 0), 200_000, workers=4)
 print(f"\nhistogram vs density, L1 distance: {l1:.4f}")

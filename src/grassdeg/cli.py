@@ -8,6 +8,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import __version__, edeg, incidence, mc, zonoid
 from .geomlin import RngStream
 from .specfun import LogValue
@@ -127,11 +129,6 @@ def _parser():
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--quad-points", type=int, default=32)
 
-    p = sub.add_parser("profile-build", parents=[common],
-                       help="build and cache the k=2 radial profile "
-                            "(--out names the profile JSON, report to stdout)")
-    p.add_argument("--grid", type=int, default=512)
-
     p = sub.add_parser("density-check", parents=[common],
                        help="principal-angle density: normalization and fit")
     p.add_argument("--k", type=int, required=True)
@@ -232,28 +229,13 @@ def _cmd_zonoid_volume(args):
     return [("zonoid-volume", params, est)]
 
 
-def _cmd_profile_build(args):
-    profile = zonoid.build_radial_profile_2(args.grid)
-    if args.out:
-        profile.save(args.out)
-    quarter = profile.radius(math.pi / 4.0)
-    params = {"grid": args.grid, "knots": len(profile.knots),
-              "cache_path": args.out or ""}
-    args.out = None  # --out named the profile cache; the report goes to stdout
-    return [("radial-profile", params, _exact(quarter, "gradient-map"))]
-
-
 def _cmd_density_check(args):
-    # the fit runs first: it rejects k = 3, which the slower nested
-    # quadrature of the normalization would otherwise integrate in vain
+    dims = {"k": args.k, "l": args.l, "n": args.n}
+    records = [("density-normalization", dims,
+                mc.density_normalization(args.k, args.l, args.n))]
     if args.samples > 0:
         l1 = mc.density_gof(args.k, args.l, args.n, RngStream(args.seed, 1),
                             args.samples, workers=args.workers)
-    dims = {"k": args.k, "l": args.l, "n": args.n}
-    records = [("density-normalization", dims,
-                _exact(mc.density_normalization(args.k, args.l, args.n),
-                       "nested-quadrature"))]
-    if args.samples > 0:
         records.append(("density-gof",
                         dict(dims, samples=args.samples, bins=30),
                         _exact(l1, "binned-l1", stderr=None,
@@ -287,7 +269,7 @@ def _cmd_laplace_demo(args):
     gauss = edeg.LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0,
                                 min_at_right_endpoint=False)
     gauss_rows = edeg.laplace_validate(
-        lambda t: t * t, lambda t: 1.0, 0.0, 1.0, gauss, [10.0, 100.0, 1000.0])
+        lambda t: t * t, np.ones_like, 0.0, 1.0, gauss, [10.0, 100.0, 1000.0])
 
     lines = edeg.LaplaceProblem(
         a_at_min=4.0 * math.log(2.0), a0=3.0, mu=2.0, b0=8.0, nu=2.0,
@@ -295,22 +277,23 @@ def _cmd_laplace_demo(args):
     profile = zonoid.default_profile()
 
     def a_fn(t):
-        c, s = math.cos(t), math.sin(t)
-        return -math.log(float(profile.radius(t)) ** 2 * c * s)
+        c, s = np.cos(t), np.sin(t)
+        return -np.log(profile.radius(t) ** 2 * c * s)
 
     def b_fn(t):
-        c, s = math.cos(t), math.sin(t)
+        c, s = np.cos(t), np.sin(t)
         return (c * c - s * s) / (c * s) ** 2
 
     line_rows = edeg.laplace_validate(
-        a_fn, b_fn, 1e-6, math.pi / 4.0, lines, [4.0, 16.0, 64.0])
+        a_fn, b_fn, 0.0, math.pi / 4.0, lines, [4.0, 16.0, 64.0])
 
-    # rel_error is the gap to the Laplace leading term, not an error of the
-    # quadrature value, which has no error estimate here
+    # rel_error is the gap to the Laplace leading term; stderr is the
+    # quadrature's own panel-doubling error
     return [("laplace-demo",
              {"problem": name, "lam": row["lam"], "leading": row["leading"],
               "rel_error": row["rel_error"]},
-             _exact(row["integral"], "laplace-vs-quadrature", stderr=None))
+             _exact(row["integral"], "laplace-vs-quadrature",
+                    stderr=row["error"]))
             for name, rows in (("gaussian-endpoint", gauss_rows),
                                ("lines-radial", line_rows))
             for row in rows]
@@ -336,7 +319,6 @@ _HANDLERS = {
     "transversals": _cmd_transversals,
     "rig": _cmd_rig,
     "zonoid-volume": _cmd_zonoid_volume,
-    "profile-build": _cmd_profile_build,
     "density-check": _cmd_density_check,
     "schubert-ratio": _cmd_schubert_ratio,
     "vitale": _cmd_vitale,

@@ -10,9 +10,11 @@ asymptotics at finite n.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
+import numpy as np
+
+from ._quad import composite_gl_log
 from .specfun import (
     LogValue,
     log_gamma,
@@ -254,32 +256,30 @@ def laplace_leading(problem, lam):
 
 
 def laplace_validate(a, b, t1, t2, problem, lambda_grid):
-    """Compare laplace_leading against adaptive quadrature on a lambda grid.
+    """Compare laplace_leading against a fixed quadrature on a lambda grid.
 
-    Returns a list of rows {lam, integral, leading, rel_error}; the shared
-    exp(-lam a_at_min) factor is handled analytically so huge lambdas cannot
-    underflow the comparison.  Imports scipy's adaptive quadrature on
-    call, so the rest of the package starts without scipy.
+    ``a`` and ``b`` map arrays of t to arrays (or scalars), with b >= 0 on
+    [t1, t2].  The integral of exp(-lam (a - a_at_min)) b takes the 32-point
+    composite Gauss-Legendre rule in log scale on 32 panels; ``error`` is
+    its difference from the same rule on 16 panels.  Returns a list of rows
+    {lam, integral, error, leading, rel_error}; the shared exp(-lam a_at_min)
+    factor is handled analytically so huge lambdas cannot underflow the
+    comparison.
     """
-    from scipy.integrate import IntegrationWarning, quad
-
     rows = []
     amin = problem.a_at_min
     for lam in lambda_grid:
         if lam <= 0.0:
             raise ValueError("lambda grid must be positive")
-        with warnings.catch_warnings():
-            # Extremely peaked integrands trip scipy's roundoff detector long
-            # after the value has converged; the rel_error column is the judge.
-            warnings.simplefilter("ignore", IntegrationWarning)
-            scaled_integral = quad(
-                lambda t: math.exp(-lam * (a(t) - amin)) * b(t),
-                t1,
-                t2,
-                epsabs=1e-13,
-                epsrel=1e-11,
-                limit=500,
-            )[0]
+
+        def log_f(t):
+            with np.errstate(divide="ignore"):  # b = 0 at a node gives -inf
+                return -lam * (a(t) - amin) + np.log(b(t))
+
+        scaled_integral, coarse = (
+            math.exp(composite_gl_log(log_f, t1, t2, points=32, panels=panels))
+            for panels in (32, 16)
+        )
         scaled_leading = laplace_leading(problem, lam) * math.exp(lam * amin)
         rel_error = abs(scaled_integral - scaled_leading) / abs(scaled_integral)
         try:
@@ -290,6 +290,7 @@ def laplace_validate(a, b, t1, t2, problem, lambda_grid):
             {
                 "lam": float(lam),
                 "integral": scaled_integral * damp,
+                "error": abs(scaled_integral - coarse) * damp,
                 "leading": scaled_leading * damp,
                 "rel_error": rel_error,
             }

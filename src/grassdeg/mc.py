@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._quad import composite_gl_log
+from ._quad import _leggauss, composite_gl_log, ordered_simplex_gl
 from .geomlin import (
     RngStream,
     half_angle_sin_cos,
@@ -64,8 +64,8 @@ class Estimate:
     and log-scale (relative) on a LogValue.  What it measures depends on the
     method: for Monte Carlo the standard error of the mean (inf after one
     draw), for quadrature the difference after resolution doubling, for a
-    closed form 0, and None for a number that carries no error estimate
-    (the sampled goodness-of-fit distance, the Laplace demo's quadrature).
+    closed form 0, and None only for the sampled goodness-of-fit distance,
+    which carries no error estimate.
     ``value`` averages the non-degenerate draws;
     ``degenerate_count`` out of ``n_samples`` requested draws were
     excluded.  Where nothing is drawn ``seed`` is 0 and ``n_samples`` is 0,
@@ -485,73 +485,78 @@ def density_pdf(k, l, n, theta):
         raise ValueError("angles must lie in [0, pi/2]")
     if np.any(np.diff(theta) < 0.0):
         raise ValueError("angles must be ascending")
-    c = math.exp(_density_log_constant(k, l, n))
-    cos_t = np.cos(theta)
-    sin_t = np.sin(theta)
-    value = c * np.prod(cos_t ** (l - k)) * np.prod(sin_t ** (n - l - k))
-    cos2 = cos_t**2
-    for i in range(k):
-        for j in range(i + 1, k):
-            value *= cos2[i] - cos2[j]  # ascending theta => nonnegative
-    return float(value)
+    return float(math.factorial(k) * _density_symmetrized(k, l, n)(*theta))
 
 
-def _density_symmetrized(k, l, n, xp=math):
+def _density_symmetrized(k, l, n):
     """Density extended symmetrically to the whole cube [0, pi/2]^k, over k!.
 
-    ``xp`` supplies cos and sin: ``math`` for the scalar calls of adaptive
-    quadrature, ``np`` to evaluate on broadcast grids of angles.
+    The returned function takes k broadcastable arrays of angles.
     """
     c = math.exp(_density_log_constant(k, l, n)) / math.factorial(k)
 
     def pdf_sym(*angles):
+        cos = [np.cos(t) for t in angles]
         value = c
-        for t in angles:
-            value = value * xp.cos(t) ** (l - k) * xp.sin(t) ** (n - l - k)
+        for t, ct in zip(angles, cos):
+            value = value * ct ** (l - k) * np.sin(t) ** (n - l - k)
         for i in range(k):
             for j in range(i + 1, k):
-                value = value * abs(xp.cos(angles[i]) ** 2 - xp.cos(angles[j]) ** 2)
+                value = value * abs(cos[i] ** 2 - cos[j] ** 2)
         return value
 
     return pdf_sym
 
 
-def density_normalization(k, l, n, quad_points=200):
-    """Integral of the angle density; should be 1.  k <= 3 (n <= 12 at k = 3).
+# largest n of the normalization check: at k = 2 the density's constant
+# nears the float range past n = 1000 (log c = 700.5 at l = 500), and k = 1
+# keeps the same bound; at k = 3 the rule's (n + 16)^3 nodes take ~0.2 s
+# at n = 100
+_NORMALIZATION_MAX_N = {1: 1000, 2: 1000, 3: 100}
 
-    Integrates the symmetrized density over the cube with nested adaptive
-    quadrature, splitting each inner integral at the outer angles where the
-    |cos^2 - cos^2| factors have kinks.
+
+def density_normalization(k, l, n):
+    """Integral of the angle density over the ordered angles; should be 1.
+
+    k <= 3, with n <= 1000 for k <= 2 and n <= 100 for k = 3.  The density
+    is smooth on the ordered region 0 <= t_1 <= ... <= t_k <= pi/2, so the
+    collapsed Gauss-Legendre rule there (``ordered_simplex_gl``) with
+    p = n + 16 points per axis converges to rounding.  ``stderr`` is the
+    difference from the rule with p // 2 points.
     """
     _check_density_dims(k, l, n)
     if k > 3:
         raise ValueError("normalization check implemented for k <= 3 only")
-    if k == 3 and n > 12:
-        # three nested adaptive levels: seconds at n = 12, growing with n
-        raise ValueError("normalization check for k = 3 supports n <= 12 only")
-    from scipy.integrate import quad
-
+    if n > _NORMALIZATION_MAX_N[k]:
+        raise ValueError(
+            f"normalization check for k = {k} supports "
+            f"n <= {_NORMALIZATION_MAX_N[k]} only, got n = {n}"
+        )
     pdf_sym = _density_symmetrized(k, l, n)
-    hi = math.pi / 2.0
-    opts = dict(epsabs=1e-11, epsrel=1e-11, limit=quad_points)
+    p = n + 16
+    value = _ordered_integral(pdf_sym, k, p)
+    return Estimate(
+        value=value,
+        stderr=abs(value - _ordered_integral(pdf_sym, k, p // 2)),
+        n_samples=0,
+        seed=0,
+        method="simplex-gauss-legendre",
+    )
 
-    if k == 1:
-        return quad(lambda t: pdf_sym(t), 0.0, hi, **opts)[0]
-    if k == 2:
 
-        def inner(t1):
-            return quad(lambda t2: pdf_sym(t1, t2), 0.0, hi, points=[t1], **opts)[0]
+def _ordered_integral(pdf_sym, k, p):
+    """k! times the integral of pdf_sym over the ordered angles, p nodes per axis.
 
-        return quad(inner, 0.0, hi, **opts)[0]
-
-    def inner2(t1, t2):
-        pts = sorted({t1, t2})
-        return quad(lambda t3: pdf_sym(t1, t2, t3), 0.0, hi, points=pts, **opts)[0]
-
-    def inner1(t1):
-        return quad(lambda t2: inner2(t1, t2), 0.0, hi, points=[t1], **opts)[0]
-
-    return quad(inner1, 0.0, hi, **opts)[0]
+    One pass per node of the largest angle t_k, with the other angles on the
+    ordered simplex below it, keeps the arrays at p^(k-1) entries.
+    """
+    rest, w_rest = ordered_simplex_gl(k - 1, p)
+    top, w_top = ordered_simplex_gl(1, p, 0.0, math.pi / 2.0)
+    total = 0.0
+    for t_k, w_k in zip(top[0], w_top):
+        inner = np.sum(w_rest * pdf_sym(*(t_k * rest), t_k))
+        total += float(w_k * t_k ** (k - 1) * inner)
+    return math.factorial(k) * total
 
 
 def _gof_expected(k, l, n, bins):
@@ -561,12 +566,11 @@ def _gof_expected(k, l, n, bins):
     the diagonal (t1 < t2 throughout) takes the 8 x 8 tensor rule, one row
     of bins at a time, which keeps the temporaries at 8 x 8*bins; a diagonal
     cell is the triangle t1 <= t2 of its square, integrated by the collapsed
-    8 x 8 rule t2 = lo + h u, t1 = lo + h u v over (u, v) in [0, 1]^2, whose
-    Jacobian is h^2 u.  Cells below the diagonal are zero.
+    8 x 8 rule of ``ordered_simplex_gl``.  Cells below the diagonal are zero.
     """
-    pdf_sym = _density_symmetrized(k, l, n, xp=np)
+    pdf_sym = _density_symmetrized(k, l, n)
     edges = np.linspace(0.0, math.pi / 2.0, bins + 1)
-    x8, w8 = np.polynomial.legendre.leggauss(8)
+    x8, w8 = _leggauss(8)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     t = (mids[:, None] + half * x8[None, :]).ravel()  # bin-major nodes
@@ -580,12 +584,11 @@ def _gof_expected(k, l, n, bins):
         t2, w2 = t[None, 8 * b + 8 :], 2.0 * w[None, 8 * b + 8 :]
         cell = w1 * w2 * pdf_sym(t1, t2)
         prob[b, b + 1 :] = cell.reshape(8, bins - 1 - b, 8).sum(axis=(0, 2))
-    u, wu = 0.5 * (1.0 + x8), 0.5 * w8  # the rule on [0, 1]
+    s, ws = ordered_simplex_gl(2, 8)  # the unit triangle, scaled to each cell
     width = 2.0 * half
-    t2 = edges[:-1, None, None] + width * u[:, None]  # (bins, u, 1)
-    t1 = edges[:-1, None, None] + width * (u[:, None] * u[None, :])  # (bins, u, v)
-    wd = 2.0 * width * width * (wu * u)[:, None] * wu[None, :]
-    prob[np.diag_indices(bins)] = (wd * pdf_sym(t1, t2)).sum(axis=(1, 2))
+    t1, t2 = edges[:-1, None] + width * s[:, None, :]  # (bins, 64) each
+    wd = 2.0 * width * width * ws
+    prob[np.diag_indices(bins)] = (wd * pdf_sym(t1, t2)).sum(axis=1)
     return prob
 
 

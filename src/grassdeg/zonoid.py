@@ -11,11 +11,10 @@ h, its gradient and its Hessian are one-dimensional integrals for every k,
 evaluated by one fixed trapezoid rule to a few ulps, so the support data
 and the k >= 3 radial function (Newton on the convex dual problem) are
 deterministic.  The k = 2 radial function has no elementary closed form; it
-is produced once as a RadialProfile2 (a monotone-cubic PCHIP interpolant of
-the gradient-map curve of h) and cached as a small JSON document.
+is built once per process as a RadialProfile2 (a monotone-cubic PCHIP
+interpolant of the gradient-map curve of h).
 """
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -56,7 +55,6 @@ _HALF_PI = math.pi / 2.0
 _T_MIN = 1e-3  # gradient-map parameter kept away from the axes
 MAX_QUAD_POINTS = 256  # Gauss-Legendre nodes per panel of the radial integral
 MAX_GRID_SIZE = 65_536  # gradient-map grid of a profile: 16x the default's
-PROFILE_FORMAT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -328,30 +326,6 @@ class RadialProfile2:
         out += c1 * s2
         out += c0 * (s2 * s)
         return out
-
-    def save(self, path):
-        """Write the knots as a versioned JSON document (exact round-trip)."""
-        doc = {
-            "version": PROFILE_FORMAT_VERSION,
-            "k": 2,
-            "knots": [
-                [float(f"{t:.17g}"), float(f"{r:.17g}")] for t, r in self.knots
-            ],
-        }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=1)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        if doc.get("version") != PROFILE_FORMAT_VERSION:
-            raise ValueError(f"unsupported profile version {doc.get('version')!r}")
-        if doc.get("k") != 2:
-            raise ValueError("profile document must have k = 2")
-        knots = [(float(t), float(r)) for t, r in doc["knots"]]
-        return cls(knots=knots)
 
 
 def build_radial_profile_2(grid_size):

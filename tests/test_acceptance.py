@@ -101,9 +101,9 @@ def test_criterion_03_schubert_ratio(criterion_log):
 def test_criterion_04_density_suite(criterion_log):
     t0 = time.perf_counter()
     norms = {
-        (1, 1, 2): mc.density_normalization(1, 1, 2),
-        (2, 2, 4): mc.density_normalization(2, 2, 4),
-        (2, 3, 5): mc.density_normalization(2, 3, 5),
+        (1, 1, 2): mc.density_normalization(1, 1, 2).value,
+        (2, 2, 4): mc.density_normalization(2, 2, 4).value,
+        (2, 3, 5): mc.density_normalization(2, 3, 5).value,
     }
     norm_ok = all(abs(v - 1.0) < 1e-6 for v in norms.values())
     gof = mc.density_gof(2, 2, 4, RngStream(SEED, 1), 1_000_000, workers=8)

@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from grassdeg.edeg import (
     LaplaceProblem,
@@ -229,6 +231,19 @@ def test_laplace_validation_errors_shrink_with_lambda():
     errs = [row["rel_error"] for row in rows]
     assert errs[0] > errs[1] > errs[2] or (errs[1] < 1e-12 and errs[2] < 1e-12)
     assert errs[-1] < 1e-6
+
+
+def test_laplace_validate_matches_adaptive_quadrature():
+    # the fixed rule against scipy's adaptive quad on the Gaussian problem
+    prob = LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0,
+                          min_at_right_endpoint=False)
+    lams = [1.0, 10.0, 100.0, 1000.0, 1e4]
+    rows = laplace_validate(lambda t: t * t, np.ones_like, 0.0, 1.0, prob, lams)
+    for lam, row in zip(lams, rows):
+        ref = quad(lambda t: math.exp(-lam * t * t), 0.0, 1.0,
+                   epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert math.isclose(row["integral"], ref, rel_tol=1e-12), lam
+        assert 0.0 <= row["error"] <= 1e-12 * ref
 
 
 def test_laplace_validate_rejects_bad_grid():

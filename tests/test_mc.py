@@ -415,13 +415,34 @@ def test_density_pdf_2_2_4_closed_form():
 
 
 def test_density_normalization_simplest_case():
-    assert abs(density_normalization(1, 1, 2) - 1.0) < 1e-9
+    est = density_normalization(1, 1, 2)
+    assert abs(est.value - 1.0) < 1e-9
+    assert est.n_samples == 0 and est.seed == 0
 
 
 def test_density_normalization_bounds_n_at_k3():
-    assert abs(density_normalization(3, 3, 6) - 1.0) < 1e-9
-    with pytest.raises(ValueError, match="n <= 12"):
-        density_normalization(3, 3, 13)
+    assert abs(density_normalization(3, 3, 6).value - 1.0) < 1e-9
+    assert abs(density_normalization(3, 3, 100).value - 1.0) < 1e-12
+    with pytest.raises(ValueError, match="n <= 100 only, got n = 101"):
+        density_normalization(3, 3, 101)
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="n <= 1000 only, got n = 1001"):
+            density_normalization(k, 3, 1001)
+    with pytest.raises(ValueError, match="k <= 3"):
+        density_normalization(4, 4, 8)
+
+
+@pytest.mark.parametrize("k, l, n", [
+    (1, 1, 2), (1, 5, 6), (1, 1, 100), (1, 1, 1000), (1, 500, 1000),
+    (1, 999, 1000), (2, 2, 4), (2, 3, 5), (2, 10, 30), (2, 2, 100),
+    (2, 50, 100), (2, 2, 1000), (2, 500, 1000), (2, 998, 1000), (3, 3, 6),
+    (3, 3, 12), (3, 5, 20), (3, 10, 40), (3, 20, 60), (3, 3, 100),
+    (3, 30, 100), (3, 47, 100), (3, 97, 100),
+])
+def test_density_normalization_grid(k, l, n):
+    est = density_normalization(k, l, n)
+    assert abs(est.value - 1.0) <= 1e-12
+    assert 0.0 <= est.stderr <= 1e-8
 
 
 def _gof_expected_loop(k, l, n, bins):

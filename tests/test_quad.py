@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from grassdeg._quad import composite_gl_log
+from grassdeg._quad import composite_gl_log, ordered_simplex_gl
 
 
 def scipy_composite_gl_log(log_f, a, b, points, panels):
@@ -42,3 +42,16 @@ def test_composite_gl_log_of_zero_integrand_is_minus_inf():
     value = composite_gl_log(lambda t: np.full_like(t, -np.inf), 0.0, 1.0)
     assert value == -math.inf
 
+
+def test_ordered_simplex_rule_integrates_monomials():
+    # on 0 <= t1 <= t2 <= t3 <= 1, t1 t2^2 t3 integrates to 1/70, and the
+    # weights sum to the simplex volume h^k / k!
+    t, w = ordered_simplex_gl(3, 4)
+    assert t.shape == (3, 64) and np.all(np.diff(t, axis=0) >= 0.0)
+    assert math.isclose(np.sum(w * t[0] * t[1] ** 2 * t[2]), 1.0 / 70.0,
+                        rel_tol=1e-14)
+    for k in range(4):
+        t, w = ordered_simplex_gl(k, 5, 0.5, 2.0)
+        assert t.shape == (k, 5**k)
+        assert math.isclose(w.sum(), 1.5**k / math.factorial(k), rel_tol=1e-14)
+        assert np.all((t >= 0.5) & (t <= 2.0))

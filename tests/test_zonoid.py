@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -317,24 +316,6 @@ def test_profile_matches_scipy_pchip_on_random_knots(knots):
                          np.linspace(theta[0], QUARTER_PI, 257)])
     np.testing.assert_allclose(profile.radius(ts), scipy_pchip(knots)(ts),
                                rtol=1e-13, atol=0.0)
-
-
-def test_profile_roundtrip(tmp_path, profile2):
-    path = tmp_path / "profile.json"
-    profile2.save(path)
-    back = RadialProfile2.load(path)
-    ts = np.linspace(0.0, math.pi / 4.0, 557)
-    assert np.array_equal(profile2.radius(ts), back.radius(ts))
-
-
-def test_profile_load_rejects_other_versions(tmp_path, profile2):
-    path = tmp_path / "profile.json"
-    profile2.save(path)
-    doc = json.loads(path.read_text())
-    doc["version"] = 99
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
-        RadialProfile2.load(path)
 
 
 def test_profile_validation():
