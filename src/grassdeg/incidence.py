@@ -43,6 +43,18 @@ vectors (|x|^2 = 2; the count and its degeneracy test do not see the
 scale).  For two independent uniform lines a.a' and b.b' are independent
 Uniform[-1, 1], so the pairing of their unit Pluecker vectors has the
 triangular law on [-1, 1].
+
+Every sample is drawn in a canonical frame.  The count and its degeneracy
+test read only the pairings a.a' - b.b', which one common rotation in
+SO(3) x SO(3) keeps.  Rotating a sample so that line 0 becomes
+(e_z, e_z) leaves the other lines independent and uniform, and the
+stabiliser SO(2) x SO(2) of (e_z, e_z) then turns line 1 to zero azimuth
+in both halves without moving line 0 or the law of the lines after it.
+So line 0 is fixed, line 1 needs only its two heights, and every
+per-sample total has the law it has for independent uniform lines.  A
+sample of L lines takes 4L - 6 uniforms instead of 4L (10 instead of 16
+for the four lines of a transversal sample), and the pairings with lines
+0 and 1 take a_z - b_z and two-term sums instead of full dot products.
 """
 
 import itertools
@@ -163,14 +175,28 @@ def meet_pairing(p, q):
 def _count_from_pairings(x, y, z):
     """Transversal counts from x, y, z = m01 m23, m02 m13, m03 m12.
 
-    x, y, z share one shape.  Returns (counts, degenerate) of that shape,
-    counts in {0, 2}; degenerate configurations count 0.
+    x, y, z share one shape and are overwritten: the arithmetic runs in
+    place, so beside the boolean results it allocates only two float arrays
+    of that shape.  Returns (counts, degenerate) of that shape, counts 0.0
+    or 2.0; degenerate configurations count 0.
     """
-    det = (x - y) ** 2 + z * (z - 2.0 * (x + y))
-    scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), np.abs(z))
-    degenerate = np.abs(det) <= _DEGENERATE_TOL * scale * scale
-    counts = np.where(det > 0.0, 2, 0)
-    counts[degenerate] = 0
+    # det M = (x - y)^2 + z (z - 2 (x + y)), in the rounding of that formula
+    det = np.subtract(x, y)
+    det *= det
+    rest = np.add(x, y)
+    rest *= -2.0
+    rest += z
+    rest *= z
+    det += rest
+    # scale = max(|x|, |y|, |z|); rest becomes tau * scale * scale
+    scale = np.abs(x, out=x)
+    np.maximum(scale, np.abs(y, out=y), out=scale)
+    np.maximum(scale, np.abs(z, out=z), out=scale)
+    np.multiply(scale, _DEGENERATE_TOL, out=rest)
+    rest *= scale
+    degenerate = np.abs(det, out=z) <= rest
+    counts = np.multiply(det > 0.0, 2.0, out=x)
+    counts[degenerate] = 0.0
     return counts, degenerate
 
 
@@ -195,34 +221,46 @@ def transversals_of_four(l1, l2, l3, l4):
 
 
 def _random_lines(gen, samples, per_sample):
-    """``per_sample`` uniform random lines per sample, as halves (a, b).
+    """``per_sample`` >= 2 uniform random lines per sample, in the canonical frame.
 
     Returns an array (2, 3, per_sample, samples): [0] holds a and [1] holds
-    b, each a unit vector drawn by Archimedes' map, z = 2u - 1 and azimuth
-    2*pi*v for uniform u, v.  The four uniforms of a line come off ``gen``
-    together, samples first, so drawing a batch in slices of samples reads
-    the same numbers.  Samples run along the last axis, which keeps the
-    counting arithmetic contiguous.
+    b, unit vectors.  Line 0 is (e_z, e_z).  Line 1 has zero azimuth in
+    both halves: z = 2u - 1 for uniform u, x = sqrt(1 - z^2), y = 0.  Every
+    later line is drawn by Archimedes' map, z = 2u - 1 and azimuth 2*pi*v.
+    The law of every count is that of per_sample independent uniform lines
+    (module docstring).  A sample takes 4*per_sample - 6 uniforms, one row
+    off ``gen`` per sample: per half, a before b, the heights of lines 1
+    onward and then the azimuths of lines 2 onward.  Drawing a batch in
+    slices of samples thus reads the same numbers.  Samples run along the
+    last axis, which keeps the counting arithmetic contiguous.
 
     The draws are copied into one block beside the output and the arithmetic
     runs in place there.  A sub-batch then frees no temporary larger than
     that block, so the allocator keeps the memory for the next sub-batch
     instead of returning it to the system and faulting it back in.
     """
-    work = np.empty((10, per_sample, samples))
-    draws = work[6:]
-    draws[...] = gen.random((samples, per_sample, 4)).T
-    lines = work[:6].reshape(2, 3, per_sample, samples)
-    for (u, v), (x, y, z) in zip((draws[:2], draws[2:]), lines):
-        np.multiply(u, 2.0, out=z)
-        z -= 1.0
-        rho = np.multiply(z, z, out=u)
+    heights = per_sample - 1
+    width = 2 * heights - 1  # uniforms per half
+    size = 6 * per_sample * samples
+    work = np.empty(size + 2 * width * samples)
+    lines = work[:size].reshape(2, 3, per_sample, samples)
+    draws = work[size:].reshape(2 * width, samples)
+    draws[...] = gen.random((samples, 2 * width)).T
+    lines[:, :2, 0] = 0.0
+    lines[:, 2, 0] = 1.0
+    for half, (x, y, z) in zip(draws.reshape(2, width, samples), lines):
+        u, v = half[:heights], half[heights:]
+        np.multiply(u, 2.0, out=z[1:])
+        z[1:] -= 1.0
+        rho = np.multiply(z[1:], z[1:], out=u)
         np.subtract(1.0, rho, out=rho)
         np.sqrt(rho, out=rho)
+        x[1] = rho[0]
+        y[1] = 0.0
         v *= math.pi
-        half_angle_sin_cos(v, out=(y, x))
-        x *= rho
-        y *= rho
+        half_angle_sin_cos(v, out=(y[2:], x[2:]))
+        x[2:] *= rho[1:]
+        y[2:] *= rho[1:]
     return lines
 
 
@@ -237,18 +275,45 @@ def _half_pairing(p, q):
             - (b[0] * d[0] + b[1] * d[1] + b[2] * d[2]))
 
 
+def _pairing_block(lines, rows, cols):
+    """Pairings of the lines ``rows`` with the lines ``cols``, two ranges.
+
+    lines: (2, 3, L, n) as _random_lines draws them, every row line before
+    every column line.  Returns (len(rows), len(cols), n).  The canonical
+    lines 0 = (e_z, e_z) and 1 = ((x, 0, z), (x', 0, z')) pair with (a, b)
+    as a_z - b_z and as x a_x + z a_z - (x' b_x + z' b_z); their rows take
+    these forms, the rows of later lines the full _half_pairing.
+    """
+    col = lines[:, :, cols.start:cols.stop]
+    first = max(rows.start, 2)
+    if first == rows.start:
+        return _half_pairing(lines[:, :, first:rows.stop, None], col[:, :, None])
+    (ax, _, az), (bx, _, bz) = col
+    out = np.empty((len(rows),) + az.shape)
+    if rows.start == 0:
+        np.subtract(az, bz, out=out[0])
+    if 1 in rows:
+        (x, _, z), (xb, _, zb) = lines[:, :, 1, None]
+        out[1 - rows.start] = x * ax + z * az - (xb * bx + zb * bz)
+    if first < rows.stop:
+        out[first - rows.start:] = _half_pairing(lines[:, :, first:rows.stop, None],
+                                                 col[:, :, None])
+    return out
+
+
 def _pick_counts(lines, r):
     """Counts of every pick of one line from each of four unions.
 
-    lines: (2, 3, sum(r), n) halves, union g from line sum(r[:g]) onward.
-    Returns (counts, degenerate), each of shape (r_0, r_1, r_2, r_3, n).
-    The pairings between two unions are computed once as a block B_gh of
-    shape (r_g, r_h, n), so each pick costs only products of these numbers.
+    lines: (2, 3, sum(r), n) halves as _random_lines draws them, union g
+    from line sum(r[:g]) onward.  Returns (counts, degenerate), each of
+    shape (r_0, r_1, r_2, r_3, n).  The pairings between two unions are
+    computed once as a block B_gh of shape (r_g, r_h, n), so each pick
+    costs only products of these numbers.
     """
-    ends = np.cumsum(r)
-    unions = np.split(lines, ends[:-1], axis=2)
+    ends = np.cumsum((0,) + tuple(r))
+    unions = [range(ends[g], ends[g + 1]) for g in range(4)]
     b01, b02, b03, b12, b13, b23 = (
-        _half_pairing(unions[g][:, :, :, None], unions[h][:, :, None, :])
+        _pairing_block(lines, unions[g], unions[h])
         for g, h in itertools.combinations(range(4), 2)
     )
     # pick axes: (i0, i1, i2, i3, n)
@@ -261,11 +326,12 @@ def _pick_counts(lines, r):
 def _rig_rows(r):
     """Rows of a rig chunk drawn and counted together in _RIG_BATCH_BYTES.
 
-    By tracemalloc, a row peaks at 14 doubles per line while its lines are
-    drawn (four uniforms, then the ten-row block of ``_random_lines``), and
-    at those 10 per line plus 7.5 to 14.2 per pick while its picks are
-    counted, the most at r = (1, 1, 1, 1); the model takes 15.  Depends on
-    r only, so the draws are the same for every worker count.
+    By tracemalloc, a row of L lines peaks at 14L - 12 doubles while its
+    lines are drawn (4L - 6 uniforms, then the block of 10L - 6 of
+    ``_random_lines``), and at those 10L - 6 plus 5.6 to 12.5 per pick while
+    its picks are counted, the most at r = (1, 1, 1, 1).  The model takes 14
+    and 10 per line and 15 per pick, an upper bound.  Depends on r only, so
+    the draws are the same for every worker count.
     """
     lines, picks = sum(r), math.prod(r)
     row_bytes = 8 * max(14 * lines, 10 * lines + 15 * picks)

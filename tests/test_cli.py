@@ -367,10 +367,11 @@ OPTIONS = {
     "bounds": {"--k": SMALL, "--n": SMALL},
 }
 COMMON = {"--seed": SMALL, "--workers": ints(-2, 4, 2)}
-# tracemalloc peak of one fuzzed run: the largest seen is 18.4 MiB
-# (zonoid-volume --k 3 --m 3 --method vitale at the default 10^6 samples);
-# density-check, whose scipy import once peaked at 23.4 MiB, now stays
-# under 1.2 MiB up to --k 3 --n 60.  This leaves a margin of 2.6x
+# tracemalloc peak of one fuzzed run: the largest seen is 8.8 MiB
+# (zonoid-volume --k 3 --m 3 --method vitale at the default 10^6 samples,
+# whose determinants run in sub-batches of 8 MiB at any km); density-check,
+# whose scipy import once peaked at 23.4 MiB, now stays under 1.2 MiB up to
+# --k 3 --n 60.  This leaves a margin of 5.4x
 FUZZ_PEAK_BYTES = 48 * 2**20
 
 

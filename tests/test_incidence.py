@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -12,7 +13,9 @@ from grassdeg.incidence import (
     PluckerLine,
     TransversalCount,
     _count_batch,
+    _half_pairing,
     _minors_of_basis,
+    _pairing_block,
     _pick_counts,
     _polar,
     _quadric,
@@ -92,6 +95,52 @@ def gaussian_basis_lines(gen, shape):
     pl = _minors_of_basis(gen.standard_normal(shape + (4, 2)))
     pl /= np.linalg.norm(pl, axis=-1, keepdims=True)
     return pl
+
+
+def full_random_lines(gen, samples, per_sample):
+    """The earlier line sampler, kept as the oracle of the canonical frame.
+
+    Draws every line in full by Archimedes' map, four uniforms a line: z =
+    2u - 1 and azimuth 2*pi*v for a, then for b.  Returns the halves as
+    _random_lines does, (2, 3, per_sample, samples).
+    """
+    draws = gen.random((samples, per_sample, 4)).T
+    halves = []
+    for u, v in (draws[:2], draws[2:]):
+        z = 2.0 * u - 1.0
+        rho = np.sqrt(1.0 - z * z)
+        halves.append(np.stack([rho * np.cos(2.0 * math.pi * v),
+                                rho * np.sin(2.0 * math.pi * v), z]))
+    return np.stack(halves)
+
+
+def canonical_rotations(lines):
+    """Per-sample rotations of SO(3) x SO(3) into the canonical frame.
+
+    In each half the rows are (e, c x e, c), with c the half of line 0 and
+    e the unit part of line 1's half orthogonal to c: a right-handed frame
+    that sends c to e_z and line 1's half to zero azimuth.  lines:
+    (2, 3, L, n); returns (2, n, 3, 3).
+    """
+    c = np.moveaxis(lines[:, :, 0], 1, -1)
+    d = np.moveaxis(lines[:, :, 1], 1, -1)
+    e = d
+    for _ in range(2):  # twice, as the parts of nearly parallel d are small
+        e = e - np.sum(e * c, axis=-1, keepdims=True) * c
+    e /= np.linalg.norm(e, axis=-1, keepdims=True)
+    return np.stack([e, np.cross(c, e), c], axis=-2)
+
+
+def unions_of(r):
+    """Line ranges of the four unions of a rig with union sizes r."""
+    ends = np.cumsum((0,) + r)
+    return [range(ends[g], ends[g + 1]) for g in range(4)]
+
+
+def full_block(lines, rows, cols):
+    """The pairing block of _pairing_block, every entry by _half_pairing."""
+    return _half_pairing(lines[:, :, rows.start:rows.stop, None],
+                         lines[:, :, None, cols.start:cols.stop])
 
 
 def oracle_of_four(*lines):
@@ -270,6 +319,49 @@ def test_tangent_line_is_degenerate_and_its_tilts_split():
     assert seen == {0, 2}
 
 
+def plain_count_from_pairings(x, y, z):
+    """The out-of-place count, kept as the oracle of the in-place one."""
+    det = (x - y) ** 2 + z * (z - 2.0 * (x + y))
+    scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), np.abs(z))
+    degenerate = np.abs(det) <= 1e-12 * scale * scale
+    counts = np.where(det > 0.0, 2, 0)
+    counts[degenerate] = 0
+    return counts, degenerate
+
+
+def test_in_place_count_matches_the_plain_formula():
+    gen = RngStream(67, 0).generator
+    x, y, z = gen.uniform(-1.0, 1.0, (3, 200_000))
+    # half of the draws near the cone det M = 0: z = (sqrt|x| + sqrt|y|)^2
+    # times 1 + e, |e| from 1e-15 to 1e-10
+    near = slice(0, 100_000)
+    x[near], y[near] = np.abs(x[near]), np.abs(y[near])
+    e = np.sign(gen.uniform(-1.0, 1.0, 100_000))
+    e *= 10.0 ** gen.uniform(-15.0, -10.0, 100_000)
+    z[near] = (np.sqrt(x[near]) + np.sqrt(y[near])) ** 2 * (1.0 + e)
+    want_counts, want_degenerate = plain_count_from_pairings(x, y, z)
+    counts, degenerate = incidence._count_from_pairings(x.copy(), y.copy(), z.copy())
+    assert np.array_equal(counts, want_counts)
+    assert np.array_equal(degenerate, want_degenerate)
+    assert 1000 < degenerate.sum() < 99_000  # both sides of the threshold
+
+
+def test_degeneracy_threshold_is_scale_free():
+    # det M is symmetric in x, y, z.  (s, s, eps s) has det M = -4 eps s^2,
+    # against tau s^2 with tau = 1e-12, at every scale s; with s the
+    # largest, ((1 + eps) s/4, (1 + eps) s/4, s) has det M = -eps s^2;
+    # (s, 0, 0) has det M = s^2 > 0
+    for s in (1e-3, 1.0, 1e3):
+        a = 0.25 * s * (1.0 + 1e-13)
+        cases = np.array([[s, s, 1e-13 * s], [s, s, 1e-12 * s], [a, a, s],
+                          [s, 0.0, 0.0]])
+        for order in itertools.permutations(range(3)):
+            x, y, z = cases[:, order].T.copy()
+            counts, degenerate = incidence._count_from_pairings(x, y, z)
+            assert degenerate.tolist() == [True, False, True, False], (s, order)
+            assert counts.tolist() == [0, 0, 0, 2], (s, order)
+
+
 def test_counts_are_rigid_motion_and_relabeling_invariant():
     rng = RngStream(53, 0)
     Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
@@ -333,15 +425,30 @@ def triangular_cdf(t):
 
 def test_pairing_of_two_uniform_lines_is_triangular():
     # for independent uniform lines a.a' and b.b' are independent
-    # Uniform[-1, 1], so the unit pairing is their difference halved
+    # Uniform[-1, 1], so the unit pairing is their difference halved; lines
+    # 2 and 3 are drawn in full, heights and azimuths
     n = 200_000
-    drawn = unit_pluckers(_random_lines(RngStream(62, 0).generator, n, 2))
+    drawn = unit_pluckers(_random_lines(RngStream(62, 0).generator, n, 4))[:, 2:]
     oracle = gaussian_basis_lines(RngStream(62, 1).generator, (n, 2))
     for pl in (drawn, oracle):
         m = _polar(pl[:, 0], pl[:, 1])
         assert kstest(m, triangular_cdf).pvalue > 0.01
         # E m^2 = 1/6, sd of m^2 below 0.2
         assert abs(np.mean(m * m) - 1.0 / 6.0) < 4.0 * 0.2 / math.sqrt(n)
+
+
+def test_canonical_lines_and_the_heights_of_line_one():
+    lines = _random_lines(RngStream(66, 0).generator, 100_000, 2)
+    assert np.array_equal(lines[:, :, 0], np.broadcast_to([[0.0], [0.0], [1.0]],
+                                                           (2, 3, 100_000)))
+    (x, y, z), (xb, yb, zb) = lines[:, :, 1]
+    assert np.all(y == 0.0) and np.all(yb == 0.0)
+    assert np.all(x >= 0.0) and np.all(xb >= 0.0)
+    assert np.abs(x * x + z * z - 1.0).max() < 1e-15
+    for heights in (z, zb):
+        assert kstest(heights, "uniform", args=(-1.0, 2.0)).pvalue > 0.01
+    # the two halves are independent: z - z' has the triangular law
+    assert kstest((z - zb) / 2.0, triangular_cdf).pvalue > 0.01
 
 
 def test_drawn_lines_are_unit_points_of_the_quadric():
@@ -364,11 +471,57 @@ class _FixedUniforms:
 def test_line_draw_is_finite_at_the_ends_of_the_uniforms():
     top = np.nextafter(1.0, 0.0)
     points = [(u, v) for u in (0.0, top) for v in (0.0, 0.5, top)]
-    draws = np.array([[[*a, *b]] for a in points for b in points])  # (36, 1, 4)
+    # three lines, a row of 4*3 - 6 uniforms: per half the heights of lines
+    # 1 and 2, then the azimuth of line 2
+    draws = np.array([[a[0], *a, b[0], *b] for a in points for b in points])
     with np.errstate(all="raise"):
-        lines = _random_lines(_FixedUniforms(draws), len(draws), 1)
+        lines = _random_lines(_FixedUniforms(draws), len(draws), 3)
     assert np.all(np.isfinite(lines))
     assert np.abs(np.linalg.norm(lines, axis=1) - 1.0).max() < 1e-15
+
+
+# --------------------------------------------------- the canonical frame
+
+
+def test_reduced_pairings_equal_the_full_pairing_bit_for_bit():
+    for r in ((1, 1, 1, 1), (2, 2, 1, 1), (16, 4, 1, 1), (1, 3, 2, 1)):
+        lines = _random_lines(RngStream(65, 0).generator, 4096, sum(r))
+        unions = unions_of(r)
+        for g, h in itertools.combinations(range(4), 2):
+            got = _pairing_block(lines, unions[g], unions[h])
+            assert got.shape == (r[g], r[h], 4096)
+            want = full_block(lines, unions[g], unions[h])
+            assert np.array_equal(got, want), (r, g, h)
+
+
+def test_canonical_frame_keeps_pairings_counts_and_flags():
+    # lines of the earlier full sampler, moved into the canonical frame by
+    # one SO(3) x SO(3) rotation per sample, pair as before and so count
+    # as before; line 1 sits in union 1 at r = (1, 1, 1, 1), in union 0 else
+    n = 8192
+    for stream, r in enumerate(((1, 1, 1, 1), (16, 4, 1, 1))):
+        full = full_random_lines(RngStream(64, stream).generator, n, sum(r))
+        rot = canonical_rotations(full)
+        assert np.abs(rot @ np.swapaxes(rot, -1, -2) - np.eye(3)).max() < 1e-14
+        assert np.abs(np.linalg.det(rot) - 1.0).max() < 1e-14
+        canon = np.einsum("hnij,hjln->hiln", rot, full)
+        assert np.abs(canon[:, :, 0] - np.array([0.0, 0.0, 1.0])[:, None]).max() < 1e-14
+        assert np.abs(canon[:, 1, 1]).max() < 1e-14
+        assert np.all(canon[:, 0, 1] >= 0.0)
+        unions = unions_of(r)
+        for g, h in itertools.combinations(range(4), 2):
+            gap = _pairing_block(canon, unions[g], unions[h]) - full_block(
+                full, unions[g], unions[h])
+            assert np.abs(gap).max() < 1e-14, (r, g, h)
+        counts, degenerate = _pick_counts(canon, r)
+        pl = unit_pluckers(full)
+        starts = [u.start for u in unions]
+        for pick in np.ndindex(*r):
+            idx = [s + i for s, i in zip(starts, pick)]
+            want_counts, want_degenerate = _count_batch(pl[:, idx, :])
+            assert np.array_equal(counts[pick], want_counts), (r, pick)
+            assert np.array_equal(degenerate[pick], want_degenerate), (r, pick)
+        assert set(np.unique(counts)) == {0, 2}
 
 
 # --------------------------------------------------------------- the MC
@@ -380,7 +533,7 @@ def test_transversal_mc_reproducible_and_anchored():
     assert a == b
     assert a.degenerate_count == 0
     assert abs(a.value - 1.726231248998883) < 4.0 * a.stderr
-    assert a.value == 1.7258099999999998  # what the SVD count gave on these draws
+    assert a.value == 1.72546  # what the SVD count gave on these draws
 
 
 def test_rig_validation():
@@ -411,7 +564,7 @@ def test_rig_doubling_one_union_doubles_the_mean():
 def test_rig_matches_the_svd_count_estimate():
     est = rig_union_of_lines_mc((2, 2, 1, 1), RngStream(61, 0), 50_000)
     # what the per-pick SVD count gave on these draws
-    assert (est.value, est.stderr) == (6.90324, 0.006476726720171244)
+    assert (est.value, est.stderr) == (6.91252, 0.006487016773504782)
     assert est.degenerate_count == 0
 
 

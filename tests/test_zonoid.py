@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.special import elliprg
 
 from grassdeg import zonoid
 from grassdeg.geomlin import RngStream, small_det
-from grassdeg.mc import run_kernel
+from grassdeg.mc import CHUNK, run_kernel
 from grassdeg.specfun import elliptic_E
 from grassdeg.zonoid import (
     RadialProfile2,
@@ -498,6 +499,46 @@ def test_vitale_volume_rows_match_the_broadcast_build():
             k, m, rng, 40_000)
     est = vol_C_vitale_mc(2, 2, RngStream(31, 0), 50_000)
     assert (est.value, est.stderr) == (0.05952478158557899, 0.0008970039828247747)
+
+
+def whole_chunk_vitale_volume(k, m, rng, samples):
+    """The slogdet path without sub-batches: |det| of every draw of a chunk."""
+    n = k * m
+
+    def kernel(gen, count):
+        xy = gen.standard_normal((count, n, k + m))
+        det = np.linalg.det((xy[:, :, :k, None] * xy[:, :, None, k:]).reshape(-1, n, n))
+        good = det != 0.0
+        return np.abs(det[good]) / math.factorial(n), int(count - good.sum())
+
+    return run_kernel(kernel, rng, samples, method="vitale-volume-mc")
+
+
+def test_vitale_volume_sub_batches_read_the_whole_chunk_draws(monkeypatch):
+    for k, m in ((1, 5), (2, 3), (3, 3)):
+        rng = RngStream(33, k * 10 + m)
+        want = whole_chunk_vitale_volume(k, m, rng, CHUNK + 5000)
+        got = vol_C_vitale_mc(k, m, rng, CHUNK + 5000)
+        assert math.isclose(got.value, want.value, rel_tol=1e-12)
+        assert math.isclose(got.stderr, want.stderr, rel_tol=1e-9)
+        assert got.degenerate_count == want.degenerate_count
+    # 1000 draws of the model's n(k + m) + n^2 + 8 doubles at (3, 3)
+    default = vol_C_vitale_mc(3, 3, RngStream(33, 0), CHUNK + 5000)
+    monkeypatch.setattr(zonoid, "_VITALE_BATCH_BYTES", 1000 * 8 * (9 * 6 + 81 + 8))
+    assert zonoid._vitale_rows(3, 3) == 1000  # uneven sub-batches in both chunks
+    assert vol_C_vitale_mc(3, 3, RngStream(33, 0), CHUNK + 5000) == default
+
+
+def test_vitale_volume_chunk_memory_is_bounded():
+    # one km = 16 chunk held a (16384, 16, 16) array at once, 48.5 MiB
+    tracemalloc.start()
+    try:
+        est = vol_C_vitale_mc(4, 4, RngStream(34, 0), CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.n_samples == CHUNK
+    assert peak < 1.25 * zonoid._VITALE_BATCH_BYTES, peak
 
 
 def test_vitale_volume_input_limits():
