@@ -21,14 +21,13 @@ import numpy as np
 from grassdeg.edeg import LaplaceProblem, laplace_validate
 from grassdeg.zonoid import default_profile
 
-gauss = LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0,
-                       min_at_right_endpoint=False)
+gauss = LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0)
 gauss_rows = laplace_validate(lambda t: t * t, np.ones_like, 0.0, 1.0,
                               gauss, [10.0, 100.0, 1000.0])
 
 profile = default_profile()
-lines = LaplaceProblem(a_at_min=4.0 * math.log(2.0), a0=3.0, mu=2.0,
-                       b0=8.0, nu=2.0, min_at_right_endpoint=True)
+lines = LaplaceProblem(a_at_min=4.0 * math.log(2.0), a0=3.0, mu=2.0, b0=8.0,
+                       nu=2.0)
 
 
 def a_fn(t):

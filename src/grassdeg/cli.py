@@ -266,14 +266,12 @@ def _cmd_vitale(args):
 
 
 def _cmd_laplace_demo(args):
-    gauss = edeg.LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0,
-                                min_at_right_endpoint=False)
+    gauss = edeg.LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0)
     gauss_rows = edeg.laplace_validate(
         lambda t: t * t, np.ones_like, 0.0, 1.0, gauss, [10.0, 100.0, 1000.0])
 
     lines = edeg.LaplaceProblem(
-        a_at_min=4.0 * math.log(2.0), a0=3.0, mu=2.0, b0=8.0, nu=2.0,
-        min_at_right_endpoint=True)
+        a_at_min=4.0 * math.log(2.0), a0=3.0, mu=2.0, b0=8.0, nu=2.0)
     profile = zonoid.default_profile()
 
     def a_fn(t):

@@ -219,7 +219,7 @@ class LaplaceProblem:
     """Expansion data of exp(-lambda a(t)) b(t) dt near the minimum of a.
 
     a(t) ~ a_at_min + a0 |t - t*|^mu and b(t) ~ b0 |t - t*|^(nu - 1) as t
-    approaches the minimizer t*, which sits on the stated endpoint.
+    approaches the minimizer t*, an endpoint of the integration interval.
     """
 
     a_at_min: float
@@ -227,7 +227,6 @@ class LaplaceProblem:
     mu: float
     b0: float
     nu: float
-    min_at_right_endpoint: bool
 
     def __post_init__(self):
         if self.a0 == 0.0:

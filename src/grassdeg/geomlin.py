@@ -101,9 +101,6 @@ class RngStream:
     def standard_normal(self, shape):
         return self.generator.standard_normal(shape)
 
-    def uniform(self, low, high, shape):
-        return self.generator.uniform(low, high, shape)
-
     def __repr__(self):
         return "RngStream(seed=%d, stream_id=%d)" % (self.seed, self.stream_id)
 

@@ -232,36 +232,98 @@ def run_kernel(kernel, rng, samples, workers=1, method="mc"):
 
 
 # ---------------------------------------------------------------------------
-# alpha(k, m): expected absolute determinant of a matrix whose km columns are
-# vec(x_i y_i^T) for independent unit-uniform x_i, y_i.  Computed through the
-# Gram determinant det((X X^T) o (Y Y^T)) to stay at km x km.
+# E|det M| over rank-one columns: M stacks the n = km vectorized products
+# vec(x_i y_i^T).  For Gaussian x_i, y_i it is n! |C(k, m)|, the Vitale
+# volume; for unit x_i, y_i it is alpha(k, m).
 # ---------------------------------------------------------------------------
 
+# Working memory of one sub-batch of a rank-one determinant chunk above
+# km = 4; see _vitale_rows.  Each worker thread holds one.
+_VITALE_BATCH_BYTES = 8 * 2**20
 
-def _check_alpha_dims(k, m):
+
+def _vitale_rows(k, m, itemsize=8):
+    """Draws of a rank-one determinant chunk above km = 4 reduced together.
+
+    A draw of n = km holds n(k + m) numbers of Gaussians and n^2 of matrix
+    while its determinant is taken; the model adds 8 for the sign, log and
+    result arrays.  A number takes ``itemsize`` bytes, 16 over C.  By
+    tracemalloc one chunk of any of the three routes then peaks at 7.3 to
+    9.0 MiB for km = 5 to 36.  Depends on (k, m) only, so the draws are the
+    same for every worker count.
+    """
+    n = k * m
+    return max(1, _VITALE_BATCH_BYTES // (itemsize * (n * (k + m) + n * n + 8)))
+
+
+def _rank_one_det_kernel(k, m, unit=False, complex_=False):
+    """Kernel of |det M| (over C, |det M|^2) for ``run_kernel``.
+
+    x_i and y_i are standard Gaussian in R^k and R^m, or in C^k and C^m
+    when ``complex_``, scaled to unit length when ``unit``.  Up to km = 4
+    the determinant is a cofactor expansion; above that it is taken in log
+    magnitude so large km cannot overflow, in sub-batches of
+    ``_vitale_rows`` draws, so a chunk's memory stays near
+    ``_VITALE_BATCH_BYTES`` for any km.  There a draw's Gaussians come off
+    the generator as one samples-major row (x_i then y_i for each i), so the
+    sub-batches read the same numbers as one draw of the whole chunk.  A
+    complex number is two consecutive Gaussians, its real and imaginary
+    parts.  A draw is degenerate when its determinant is exactly 0.
+    """
     if k < 1 or m < 1:
         raise ValueError("k and m must be >= 1")
-    if k * m > 36:
-        raise ValueError("k*m > 36: determinant accumulation not validated there")
+    n = k * m
+    if n > 36:
+        raise ValueError("km > 36 not supported (cost and variance blow up)")
+    dtype = np.dtype(complex if complex_ else float)
+    parts = 2 if complex_ else 1  # Gaussians per number, and a draw's power
+    batch = _vitale_rows(k, m, dtype.itemsize)
+
+    def gaussians(gen, count, *widths):
+        # normalised as real parts before the complex view: same norm, and
+        # no complex temporaries
+        z = gen.standard_normal((count, n, parts * sum(widths)))
+        if unit:
+            stop = 0
+            for width in widths:
+                v = z[:, :, stop : stop + parts * width]
+                v /= np.linalg.norm(v, axis=2, keepdims=True)
+                stop += parts * width
+        return z.view(dtype)
+
+    def kernel(gen, count):
+        if n <= 4:
+            x = gaussians(gen, count, k)
+            y = gaussians(gen, count, m)
+            # entry (i, p*m + q) of every draw, x_ip * y_iq, as one
+            # contiguous run over the draws: the products' inner loops and
+            # the cofactor expansion then both stream along the draws
+            rows = np.multiply(x.transpose(1, 2, 0)[:, :, None],
+                               y.transpose(1, 2, 0)[:, None],
+                               out=np.empty((n, k, m, count), dtype))
+            det = small_det(rows.reshape(n, n, count).transpose(2, 0, 1))
+            good = det != 0.0
+            return np.abs(det[good]) ** parts, int(count - good.sum())
+        logab = np.empty(count)
+        good = np.empty(count, dtype=bool)
+        for start in range(0, count, batch):
+            stop = min(start + batch, count)
+            sign, logab[start:stop] = log_dets(gaussians(gen, stop - start, k, m))
+            good[start:stop] = sign != 0
+        return np.exp(parts * logab[good]), int(count - good.sum())
+
+    def log_dets(xy):
+        # LAPACK copies each matrix in; it reads draw-major rows fastest
+        return np.linalg.slogdet((xy[:, :, :k, None] * xy[:, :, None, k:])
+                                 .reshape(-1, n, n))
+
+    return kernel
 
 
 def alpha_mc(k, m, rng, samples, workers=1):
-    """Estimate alpha(k, m) by direct simulation of unit-vector pairs."""
-    _check_alpha_dims(k, m)
-    n = k * m
-
-    def kernel(gen, count):
-        x = gen.standard_normal((count, n, k))
-        y = gen.standard_normal((count, n, m))
-        x /= np.linalg.norm(x, axis=2, keepdims=True)
-        y /= np.linalg.norm(y, axis=2, keepdims=True)
-        gram = np.matmul(x, np.transpose(x, (0, 2, 1)))
-        gram *= np.matmul(y, np.transpose(y, (0, 2, 1)))
-        det = small_det(gram)
-        good = det > -1e-9
-        return np.sqrt(np.clip(det[good], 0.0, None)), int(count - good.sum())
-
-    return run_kernel(kernel, rng, samples, workers=workers, method="alpha-mc")
+    """Estimate alpha(k, m) = E|det M| over unit x_i, y_i, for km <= 36."""
+    return run_kernel(_rank_one_det_kernel(k, m, unit=True), rng, samples,
+                      workers=workers, method="alpha-mc")
 
 
 def alpha_complex_exact(k, m):
@@ -275,28 +337,12 @@ def alpha_complex_exact(k, m):
 
 
 def alpha_complex_mc(k, m, rng, samples, workers=1):
-    """Monte Carlo counterpart of alpha_complex_exact, for cross-validation."""
-    _check_alpha_dims(k, m)
-    n = k * m
+    """Monte Carlo counterpart of alpha_complex_exact, for cross-validation.
 
-    def kernel(gen, count):
-        xr = gen.standard_normal((count, n, k))
-        xi = gen.standard_normal((count, n, k))
-        yr = gen.standard_normal((count, n, m))
-        yi = gen.standard_normal((count, n, m))
-        x = xr + 1j * xi
-        y = yr + 1j * yi
-        x /= np.linalg.norm(x, axis=2, keepdims=True)
-        y /= np.linalg.norm(y, axis=2, keepdims=True)
-        gram = np.matmul(x, np.conj(np.transpose(x, (0, 2, 1))))
-        gram *= np.matmul(y, np.conj(np.transpose(y, (0, 2, 1))))
-        det = small_det(gram).real
-        good = det > -1e-9
-        return np.clip(det[good], 0.0, None), int(count - good.sum())
-
-    return run_kernel(
-        kernel, rng, samples, workers=workers, method="alpha-complex-mc"
-    )
+    E|det M|^2 over unit complex x_i, y_i, for km <= 36.
+    """
+    return run_kernel(_rank_one_det_kernel(k, m, unit=True, complex_=True), rng,
+                      samples, workers=workers, method="alpha-complex-mc")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ __all__ = [
     "elliptic_KE",
     "vol_sphere",
     "vol_rp",
-    "vol_cp",
     "vol_orthogonal",
     "vol_stiefel",
     "vol_unitary",
@@ -32,7 +31,6 @@ __all__ = [
     "vol_grassmann_complex",
     "vol_sphere_log",
     "vol_rp_log",
-    "vol_cp_log",
     "vol_orthogonal_log",
     "vol_stiefel_log",
     "vol_unitary_log",
@@ -187,13 +185,6 @@ def vol_rp_log(d):
     return LogValue(vol_sphere_log(d).log_magnitude - math.log(2.0))
 
 
-def vol_cp_log(d):
-    """log volume of complex projective space CP^d = pi^d / d!."""
-    if d < 0:
-        raise ValueError("dimension must be >= 0")
-    return LogValue(d * math.log(math.pi) - log_gamma(d + 1))
-
-
 def vol_orthogonal_log(k):
     """log volume of the orthogonal group O(k)."""
     if k < 1:
@@ -259,10 +250,6 @@ def vol_sphere(d):
 
 def vol_rp(d):
     return _direct(vol_rp_log(d))
-
-
-def vol_cp(d):
-    return _direct(vol_cp_log(d))
 
 
 def vol_orthogonal(k):

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._quad import composite_gl_log
-from .geomlin import singular_values, small_det
-from .mc import Estimate, run_kernel
+from .geomlin import singular_values
+from .mc import Estimate, _rank_one_det_kernel, run_kernel
 from .specfun import (
     LogValue,
     elliptic_KE,
@@ -55,9 +55,6 @@ _HALF_PI = math.pi / 2.0
 _T_MIN = 1e-3  # gradient-map parameter kept away from the axes
 MAX_QUAD_POINTS = 256  # Gauss-Legendre nodes per panel of the radial integral
 MAX_GRID_SIZE = 65_536  # gradient-map grid of a profile: 16x the default's
-# Working memory of one sub-batch of a vol_C_vitale_mc chunk above km = 4;
-# see _vitale_rows.  Each worker thread holds one.
-_VITALE_BATCH_BYTES = 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -517,65 +514,21 @@ def vol_C_quadrature(m, profile, quad_points=32):
     return vol_C_quadrature_log(m, profile, quad_points).value.exp()
 
 
-def _vitale_rows(k, m):
-    """Draws of a vol_C_vitale_mc chunk above km = 4 reduced together.
-
-    A draw of n = km holds n(k + m) doubles of Gaussians and n^2 of matrix
-    while its determinant is taken; the model adds 8 for the sign, log and
-    result arrays.  By tracemalloc one chunk then peaks at 7.5 to 8.2 MiB
-    for km = 5 to 36.  Depends on (k, m) only, so the draws are the same
-    for every worker count.
-    """
-    n = k * m
-    return max(1, _VITALE_BATCH_BYTES // (8 * (n * (k + m) + n * n + 8)))
-
-
 def vol_C_vitale_mc(k, m, rng, samples, workers=1):
     """Volume of C(k, m) as E|det M| / (km)! over rank-one Gaussian columns.
 
-    M stacks the km vectorized products x_i y_i^T.  Up to km = 4 the
-    determinant is a cofactor expansion; above that it is taken in log
-    magnitude so large km cannot overflow, in sub-batches of
-    ``_vitale_rows(k, m)`` draws, so a chunk's memory stays near
-    ``_VITALE_BATCH_BYTES`` for any km.  There a draw's Gaussians come off
-    the generator as one samples-major row (x_i then y_i for each i), so
-    the sub-batches read the same numbers as one draw of the whole chunk.
-    A draw is degenerate when its determinant is exactly 0.
+    M stacks the km vectorized products x_i y_i^T; its determinants come
+    from ``mc._rank_one_det_kernel``, which also says how they are taken
+    and when a draw is degenerate.
     """
     if k < 1 or m < k:
         raise ValueError("need 1 <= k <= m")
-    n = k * m
-    if n > 36:
-        raise ValueError("km > 36 not supported (cost and variance blow up)")
-    log_fact = log_gamma(n + 1.0)
-    batch = _vitale_rows(k, m)
+    dets = _rank_one_det_kernel(k, m)
+    scale = float(math.factorial(k * m))
 
     def kernel(gen, count):
-        if n <= 4:
-            x = gen.standard_normal((count, n, k))
-            y = gen.standard_normal((count, n, m))
-            # entry (i, p*m + q) of every draw, x_ip * y_iq, as one
-            # contiguous run over the draws: the products' inner loops and
-            # the cofactor expansion then both stream along the draws
-            rows = np.multiply(x.transpose(1, 2, 0)[:, :, None],
-                               y.transpose(1, 2, 0)[:, None],
-                               out=np.empty((n, k, m, count)))
-            det = small_det(rows.reshape(n, n, count).transpose(2, 0, 1))
-            good = det != 0.0
-            return np.abs(det[good]) / math.factorial(n), int(count - good.sum())
-        logab = np.empty(count)
-        good = np.empty(count, dtype=bool)
-        for start in range(0, count, batch):
-            stop = min(start + batch, count)
-            sign, logab[start:stop] = log_dets(
-                gen.standard_normal((stop - start, n, k + m)))
-            good[start:stop] = sign != 0
-        return np.exp(logab[good] - log_fact), int(count - good.sum())
-
-    def log_dets(xy):
-        # LAPACK copies each matrix in; it reads draw-major rows fastest
-        return np.linalg.slogdet((xy[:, :, :k, None] * xy[:, :, None, k:])
-                                 .reshape(-1, n, n))
+        values, degenerate = dets(gen, count)
+        return values / scale, degenerate
 
     return run_kernel(kernel, rng, samples, workers=workers, method="vitale-volume-mc")
 

@@ -412,3 +412,17 @@ def test_argv_fuzz_exits_cleanly(command, data):
         assert out == "" and err.startswith("grassdeg: "), (argv, err)
     else:
         assert code == 2, (argv, code, err)  # argparse usage error
+
+
+def test_alpha_at_the_km_cap_stays_under_the_fuzz_bound(capsys):
+    # the fuzz gives alpha at most 256 samples; one full chunk at km = 36
+    # held a (16384, 36, 36) Gram stack, 378 MiB
+    tracemalloc.start()
+    try:
+        rec = invoke_json(capsys, "alpha", "--k", "6", "--m", "6", "--samples", "16384")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    check_record(rec)
+    assert rec["degenerate_count"] == 0
+    assert peak < FUZZ_PEAK_BYTES, peak

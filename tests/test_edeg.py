@@ -195,36 +195,30 @@ def test_log_leading_term_matches_its_definition():
 
 def test_laplace_problem_validation():
     with pytest.raises(ValueError):
-        LaplaceProblem(a_at_min=0.0, a0=0.0, mu=2.0, b0=1.0, nu=1.0,
-                       min_at_right_endpoint=False)
+        LaplaceProblem(a_at_min=0.0, a0=0.0, mu=2.0, b0=1.0, nu=1.0)
     with pytest.raises(ValueError):
-        LaplaceProblem(a_at_min=0.0, a0=1.0, mu=-2.0, b0=1.0, nu=1.0,
-                       min_at_right_endpoint=False)
+        LaplaceProblem(a_at_min=0.0, a0=1.0, mu=-2.0, b0=1.0, nu=1.0)
     with pytest.raises(ValueError):
-        LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=0.5,
-                       min_at_right_endpoint=False)
+        LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=0.5)
 
 
 def test_laplace_leading_gaussian_closed_form():
     # integral of exp(-lam t^2) from 0: leading term Gamma(1/2)/(2 sqrt(lam))
-    prob = LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0,
-                          min_at_right_endpoint=False)
+    prob = LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0)
     assert math.isclose(
         laplace_leading(prob, 100.0), math.sqrt(math.pi) / 20.0, rel_tol=1e-12
     )
 
 
 def test_laplace_leading_lines_endpoint_form():
-    prob = LaplaceProblem(a_at_min=4.0 * math.log(2.0), a0=3.0, mu=2.0, b0=8.0,
-                          nu=2.0, min_at_right_endpoint=True)
+    prob = LaplaceProblem(a_at_min=4.0 * math.log(2.0), a0=3.0, mu=2.0, b0=8.0, nu=2.0)
     lam = 5.0
     expect = 2.0 ** (-4.0 * lam) * 4.0 / (3.0 * lam)
     assert math.isclose(laplace_leading(prob, lam), expect, rel_tol=1e-12)
 
 
 def test_laplace_validation_errors_shrink_with_lambda():
-    prob = LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0,
-                          min_at_right_endpoint=False)
+    prob = LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0)
     rows = laplace_validate(
         lambda t: t * t, lambda t: 1.0, 0.0, 1.0, prob, [10.0, 100.0, 1000.0]
     )
@@ -235,8 +229,7 @@ def test_laplace_validation_errors_shrink_with_lambda():
 
 def test_laplace_validate_matches_adaptive_quadrature():
     # the fixed rule against scipy's adaptive quad on the Gaussian problem
-    prob = LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0,
-                          min_at_right_endpoint=False)
+    prob = LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0)
     lams = [1.0, 10.0, 100.0, 1000.0, 1e4]
     rows = laplace_validate(lambda t: t * t, np.ones_like, 0.0, 1.0, prob, lams)
     for lam, row in zip(lams, rows):
@@ -247,14 +240,12 @@ def test_laplace_validate_matches_adaptive_quadrature():
 
 
 def test_laplace_validate_rejects_bad_grid():
-    prob = LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0,
-                          min_at_right_endpoint=False)
+    prob = LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0)
     with pytest.raises(ValueError):
         laplace_validate(lambda t: t * t, lambda t: 1.0, 0.0, 1.0, prob, [-1.0])
 
 
 def test_laplace_leading_rejects_nonpositive_lambda():
-    prob = LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0,
-                          min_at_right_endpoint=False)
+    prob = LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0)
     with pytest.raises(ValueError):
         laplace_leading(prob, 0.0)

@@ -7,9 +7,9 @@ from hypothesis import example, given, strategies as st
 from scipy.interpolate import PchipInterpolator
 from scipy.special import elliprg
 
-from grassdeg import zonoid
+from grassdeg import mc, zonoid
 from grassdeg.geomlin import RngStream, small_det
-from grassdeg.mc import CHUNK, run_kernel
+from grassdeg.mc import CHUNK, alpha_complex_mc, alpha_mc, run_kernel
 from grassdeg.specfun import elliptic_E
 from grassdeg.zonoid import (
     RadialProfile2,
@@ -514,31 +514,83 @@ def whole_chunk_vitale_volume(k, m, rng, samples):
     return run_kernel(kernel, rng, samples, method="vitale-volume-mc")
 
 
+def gram_alpha(k, m, rng, samples, complex_=False):
+    """alpha through the Gram determinant, on the rank-one kernel's draws.
+
+    For M with rows vec(x_i y_i^T), det((X X^*) o (Y Y^*)) = |det M|^2: its
+    root is a draw of alpha over R, itself a draw over C.  Every draw of a
+    chunk at once, at any km.
+    """
+    n = k * m
+    parts = 2 if complex_ else 1  # a complex number is (real, imaginary)
+
+    def unit(z):
+        z = z.view(complex) if complex_ else z
+        return z / np.linalg.norm(z, axis=2, keepdims=True)
+
+    def kernel(gen, count):
+        if n <= 4:  # all x_i, then all y_i
+            x = gen.standard_normal((count, n, parts * k))
+            y = gen.standard_normal((count, n, parts * m))
+        else:  # one samples-major row of x_i and y_i per draw
+            x, y = np.split(gen.standard_normal((count, n, parts * (k + m))),
+                            [parts * k], axis=2)
+        x, y = unit(x), unit(y)
+        gram = np.matmul(x, np.conj(x.transpose(0, 2, 1)))
+        gram *= np.matmul(y, np.conj(y.transpose(0, 2, 1)))
+        det = small_det(gram).real
+        return (det if complex_ else np.sqrt(np.clip(det, 0.0, None))), 0
+
+    return run_kernel(kernel, rng, samples)
+
+
+def test_alpha_is_the_gram_formula_on_the_same_draws():
+    # cofactors of M against the Gram determinant, km <= 4
+    for k, m in ((2, 2), (1, 3), (1, 4)):
+        rng = RngStream(32, k * 10 + m)
+        for route, complex_ in ((alpha_mc, False), (alpha_complex_mc, True)):
+            want = gram_alpha(k, m, rng, 40_000, complex_)
+            got = route(k, m, rng, 40_000)
+            assert math.isclose(got.value, want.value, rel_tol=1e-12)
+            assert math.isclose(got.stderr, want.stderr, rel_tol=1e-9)
+            assert got.degenerate_count == 0
+
+
 def test_vitale_volume_sub_batches_read_the_whole_chunk_draws(monkeypatch):
     for k, m in ((1, 5), (2, 3), (3, 3)):
         rng = RngStream(33, k * 10 + m)
-        want = whole_chunk_vitale_volume(k, m, rng, CHUNK + 5000)
-        got = vol_C_vitale_mc(k, m, rng, CHUNK + 5000)
-        assert math.isclose(got.value, want.value, rel_tol=1e-12)
-        assert math.isclose(got.stderr, want.stderr, rel_tol=1e-9)
-        assert got.degenerate_count == want.degenerate_count
+        pairs = [(vol_C_vitale_mc, whole_chunk_vitale_volume),
+                 (alpha_mc, gram_alpha),
+                 (alpha_complex_mc, lambda *a: gram_alpha(*a, complex_=True))]
+        for route, oracle in pairs:
+            want = oracle(k, m, rng, CHUNK + 5000)
+            got = route(k, m, rng, CHUNK + 5000)
+            assert math.isclose(got.value, want.value, rel_tol=1e-12)
+            assert math.isclose(got.stderr, want.stderr, rel_tol=1e-9)
+            assert got.degenerate_count == want.degenerate_count
     # 1000 draws of the model's n(k + m) + n^2 + 8 doubles at (3, 3)
-    default = vol_C_vitale_mc(3, 3, RngStream(33, 0), CHUNK + 5000)
-    monkeypatch.setattr(zonoid, "_VITALE_BATCH_BYTES", 1000 * 8 * (9 * 6 + 81 + 8))
-    assert zonoid._vitale_rows(3, 3) == 1000  # uneven sub-batches in both chunks
-    assert vol_C_vitale_mc(3, 3, RngStream(33, 0), CHUNK + 5000) == default
+    default = [route(3, 3, RngStream(33, 0), CHUNK + 5000)
+               for route in (vol_C_vitale_mc, alpha_complex_mc)]
+    monkeypatch.setattr(mc, "_VITALE_BATCH_BYTES", 1000 * 8 * (9 * 6 + 81 + 8))
+    assert mc._vitale_rows(3, 3) == 1000  # uneven sub-batches in both chunks
+    assert mc._vitale_rows(3, 3, itemsize=16) == 500
+    assert [route(3, 3, RngStream(33, 0), CHUNK + 5000)
+            for route in (vol_C_vitale_mc, alpha_complex_mc)] == default
 
 
 def test_vitale_volume_chunk_memory_is_bounded():
-    # one km = 16 chunk held a (16384, 16, 16) array at once, 48.5 MiB
-    tracemalloc.start()
-    try:
-        est = vol_C_vitale_mc(4, 4, RngStream(34, 0), CHUNK)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert est.n_samples == CHUNK
-    assert peak < 1.25 * zonoid._VITALE_BATCH_BYTES, peak
+    # one chunk held a whole (16384, km, km) array at once: 48.5 MiB for the
+    # volume at km = 16, 378 MiB for alpha at km = 36, 208 MiB over C at 16
+    for route, k, m in ((vol_C_vitale_mc, 4, 4), (alpha_mc, 6, 6),
+                        (alpha_complex_mc, 4, 4)):
+        tracemalloc.start()
+        try:
+            est = route(k, m, RngStream(34, 0), CHUNK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.n_samples == CHUNK
+        assert peak < 1.25 * mc._VITALE_BATCH_BYTES, (route.__name__, peak)
 
 
 def test_vitale_volume_input_limits():
