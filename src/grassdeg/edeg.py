@@ -142,8 +142,6 @@ def edeg_general(
         return _on_scale(volume, big_n, log_fixed)
 
     if method == "zonoid_vitale":
-        if big_n > 36:
-            raise ValueError("k(n-k) > 36 not supported by the Vitale route")
         if rng is None or samples is None:
             raise ValueError("zonoid_vitale needs rng and samples")
         est = vol_C_vitale_mc(kk, m, rng, samples, workers=workers)

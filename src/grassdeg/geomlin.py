@@ -2,8 +2,9 @@
 
 Small dense linear algebra for subspace geometry: orthonormal frames
 representing points of G(k,n), the principal angles between two subspaces,
-the relative-position functional sigma, and a counter-based RNG wrapper
-that makes every Monte Carlo run reproducible from (seed, stream_id).
+the relative-position functional sigma, and an RNG wrapper (SFC64 keyed by
+a SeedSequence) that makes every Monte Carlo run reproducible from
+(seed, stream_id).
 
 The batched helpers at the end (``small_det``, ``principal_cos2``,
 ``singular_values``) serve the Monte Carlo kernels, which hold one tiny
@@ -79,21 +80,23 @@ class PrincipalAngles:
 
 
 class RngStream:
-    """Counter-based random stream fully determined by (seed, stream_id).
+    """Random stream fully determined by (seed, stream_id).
 
-    Built on the Philox bit generator, so distinct stream ids give
-    statistically independent streams and a fixed pair always replays the
-    same draws.  ``substream(i)`` derives child stream ids as
-    ``stream_id * 2^32 + i + 1`` (mod 2^64), which is collision-free as
-    long as user-chosen ids and child indices stay below 2^32.
+    The generator is SFC64 seeded by ``SeedSequence(seed,
+    spawn_key=(stream_id,))``.  SeedSequence hashes each distinct
+    (seed, stream_id) pair into an unrelated 256-bit state, and SFC64's
+    64-bit counter gives every stream a cycle of at least 2^64, so distinct
+    stream ids give statistically independent streams and a fixed pair
+    always replays the same draws.  ``substream(i)`` derives child stream
+    ids as ``stream_id * 2^32 + i + 1`` (mod 2^64), which is collision-free
+    as long as user-chosen ids and child indices stay below 2^32.
     """
 
     def __init__(self, seed, stream_id=0):
         self.seed = int(seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
-        self.generator = np.random.Generator(
-            np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
-        )
+        self.generator = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))))
 
     def substream(self, index):
         return RngStream(self.seed, (self.stream_id * (1 << 32) + index + 1) & _MASK64)

@@ -328,13 +328,17 @@ def _rig_rows(r):
 
     By tracemalloc, a row of L lines peaks at 14L - 12 doubles while its
     lines are drawn (4L - 6 uniforms, then the block of 10L - 6 of
-    ``_random_lines``), and at those 10L - 6 plus 5.6 to 12.5 per pick while
-    its picks are counted, the most at r = (1, 1, 1, 1).  The model takes 14
-    and 10 per line and 15 per pick, an upper bound.  Depends on r only, so
-    the draws are the same for every worker count.
+    ``_random_lines``), and at those 10L - 6 plus the B = sum of r_g r_h
+    pairings between unions plus 5.3 to 6.6 per pick while its picks are
+    counted (the most at r = (1, 1, 1, 1), whose per-row arrays weigh on
+    one pick).  The model takes max(14L, 10L + B + 6 per pick), 3 to 20%
+    above the measured peak for every r from (1, 1, 1, 1) to (1000, 1, 1, 1)
+    and (10, 10, 10, 1).  Depends on r only, so the draws are the same for
+    every worker count.
     """
     lines, picks = sum(r), math.prod(r)
-    row_bytes = 8 * max(14 * lines, 10 * lines + 15 * picks)
+    pairings = sum(a * b for a, b in itertools.combinations(r, 2))
+    row_bytes = 8 * max(14 * lines, 10 * lines + pairings + 6 * picks)
     return max(1, _RIG_BATCH_BYTES // row_bytes)
 
 

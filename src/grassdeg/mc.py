@@ -680,13 +680,20 @@ def vitale_closed_form(d):
 def vitale_check(d, rng, samples, workers=1):
     """Monte Carlo estimate of E|det G| for a d x d Gaussian matrix, d <= 12.
 
+    A chunk draws and reduces its matrices in sub-batches of at most
+    ``_VITALE_BATCH_BYTES`` of Gaussians, one samples-major row per draw, so
+    the sub-batches read the same numbers as one draw of the whole chunk.
     A draw is degenerate when its determinant is exactly 0.
     """
     if not 1 <= d <= 12:
         raise ValueError("d must be in [1, 12]")
+    batch = max(1, _VITALE_BATCH_BYTES // (8 * d * d))
 
     def kernel(gen, count):
-        det = small_det(gen.standard_normal((count, d, d)))
+        det = np.empty(count)
+        for start in range(0, count, batch):
+            stop = min(start + batch, count)
+            det[start:stop] = small_det(gen.standard_normal((stop - start, d, d)))
         good = det != 0.0
         return np.abs(det[good]), int(count - good.sum())
 

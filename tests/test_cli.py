@@ -194,6 +194,25 @@ def test_quadrature_commands_never_import_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_and_quadrature_leave_numpy_random_unloaded():
+    # numpy.random loads on first use, so a cold call that draws nothing
+    # does not pay for it
+    script = (
+        "import contextlib, io, sys\n"
+        "import grassdeg\n"
+        "from grassdeg.cli import run\n"
+        "assert 'numpy.random' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run(['edeg', '--k', '2', '--n', '4']) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
+
+
 def test_density_check_emits_two_records(capsys):
     recs = invoke_json(capsys, "density-check", "--k", "1", "--l", "1", "--n", "2",
                        "--samples", "10000")
@@ -265,6 +284,16 @@ def test_domain_errors_exit_1(capsys):
     assert err.strip() != ""
     code, _, _ = invoke(capsys, "vitale", "--d", "13", "--samples", "10")
     assert code == 1
+
+
+def test_vitale_route_above_the_km_cap_exits_1(capsys):
+    # N = 6 * 7 = 42 > 36: the rank-one kernel refuses it before drawing
+    code, out, err = invoke(capsys, "edeg", "--k", "6", "--n", "13",
+                            "--method", "zonoid_vitale", "--samples", "100")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("grassdeg: ") and "km > 36" in err
+    assert "Traceback" not in err
 
 
 def test_quad_points_out_of_range_exit_1(capsys):

@@ -140,9 +140,9 @@ def test_general_method_validation():
         edeg_general(3, 6, method="zonoid_quadrature")  # min(k, n-k) = 3
     with pytest.raises(ValueError):
         edeg_general(2, 4, method="zonoid_vitale")  # rng/samples missing
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="km > 36 not supported"):
         edeg_general(5, 13, method="zonoid_vitale", rng=RngStream(0, 0),
-                     samples=10)  # N = 40 > 36
+                     samples=10)  # N = 40 > 36, refused by the rank-one kernel
     for points in (0, 257):  # outside 1..MAX_QUAD_POINTS
         with pytest.raises(ValueError, match="quad_points"):
             edeg_general(2, 4, quad_points=points)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.stats import kstest
 
 from grassdeg.geomlin import (
     Frame,
@@ -50,6 +51,37 @@ def test_nested_substreams_do_not_collide():
             draw = tuple(child.substream(j).standard_normal(8).tolist())
             assert draw not in seen
             seen.add(draw)
+
+
+def test_stream_canary():
+    # the first draws of a stream and of a substream; a change to numpy's
+    # generator or to the stream keys moves every Monte Carlo pin, and
+    # shows here first
+    root = RngStream(1, 0)
+    child = root.substream(3)
+    assert child.stream_id == 4  # 0 * 2^32 + 3 + 1
+    for stream, uniforms, normals in (
+        (root,
+         [0.19855798020608006, 0.9191549755248278, 0.6788129364758031,
+          0.4561022906222245],
+         [-0.9804104528705984, 0.15384550016132556]),
+        (child,
+         [0.9129868933745531, 0.36727923822561426, 0.6469877110084701,
+          0.6164014593536106],
+         [-1.3323752965213882, 0.3802222080825534]),
+    ):
+        assert stream.generator.random(4).tolist() == uniforms
+        assert stream.generator.standard_normal(2).tolist() == normals
+
+
+def test_adjacent_substreams_look_independent():
+    root = RngStream(1, 0)
+    u = np.stack([root.substream(i).generator.random(4096) for i in range(64)])
+    corr = np.corrcoef(u)
+    np.fill_diagonal(corr, 0.0)
+    assert np.abs(corr).max() < 5.0 / math.sqrt(4096)
+    z = np.concatenate([root.substream(i).standard_normal(4096) for i in range(64)])
+    assert kstest(z, "norm").pvalue > 0.01
 
 
 # ---------------------------------------------------------------- frames

@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -522,6 +523,40 @@ def test_vitale_mc_consistent():
 def test_vitale_dimension_cap():
     with pytest.raises(ValueError):
         vitale_check(13, RngStream(0, 0), 10)
+
+
+def whole_chunk_vitale_check(d, rng, samples):
+    """vitale_check without sub-batches: every d x d draw of a chunk at once."""
+
+    def kernel(gen, count):
+        det = np.linalg.det(gen.standard_normal((count, d, d)))
+        good = det != 0.0
+        return np.abs(det[good]), int(count - good.sum())
+
+    return run_kernel(kernel, rng, samples, method="vitale-mc")
+
+
+def test_vitale_sub_batches_read_the_whole_chunk_draws(monkeypatch):
+    # at d = 12 the default budget holds 7281 draws: 7281 + 7281 + 1822
+    samples = CHUNK + 3000
+    assert vitale_check(12, RngStream(62, 0), samples) == whole_chunk_vitale_check(
+        12, RngStream(62, 0), samples)
+    default = vitale_check(5, RngStream(62, 1), samples)
+    monkeypatch.setattr(mc, "_VITALE_BATCH_BYTES", 1000 * 8 * 5 * 5)  # 1000 draws
+    small = vitale_check(5, RngStream(62, 1), samples)
+    assert small == default == whole_chunk_vitale_check(5, RngStream(62, 1), samples)
+
+
+def test_vitale_chunk_memory_is_bounded():
+    # one whole (16384, 12, 12) chunk of Gaussians would take 18 MiB
+    tracemalloc.start()
+    try:
+        est = vitale_check(12, RngStream(63, 0), CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.n_samples == CHUNK
+    assert peak < 1.25 * mc._VITALE_BATCH_BYTES, peak
 
 
 # ------------------------------------------- invariant-integration formula
