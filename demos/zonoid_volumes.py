@@ -16,7 +16,7 @@ so getting it right matters.  Routes compared here:
 import math
 
 from grassdeg.geomlin import RngStream
-from grassdeg.specfun import vol_grassmann_real
+from grassdeg.specfun import vol_grassmann_real_log
 from grassdeg.zonoid import (
     default_profile,
     vol_ball,
@@ -34,6 +34,6 @@ for m in (2, 3, 4):
     print(f" {m}    {vq:.8f}    {est.value:.8f} ({est.stderr:.2e})    {cap:.6f}")
 
 v22 = vol_C_quadrature(2, profile)
-chain = v22 * vol_grassmann_real(2, 4) * math.factorial(4) / 2**4
+chain = v22 * vol_grassmann_real_log(2, 4).exp() * math.factorial(4) / 2**4
 print(f"\nchain value |G|*4!/16*vol = {chain:.9f}")
 print("which is edeg G(2,4) -- compare demos/three_ways_to_1p73.py")

@@ -230,6 +230,8 @@ def _cmd_zonoid_volume(args):
 
 
 def _cmd_density_check(args):
+    if args.samples < 0:
+        raise ValueError("samples must be >= 0 (0 skips the fit)")
     dims = {"k": args.k, "l": args.l, "n": args.n}
     records = [("density-normalization", dims,
                 mc.density_normalization(args.k, args.l, args.n))]

@@ -27,12 +27,11 @@ from .zonoid import default_profile, vol_C_quadrature_log, vol_C_vitale_mc
 __all__ = [
     "LaplaceProblem",
     "edeg_lines_quadrature",
-    "edeg_lines_asymptotic",
     "edeg_general",
-    "edeg_upper_bound",
     "edeg_upper_bound_log",
     "epsilon_k",
     "log_edeg_leading",
+    "log_edeg_lines_asymptotic",
     "laplace_leading",
     "laplace_validate",
 ]
@@ -76,19 +75,9 @@ def edeg_lines_quadrature(n, quad_points=32):
     return edeg_general(2, n + 1, quad_points=quad_points)
 
 
-def edeg_lines_asymptotic(n):
-    """Leading asymptotic term (8 / (3 pi^(5/2) sqrt(n))) (pi^2/4)^n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return (
-        8.0
-        / (3.0 * math.pi**2.5 * math.sqrt(n))
-        * (math.pi**2 / 4.0) ** n
-    )
-
-
 def log_edeg_lines_asymptotic(n):
-    """log of edeg_lines_asymptotic, safe for any n."""
+    """log of the leading term (8 / (3 pi^(5/2) sqrt(n))) (pi^2/4)^n of
+    edeg G(2, n+1), finite for any n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return (
@@ -135,8 +124,8 @@ def edeg_general(
     if method == "zonoid_quadrature":
         if kk != 2:
             raise ValueError(
-                "zonoid_quadrature requires k = 2 or k = n-2 (the exact "
-                "radial profile exists only there); use zonoid_vitale"
+                f"zonoid_quadrature requires min(k, n-k) = 2, got {kk} (the "
+                "exact radial profile exists only there); use zonoid_vitale"
             )
         volume = vol_C_quadrature_log(m, default_profile(), quad_points)
         return _on_scale(volume, big_n, log_fixed)
@@ -159,34 +148,22 @@ def edeg_general(
 # ---------------------------------------------------------------------------
 
 
-def _log_upper_bound(k, n):
+def edeg_upper_bound_log(k, n):
+    """Upper bound |G(k,n)|/|RP^N| (sqrt(pi/2) rho_k / sqrt(k))^N, N = k(n-k).
+
+    A LogValue, valid for any admissible (k, n).
+    """
+    if not 1 <= k <= n - 1:
+        raise ValueError("need 1 <= k <= n-1")
     big_n = k * (n - k)
     per_factor = (
         0.5 * math.log(math.pi / 2.0) + math.log(rho(k)) - 0.5 * math.log(k)
     )
-    return (
+    return LogValue(
         vol_grassmann_real_log(k, n).log_magnitude
         - vol_rp_log(big_n).log_magnitude
         + big_n * per_factor
     )
-
-
-def edeg_upper_bound(k, n):
-    """Closed-form upper bound |G(k,n)|/|RP^N| (sqrt(pi/2) rho_k / sqrt(k))^N."""
-    if not 1 <= k <= n - 1:
-        raise ValueError("need 1 <= k <= n-1")
-    if k * (n - k) > _LOG_ONLY_ABOVE:
-        raise OverflowError(
-            "k(n-k) > 30: direct value refused, call edeg_upper_bound_log"
-        )
-    return math.exp(_log_upper_bound(k, n))
-
-
-def edeg_upper_bound_log(k, n):
-    """Log-scale form of edeg_upper_bound, valid for any admissible (k, n)."""
-    if not 1 <= k <= n - 1:
-        raise ValueError("need 1 <= k <= n-1")
-    return LogValue(_log_upper_bound(k, n))
 
 
 def epsilon_k(k):

@@ -1,10 +1,9 @@
-"""Frames, principal angles, wedge norms, and invariant random sampling.
+"""Frames, principal angles, and invariant random sampling.
 
 Small dense linear algebra for subspace geometry: orthonormal frames
 representing points of G(k,n), the principal angles between two subspaces,
-the relative-position functional sigma, and an RNG wrapper (SFC64 keyed by
-a SeedSequence) that makes every Monte Carlo run reproducible from
-(seed, stream_id).
+and an RNG wrapper (SFC64 keyed by a SeedSequence) that makes every Monte
+Carlo run reproducible from (seed, stream_id).
 
 The batched helpers at the end (``small_det``, ``principal_cos2``,
 ``singular_values``) serve the Monte Carlo kernels, which hold one tiny
@@ -23,12 +22,8 @@ __all__ = [
     "Frame",
     "PrincipalAngles",
     "RngStream",
-    "sample_gaussian_matrix",
     "sample_uniform_subspace",
     "principal_angles",
-    "wedge_norm",
-    "sigma_rel",
-    "sigma_many",
     "half_angle_sin_cos",
     "det3",
     "small_det",
@@ -108,13 +103,6 @@ class RngStream:
         return "RngStream(seed=%d, stream_id=%d)" % (self.seed, self.stream_id)
 
 
-def sample_gaussian_matrix(rng, rows, cols):
-    """Matrix with independent standard normal entries."""
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix dimensions must be positive")
-    return rng.standard_normal((rows, cols))
-
-
 def sample_uniform_subspace(rng, n, k):
     """Uniform (O(n)-invariant) random k-plane in R^n as a Frame.
 
@@ -123,7 +111,7 @@ def sample_uniform_subspace(rng, n, k):
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    g = sample_gaussian_matrix(rng, n, k)
+    g = rng.standard_normal((n, k))
     q, r = np.linalg.qr(g)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
@@ -136,48 +124,6 @@ def principal_angles(A, B):
         raise ValueError("frames live in different ambient dimensions")
     sv = np.linalg.svd(A.entries.T @ B.entries, compute_uv=False)
     return PrincipalAngles(np.arccos(np.clip(sv, 0.0, 1.0)))
-
-
-def wedge_norm(vectors):
-    """Norm of v_1 ^ ... ^ v_m = sqrt(det Gram(v_1..v_m)).
-
-    Tiny negative determinants from roundoff are clamped to zero, so
-    degenerate inputs return 0 rather than NaN.
-    """
-    V = np.asarray(vectors, dtype=float)
-    if V.ndim != 2:
-        raise ValueError("expected a list of equal-length vectors")
-    m, d = V.shape
-    if m > d:
-        raise ValueError("cannot wedge %d vectors in dimension %d" % (m, d))
-    det = float(np.linalg.det(V @ V.T))
-    return math.sqrt(max(det, 0.0))
-
-
-def sigma_rel(V, W):
-    """Relative position of two subspaces: ||v_1^..^v_k ^ w_1^..^w_l||.
-
-    Equals the product of the sines of the principal angles; 1 for
-    orthogonal subspaces, 0 exactly when they intersect nontrivially.
-    """
-    return sigma_many(V, W)
-
-
-def sigma_many(*frames):
-    """Relative position of several subspaces: norm of the wedge of all bases."""
-    if not frames:
-        raise ValueError("need at least one frame")
-    n = frames[0].n
-    total = 0
-    cols = []
-    for f in frames:
-        if f.n != n:
-            raise ValueError("frames live in different ambient dimensions")
-        total += f.k
-        cols.append(f.entries.T)
-    if total > n:
-        raise ValueError("total dimension %d exceeds ambient %d" % (total, n))
-    return wedge_norm(np.vstack(cols))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ chunk, so results are byte-identical for any worker count.
 import math
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,13 +113,6 @@ class StreamingStats:
         mu = float(values.mean())
         return cls(count=n, mean=mu, m2=float(np.sum((values - mu) ** 2)))
 
-    def push(self, x):
-        """Add one observation (Welford update)."""
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-
     def merge(self, other):
         """Combined statistics of the two underlying sample sets."""
         if self.count == 0:
@@ -142,13 +136,6 @@ class StreamingStats:
         if self.count < 2:
             return float("inf")
         return math.sqrt(max(self.m2, 0.0) / (self.count - 1) / self.count)
-
-
-def _chunk_sizes(samples):
-    sizes = [CHUNK] * (samples // CHUNK)
-    if samples % CHUNK:
-        sizes.append(samples % CHUNK)
-    return sizes
 
 
 # Worker pools by thread count, made on first use and kept for the life of
@@ -175,12 +162,14 @@ def _pool(threads):
 
 
 def _run_chunks(fn, rng, samples, workers):
-    """``fn(generator, count)`` on every chunk, results in chunk order.
+    """``fn(generator, count)`` on every chunk, as an iterator in chunk order.
 
     Chunk i always consumes ``rng.substream(i)``; the pool only changes
-    scheduling, so the results do not depend on ``workers``.  A call made
-    from inside a pool worker (a kernel that runs a kernel) runs serially,
-    so it cannot wait on the threads it occupies.
+    scheduling, so the results do not depend on ``workers``.  Chunks are
+    submitted as the caller consumes them, at most two per thread ahead of
+    it, so memory does not grow with ``samples``.  A call made from inside
+    a pool worker (a kernel that runs a kernel) runs serially, so it cannot
+    wait on the threads it occupies.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -188,18 +177,37 @@ def _run_chunks(fn, rng, samples, workers):
         raise ValueError("workers must be >= 1")
     if not isinstance(rng, RngStream):
         raise TypeError("rng must be an RngStream")
+    chunks = -(-samples // CHUNK)
 
-    def one_chunk(job):
-        index, count = job
+    def one_chunk(index):
+        count = min(CHUNK, samples - index * CHUNK)
         return fn(rng.substream(index).generator, count)
 
-    jobs = list(enumerate(_chunk_sizes(samples)))
     # more threads than chunks or cores would only hold more chunk arrays
-    threads = min(workers, len(jobs), os.cpu_count() or 1)
+    threads = min(workers, chunks, os.cpu_count() or 1)
     nested = threading.current_thread().name.startswith(_POOL_THREAD_PREFIX)
     if threads > 1 and not nested:
-        return list(_pool(threads).map(one_chunk, jobs))
-    return [one_chunk(j) for j in jobs]
+        return _in_order(_pool(threads), one_chunk, chunks, 2 * threads)
+    return map(one_chunk, range(chunks))
+
+
+def _in_order(pool, fn, count, depth):
+    """``fn(0)``, ..., ``fn(count - 1)`` from ``pool``, yielded in order.
+
+    At most ``depth`` calls are submitted and not yet yielded; those still
+    queued are cancelled if the caller stops early or a call raises.
+    """
+    pending = deque()
+    try:
+        for index in range(count):
+            if len(pending) == depth:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, index))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def run_kernel(kernel, rng, samples, workers=1, method="mc"):
@@ -207,18 +215,18 @@ def run_kernel(kernel, rng, samples, workers=1, method="mc"):
 
     ``kernel(generator, count)`` must return ``(values, degenerate_count)``
     where ``values`` holds the non-degenerate draws.  Chunk statistics are
-    merged in index order, so the returned Estimate does not depend on
-    ``workers``.
+    merged in index order as they arrive, so the returned Estimate does not
+    depend on ``workers``.
     """
 
     def moments(gen, count):
         values, degenerate = kernel(gen, count)
         return StreamingStats.from_values(values), int(degenerate)
 
-    results = _run_chunks(moments, rng, samples, workers)
     total = StreamingStats()
     degenerate = 0
-    for stats, bad in results:  # fixed fold order
+    # fixed fold order
+    for stats, bad in _run_chunks(moments, rng, samples, workers):
         total = total.merge(stats)
         degenerate += bad
     return Estimate(

@@ -4,9 +4,9 @@ Everything here is deterministic closed-form arithmetic: log-gamma (the C
 library's lgamma on x > 0), the multivariate gamma function, complete
 elliptic integrals by one elementwise AGM iteration (a number passes
 through it as a 0-d array), and the volumes that enter every
-expected-degree formula.  Each volume comes in a direct and a log-scale
-flavour; the log forms stay finite far beyond the range where the direct
-values overflow a double.
+expected-degree formula.  Each volume is returned as a LogValue, its
+natural log, which stays finite far beyond the range where the value
+itself overflows a double; ``.exp()`` gives the value where it fits.
 """
 
 import math
@@ -22,13 +22,6 @@ __all__ = [
     "elliptic_E",
     "elliptic_K",
     "elliptic_KE",
-    "vol_sphere",
-    "vol_rp",
-    "vol_orthogonal",
-    "vol_stiefel",
-    "vol_unitary",
-    "vol_grassmann_real",
-    "vol_grassmann_complex",
     "vol_sphere_log",
     "vol_rp_log",
     "vol_orthogonal_log",
@@ -170,7 +163,7 @@ def elliptic_KE(s):
 
 
 # ---------------------------------------------------------------------------
-# volumes (log forms first; direct forms exponentiate)
+# volumes, as LogValues
 
 def vol_sphere_log(d):
     """log of the d-dimensional volume of the unit sphere S^d in R^{d+1}."""
@@ -237,39 +230,6 @@ def vol_grassmann_complex_log(k, n):
         - vol_unitary_log(k).log_magnitude
         - vol_unitary_log(n - k).log_magnitude
     )
-
-
-def _direct(logval):
-    return logval.exp()
-
-
-def vol_sphere(d):
-    """Volume (surface measure) of the unit sphere S^d; e.g. |S^1| = 2 pi."""
-    return _direct(vol_sphere_log(d))
-
-
-def vol_rp(d):
-    return _direct(vol_rp_log(d))
-
-
-def vol_orthogonal(k):
-    return _direct(vol_orthogonal_log(k))
-
-
-def vol_stiefel(k, m):
-    return _direct(vol_stiefel_log(k, m))
-
-
-def vol_unitary(k):
-    return _direct(vol_unitary_log(k))
-
-
-def vol_grassmann_real(k, n):
-    return _direct(vol_grassmann_real_log(k, n))
-
-
-def vol_grassmann_complex(k, n):
-    return _direct(vol_grassmann_complex_log(k, n))
 
 
 # ---------------------------------------------------------------------------

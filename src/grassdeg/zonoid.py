@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._quad import composite_gl_log
-from .geomlin import singular_values
 from .mc import Estimate, _rank_one_det_kernel, run_kernel
 from .specfun import (
     LogValue,
@@ -35,9 +34,7 @@ from .specfun import (
 
 __all__ = [
     "RadialProfile2",
-    "ZonoidDescriptor",
     "g_k",
-    "support_C",
     "radius_R",
     "build_radial_profile_2",
     "default_profile",
@@ -46,8 +43,6 @@ __all__ = [
     "vol_C_quadrature_log",
     "vol_C_vitale_mc",
     "vol_ball",
-    "p_k",
-    "q_k",
 ]
 
 _QUARTER_PI = math.pi / 4.0
@@ -121,31 +116,6 @@ def g_k(k, sigma):
     if not sigma.any():
         return 0.0
     return _support_data(sigma)[0] * _SQRT_2PI
-
-
-@dataclass(frozen=True)
-class ZonoidDescriptor:
-    """Shape parameters (k, m) of the Segre zonoid C(k, m), k <= m."""
-
-    k: int
-    m: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.m < self.k:
-            raise ValueError("need m >= k")
-
-
-def support_C(desc, X):
-    """Support function of C(k, m) at the matrix X: g_k(sv(X)) / sqrt(2*pi).
-
-    Depends on X only through its singular values.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.shape != (desc.k, desc.m):
-        raise ValueError(f"X must have shape ({desc.k}, {desc.m})")
-    return g_k(desc.k, singular_values(X)) / _SQRT_2PI
 
 
 # ---------------------------------------------------------------------------
@@ -541,26 +511,3 @@ def vol_ball(k, m):
     return math.exp(
         n * math.log(radius_R(k)) + 0.5 * n * math.log(math.pi) - log_gamma(1.0 + n / 2.0)
     )
-
-
-def p_k(sigma):
-    """Product of the absolute coordinates."""
-    sigma = np.asarray(sigma, dtype=float)
-    return float(np.prod(np.abs(sigma)))
-
-
-def q_k(sigma):
-    """p_k(sigma)^(-k) times the absolute Vandermonde in the squares.
-
-    Has a pole whenever a coordinate vanishes; that is reported, not returned
-    as inf.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    k = sigma.size
-    if np.any(sigma == 0.0):
-        raise ValueError("q_k has a pole at zero coordinates")
-    value = p_k(sigma) ** (-k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            value *= abs(sigma[i] ** 2 - sigma[j] ** 2)
-    return float(value)

@@ -284,6 +284,22 @@ def test_domain_errors_exit_1(capsys):
     assert err.strip() != ""
     code, _, _ = invoke(capsys, "vitale", "--d", "13", "--samples", "10")
     assert code == 1
+    # only 0 skips the fit; a negative count is an error, not a skip
+    code, out, err = invoke(capsys, "density-check", "--k", "2", "--l", "2",
+                            "--n", "4", "--samples", "-5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("grassdeg: ") and "samples must be >= 0" in err
+
+
+def test_quadrature_route_names_the_smaller_dimension(capsys):
+    # G(2,3) = G(1,3) by duality: k = 2 was given, min(k, n-k) = 1 is refused
+    code, out, err = invoke(capsys, "edeg", "--k", "2", "--n", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("grassdeg: ")
+    assert "requires min(k, n-k) = 2, got 1" in err
+    assert "k = 2 or" not in err
 
 
 def test_vitale_route_above_the_km_cap_exits_1(capsys):

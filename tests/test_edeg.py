@@ -7,9 +7,7 @@ from scipy.integrate import quad
 from grassdeg.edeg import (
     LaplaceProblem,
     edeg_general,
-    edeg_lines_asymptotic,
     edeg_lines_quadrature,
-    edeg_upper_bound,
     edeg_upper_bound_log,
     epsilon_k,
     laplace_leading,
@@ -57,11 +55,13 @@ def test_lines_switch_to_log_scale_at_large_n():
 
 
 def test_lines_asymptotic_values():
-    assert math.isclose(edeg_lines_asymptotic(3), 1.3220646267053828, rel_tol=1e-12)
+    assert math.isclose(
+        math.exp(log_edeg_lines_asymptotic(3)), 1.3220646267053828, rel_tol=1e-12
+    )
     for n in (3, 10, 50):
+        direct = 8.0 / (3.0 * math.pi**2.5 * math.sqrt(n)) * (math.pi**2 / 4.0) ** n
         assert math.isclose(
-            math.exp(log_edeg_lines_asymptotic(n)), edeg_lines_asymptotic(n),
-            rel_tol=1e-12,
+            math.exp(log_edeg_lines_asymptotic(n)), direct, rel_tol=1e-12
         )
 
 
@@ -153,23 +153,22 @@ def test_general_method_validation():
 
 def test_upper_bound_closed_form_24():
     assert math.isclose(
-        edeg_upper_bound(2, 4), 3.0 * math.pi**4 / 128.0, rel_tol=1e-12
+        edeg_upper_bound_log(2, 4).exp(), 3.0 * math.pi**4 / 128.0, rel_tol=1e-12
     )
 
 
 def test_upper_bound_dominates_quadrature():
     for n in (4, 5, 6):
         val = float(edeg_general(2, n).value)
-        assert val < edeg_upper_bound(2, n)
+        assert val < edeg_upper_bound_log(2, n).exp()
 
 
 def test_upper_bound_overflow_handoff():
-    with pytest.raises(OverflowError, match="edeg_upper_bound_log"):
-        edeg_upper_bound(2, 40)
-    direct = edeg_upper_bound(2, 5)
-    assert math.isclose(
-        math.exp(edeg_upper_bound_log(2, 5).log_magnitude), direct, rel_tol=1e-12
-    )
+    # N = 1996: the value overflows a double, its log does not
+    bound = edeg_upper_bound_log(2, 1000)
+    with pytest.raises(OverflowError, match="log_magnitude"):
+        bound.exp()
+    assert 700.0 < bound.log_magnitude < math.inf
 
 
 def test_epsilon_sequence():

@@ -10,13 +10,9 @@ from grassdeg.geomlin import (
     RngStream,
     principal_angles,
     principal_cos2,
-    sample_gaussian_matrix,
     sample_uniform_subspace,
-    sigma_many,
-    sigma_rel,
     singular_values,
     small_det,
-    wedge_norm,
 )
 
 
@@ -101,8 +97,8 @@ def test_uniform_subspace_is_orthonormal():
 
 
 def test_gaussian_matrix_shape_and_determinism():
-    a = sample_gaussian_matrix(RngStream(5, 1), 3, 4)
-    b = sample_gaussian_matrix(RngStream(5, 1), 3, 4)
+    a = RngStream(5, 1).standard_normal((3, 4))
+    b = RngStream(5, 1).standard_normal((3, 4))
     assert a.shape == (3, 4)
     assert np.array_equal(a, b)
 
@@ -154,66 +150,17 @@ def test_known_tilt_angle():
     assert math.isclose(pa.angles[-1], t, rel_tol=1e-9)
 
 
-# ------------------------------------------------------------- wedge norm
-
-
-def test_wedge_norm_of_orthonormal_rows_is_one():
-    assert math.isclose(wedge_norm(np.eye(4)[:2]), 1.0, rel_tol=1e-14)
-
-
-@given(st.integers(min_value=0, max_value=2**31 - 1),
-       st.floats(min_value=0.1, max_value=5.0))
-def test_wedge_norm_scales_per_vector(seed, c):
-    V = RngStream(seed, 2).standard_normal((2, 5))
-    assert math.isclose(wedge_norm(c * V), c**2 * wedge_norm(V), rel_tol=1e-9)
-
-
-def test_wedge_norm_rejects_too_many_vectors():
-    with pytest.raises(ValueError):
-        wedge_norm(np.ones((3, 2)))  # three vectors cannot span in R^2
-
-
-def test_wedge_norm_of_dependent_vectors_is_zero():
-    V = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
-    assert wedge_norm(V) == 0.0
-
-
-# -------------------------------------------------------- relative position
-
-
-def test_sigma_rel_of_complementary_planes():
-    A = frame_of([[1, 0], [0, 1], [0, 0], [0, 0]])
-    B = frame_of([[0, 0], [0, 0], [1, 0], [0, 1]])
-    assert math.isclose(sigma_rel(A, B), 1.0, rel_tol=1e-14)
-
-
-def test_sigma_rel_vanishes_on_overlap():
-    A = frame_of([[1, 0], [0, 1], [0, 0], [0, 0]])
-    B = frame_of([[1, 0], [0, 0], [0, 1], [0, 0]])
-    assert sigma_rel(A, B) < 1e-12
-
-
-def test_sigma_rel_equals_product_of_sines():
+def test_sines_of_the_angles_multiply_to_the_wedge_norm():
+    # prod sin(theta_i) = |a_1 ^ ... ^ a_k ^ b_1 ^ ... ^ b_l|, the square
+    # root of the Gram determinant of both bases together
     rng = RngStream(21, 0)
     for _ in range(20):
         A = sample_uniform_subspace(rng, 4, 2)
         B = sample_uniform_subspace(rng, 4, 2)
-        pa = principal_angles(A, B)
-        expect = float(np.prod(np.sin(pa.angles)))
-        assert math.isclose(sigma_rel(A, B), expect, rel_tol=0, abs_tol=1e-9)
-
-
-def test_sigma_many_three_lines_in_r3():
-    e = np.eye(3)
-    fs = [frame_of(e[:, [i]]) for i in range(3)]
-    assert math.isclose(sigma_many(*fs), 1.0, rel_tol=1e-14)
-
-
-def test_sigma_many_rejects_overfull_input():
-    e = np.eye(3)
-    fs = [frame_of(e[:, [i]]) for i in range(3)]
-    with pytest.raises(ValueError):
-        sigma_many(*fs, frame_of(e[:, [0]]))
+        both = np.hstack([A.entries, B.entries])
+        wedge = math.sqrt(max(np.linalg.det(both.T @ both), 0.0))
+        sines = float(np.prod(np.sin(principal_angles(A, B).angles)))
+        assert math.isclose(sines, wedge, rel_tol=0, abs_tol=1e-9)
 
 
 # ---------------------------------------------- batched closed forms vs LAPACK

@@ -15,16 +15,13 @@ from grassdeg.specfun import (
     log_gamma,
     multivariate_gamma_log,
     rho,
-    vol_grassmann_complex,
     vol_grassmann_complex_log,
-    vol_grassmann_real,
     vol_grassmann_real_log,
-    vol_orthogonal,
-    vol_rp,
-    vol_sphere,
+    vol_orthogonal_log,
+    vol_rp_log,
     vol_sphere_log,
-    vol_stiefel,
-    vol_unitary,
+    vol_stiefel_log,
+    vol_unitary_log,
 )
 
 TAU = 2.0 * math.pi
@@ -170,48 +167,62 @@ def test_agm_stops_where_a_and_b_settle_one_ulp_apart():
 
 
 def test_sphere_volumes():
-    assert math.isclose(vol_sphere(1), TAU, rel_tol=1e-14)
-    assert math.isclose(vol_sphere(2), 2.0 * TAU, rel_tol=1e-14)
-    assert math.isclose(vol_sphere(3), TAU * math.pi, rel_tol=1e-14)
-    assert math.isclose(vol_sphere(5), math.pi**3, rel_tol=1e-14)
+    assert math.isclose(vol_sphere_log(1).exp(), TAU, rel_tol=1e-14)
+    assert math.isclose(vol_sphere_log(2).exp(), 2.0 * TAU, rel_tol=1e-14)
+    assert math.isclose(vol_sphere_log(3).exp(), TAU * math.pi, rel_tol=1e-14)
+    assert math.isclose(vol_sphere_log(5).exp(), math.pi**3, rel_tol=1e-14)
 
 
 def test_sphere_recursion():
     # |S^d| = 2 pi |S^{d-2}| / (d - 1)
     for d in range(3, 40):
         assert math.isclose(
-            vol_sphere(d), TAU * vol_sphere(d - 2) / (d - 1), rel_tol=1e-13
+            vol_sphere_log(d).exp(),
+            TAU * vol_sphere_log(d - 2).exp() / (d - 1),
+            rel_tol=1e-13,
         )
 
 
 def test_projective_and_orthogonal():
-    assert math.isclose(vol_rp(1), math.pi, rel_tol=1e-14)
-    assert math.isclose(vol_rp(3), math.pi**2, rel_tol=1e-14)
-    assert math.isclose(vol_orthogonal(1), 2.0, rel_tol=1e-14)
-    assert math.isclose(vol_orthogonal(2), 2.0 * TAU, rel_tol=1e-14)
+    assert math.isclose(vol_rp_log(1).exp(), math.pi, rel_tol=1e-14)
+    assert math.isclose(vol_rp_log(3).exp(), math.pi**2, rel_tol=1e-14)
+    assert math.isclose(vol_orthogonal_log(1).exp(), 2.0, rel_tol=1e-14)
+    assert math.isclose(vol_orthogonal_log(2).exp(), 2.0 * TAU, rel_tol=1e-14)
 
 
 def test_stiefel_extremes():
     for n in range(2, 8):
-        assert math.isclose(vol_stiefel(1, n), vol_sphere(n - 1), rel_tol=1e-13)
-        assert math.isclose(vol_stiefel(n, n), vol_orthogonal(n), rel_tol=1e-13)
+        assert math.isclose(
+            vol_stiefel_log(1, n).exp(), vol_sphere_log(n - 1).exp(), rel_tol=1e-13
+        )
+        assert math.isclose(
+            vol_stiefel_log(n, n).exp(), vol_orthogonal_log(n).exp(), rel_tol=1e-13
+        )
 
 
 def test_unitary_fibration():
-    assert math.isclose(vol_unitary(1), TAU, rel_tol=1e-14)
+    assert math.isclose(vol_unitary_log(1).exp(), TAU, rel_tol=1e-14)
     for n in range(2, 6):
         assert math.isclose(
-            vol_unitary(n), vol_sphere(2 * n - 1) * vol_unitary(n - 1), rel_tol=1e-12
+            vol_unitary_log(n).exp(),
+            vol_sphere_log(2 * n - 1).exp() * vol_unitary_log(n - 1).exp(),
+            rel_tol=1e-12,
         )
 
 
 def test_grassmann_real_values_and_duality():
-    assert math.isclose(vol_grassmann_real(2, 4), 2.0 * math.pi**2, rel_tol=1e-13)
+    assert math.isclose(
+        vol_grassmann_real_log(2, 4).exp(), 2.0 * math.pi**2, rel_tol=1e-13
+    )
     for n in range(2, 9):
-        assert math.isclose(vol_grassmann_real(1, n), vol_rp(n - 1), rel_tol=1e-13)
+        assert math.isclose(
+            vol_grassmann_real_log(1, n).exp(), vol_rp_log(n - 1).exp(), rel_tol=1e-13
+        )
         for k in range(1, n):
             assert math.isclose(
-                vol_grassmann_real(k, n), vol_grassmann_real(n - k, n), rel_tol=1e-12
+                vol_grassmann_real_log(k, n).exp(),
+                vol_grassmann_real_log(n - k, n).exp(),
+                rel_tol=1e-12,
             )
 
 
@@ -219,17 +230,31 @@ def test_lines_grassmannian_closed_form():
     # |G(2, n+1)| = (2 pi)^{n-1} / (n-1)!
     for n in range(2, 12):
         expect = TAU ** (n - 1) / math.factorial(n - 1)
-        assert math.isclose(vol_grassmann_real(2, n + 1), expect, rel_tol=1e-12)
+        assert math.isclose(
+            vol_grassmann_real_log(2, n + 1).exp(), expect, rel_tol=1e-12
+        )
 
 
 def test_log_variants_agree_with_direct():
-    assert math.isclose(vol_sphere_log(7).exp(), vol_sphere(7), rel_tol=1e-13)
+    # the log forms against closed forms in math.gamma and factorials
+    def sphere(d):
+        return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
+
+    assert math.isclose(vol_sphere_log(7).exp(), sphere(7), rel_tol=1e-13)
+    # |G(3,7)| = |O(7)| / (|O(3)| |O(4)|) with |O(n)| = |S^0| ... |S^(n-1)|
     assert math.isclose(
-        vol_grassmann_real_log(3, 7).exp(), vol_grassmann_real(3, 7), rel_tol=1e-12
+        vol_grassmann_real_log(3, 7).exp(),
+        sphere(4) * sphere(5) * sphere(6) / (sphere(0) * sphere(1) * sphere(2)),
+        rel_tol=1e-12,
     )
-    assert math.isclose(
-        vol_grassmann_complex_log(2, 5).exp(), vol_grassmann_complex(2, 5), rel_tol=1e-12
-    )
+    # the complex Grassmannian has volume deg * pi^N / N!, N = k(n-k)
+    for k, n in ((1, 2), (1, 5), (2, 4), (2, 5), (3, 6)):
+        big_n = k * (n - k)
+        assert math.isclose(
+            vol_grassmann_complex_log(k, n).exp(),
+            deg_grassmann_complex(k, n) * math.pi**big_n / math.factorial(big_n),
+            rel_tol=1e-12,
+        )
     # log form keeps working far past the direct underflow point
     assert vol_grassmann_real_log(10, 200).log_magnitude < -700.0
 
