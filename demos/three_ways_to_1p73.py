@@ -5,8 +5,10 @@ The average count of real lines meeting four random lines in projective
 no code path past the RNG:
 
   1. brute force -- draw four lines, count their common transversals;
-  2. an integral over a flat torus whose integrand is a 2x2 determinant
-     average (the kinematic route);
+  2. an integral over a flat torus (the kinematic route): the integrand's
+     closed-form mean over one angle pair, averaged over the other four
+     angles by a randomly shifted rank-1 lattice rule, whose shifts give
+     its standard error;
   3. deterministic radial quadrature over the k=2 zonoid profile.
 
 Agreement of all three to within Monte Carlo error is the package's
@@ -31,11 +33,11 @@ t2 = time.perf_counter()
 quad = edeg_lines_quadrature(3)
 t3 = time.perf_counter()
 
-print(f"transversal counting : {mc.value:.6f} +- {mc.stderr:.6f}   ({t1 - t0:.1f}s)")
-print(f"torus integral (MC)  : {tor.value:.6f} +- {tor.stderr:.6f}   ({t2 - t1:.1f}s)")
-print(f"radial quadrature    : {float(quad.value):.9f}          ({t3 - t2:.2f}s)")
+print(f"transversal counting    : {mc.value:.9f} +- {mc.stderr:.9f}   ({t1 - t0:.1f}s)")
+print(f"torus integral (lattice): {tor.value:.9f} +- {tor.stderr:.9f}   ({t2 - t1:.1f}s)")
+print(f"radial quadrature       : {float(quad.value):.9f}                  ({t3 - t2:.2f}s)")
 
 gap1 = abs(mc.value - float(quad.value)) / mc.stderr
 gap2 = abs(tor.value - float(quad.value)) / tor.stderr
-print(f"\nMC routes sit {gap1:.2f} and {gap2:.2f} sigma from the quadrature value.")
+print(f"\nThe sampled routes sit {gap1:.2f} and {gap2:.2f} sigma from the quadrature value.")
 print("Anything beyond ~3 sigma would mean one of the three derivations is wrong.")

@@ -230,8 +230,6 @@ def _cmd_zonoid_volume(args):
 
 
 def _cmd_density_check(args):
-    if args.samples < 0:
-        raise ValueError("samples must be >= 0 (0 skips the fit)")
     dims = {"k": args.k, "l": args.l, "n": args.n}
     records = [("density-normalization", dims,
                 mc.density_normalization(args.k, args.l, args.n))]
@@ -327,6 +325,19 @@ _HANDLERS = {
 }
 
 
+def _check_mc_options(args):
+    """Refuse bad Monte Carlo options whether or not the method draws."""
+    samples = getattr(args, "samples", None)
+    if args.command == "density-check":
+        if samples < 0:
+            raise ValueError("samples must be >= 0 (0 skips the fit)")
+    elif samples is not None and samples < 1:
+        raise ValueError("samples must be >= 1")
+    if args.command == "schubert-ratio":
+        mc._check_schubert_window(
+            args.eps, args.eps if args.delta is None else args.delta)
+
+
 def run(argv):
     """Parse argv, execute one subcommand, emit the report. Returns exit code."""
     try:
@@ -339,6 +350,7 @@ def run(argv):
             raise ValueError("workers must be >= 1")
         if not 0 <= args.seed < 2**64:  # streams key on 64 bits
             raise ValueError("seed must be in [0, 2^64)")
+        _check_mc_options(args)
         records = _HANDLERS[args.command](args)
         shared = {
             "seed": args.seed,

@@ -3,8 +3,10 @@
 Everything random in this package funnels through ``run_kernel``: work is cut
 into fixed-size chunks, chunk i draws from an independent substream derived
 from the caller's RngStream, and per-chunk moments are folded left-to-right.
-The worker pool only changes scheduling, never which stream produced which
-chunk, so results are byte-identical for any worker count.
+The torus lattice rule runs its own chunk plan on the same runner, with its
+shifts drawn up front.  The worker pool only changes scheduling, never which
+stream produced which chunk, so results are byte-identical for any worker
+count.
 """
 
 import math
@@ -14,6 +16,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,13 +67,15 @@ class Estimate:
     and zonoid volumes once k*m > 30).  ``stderr`` is absolute on a float
     and log-scale (relative) on a LogValue.  What it measures depends on the
     method: for Monte Carlo the standard error of the mean (inf after one
-    draw), for quadrature the difference after resolution doubling, for a
+    draw), for the torus lattice rule the standard error over its random
+    shifts, for quadrature the difference after resolution doubling, for a
     closed form 0, and None only for the sampled goodness-of-fit distance,
     which carries no error estimate.
-    ``value`` averages the non-degenerate draws;
-    ``degenerate_count`` out of ``n_samples`` requested draws were
-    excluded.  Where nothing is drawn ``seed`` is 0 and ``n_samples`` is 0,
-    except for the torus midpoint rule, where it counts the p^4 grid nodes.
+    ``n_samples`` counts the integrand evaluations a sampled route made:
+    the draws requested, or shifts x N on the lattice rule, which makes at
+    least as many as requested.  ``value`` averages the non-degenerate
+    ones; ``degenerate_count`` of them were excluded.  Where nothing is
+    sampled (quadrature, closed forms) ``seed`` and ``n_samples`` are 0.
     """
 
     value: object
@@ -161,34 +166,45 @@ def _pool(threads):
         return pool
 
 
+def _check_stream(rng, samples):
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if not isinstance(rng, RngStream):
+        raise TypeError("rng must be an RngStream")
+
+
 def _run_chunks(fn, rng, samples, workers):
     """``fn(generator, count)`` on every chunk, as an iterator in chunk order.
 
-    Chunk i always consumes ``rng.substream(i)``; the pool only changes
-    scheduling, so the results do not depend on ``workers``.  Chunks are
-    submitted as the caller consumes them, at most two per thread ahead of
-    it, so memory does not grow with ``samples``.  A call made from inside
-    a pool worker (a kernel that runs a kernel) runs serially, so it cannot
-    wait on the threads it occupies.
+    Chunk i always consumes ``rng.substream(i)``, so the results do not
+    depend on ``workers`` (see ``_map_chunks``).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if not isinstance(rng, RngStream):
-        raise TypeError("rng must be an RngStream")
-    chunks = -(-samples // CHUNK)
+    _check_stream(rng, samples)
 
     def one_chunk(index):
         count = min(CHUNK, samples - index * CHUNK)
         return fn(rng.substream(index).generator, count)
 
+    return _map_chunks(one_chunk, -(-samples // CHUNK), workers)
+
+
+def _map_chunks(fn, chunks, workers):
+    """``fn(0)``, ..., ``fn(chunks - 1)`` as an iterator in chunk order.
+
+    The pool only changes scheduling, never what a chunk computes.  Chunks
+    are submitted as the caller consumes them, at most two per thread ahead
+    of it, so memory does not grow with the chunk count.  A call made from
+    inside a pool worker (a kernel that runs a kernel) runs serially, so it
+    cannot wait on the threads it occupies.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     # more threads than chunks or cores would only hold more chunk arrays
     threads = min(workers, chunks, os.cpu_count() or 1)
     nested = threading.current_thread().name.startswith(_POOL_THREAD_PREFIX)
     if threads > 1 and not nested:
-        return _in_order(_pool(threads), one_chunk, chunks, 2 * threads)
-    return map(one_chunk, range(chunks))
+        return _in_order(_pool(threads), fn, chunks, 2 * threads)
+    return map(fn, range(chunks))
 
 
 def _in_order(pool, fn, count, depth):
@@ -406,58 +422,179 @@ def _torus_third_pair_mean(t, s):
     return np.sqrt(lmax) * elliptic_E(parameter) * _TORUS_CONDITIONAL_PREFACTOR
 
 
-def edeg24_integral(
-    mode="quadrature", points_per_dim=None, rng=None, samples=None, workers=1
-):
+# Randomly shifted rank-1 Korobov lattices: point k of shift i is
+# frac(k z / N + delta_i) with z = (1, a, a^2, a^3) mod N.  N is the first
+# prime >= 2^(j/4), j = 20..80, and a the best multiplier of a seeded search
+# under the P2 figure of merit; tools/korobov_table.py writes the table and
+# its --check recomputes every P2.
+_KOROBOV = (  # (N, a, P2), written by tools/korobov_table.py
+    (37, 5, 7.282978869207852),
+    (41, 5, 6.368092238415221),
+    (47, 20, 5.556572538808417),
+    (59, 5, 4.104857436206291),
+    (67, 8, 3.4783942501469047),
+    (79, 27, 2.8087069462790852),
+    (97, 47, 2.1340378574933774),
+    (109, 37, 1.8224585264701907),
+    (131, 43, 1.4417442007663248),
+    (157, 53, 1.1591773368004614),
+    (191, 17, 0.8613766324545429),
+    (223, 51, 0.6746642545907604),
+    (257, 91, 0.6328743036828552),
+    (307, 32, 0.4574080386099455),
+    (367, 138, 0.36608986167885926),
+    (431, 172, 0.2836295912409017),
+    (521, 237, 0.2117637685242797),
+    (613, 86, 0.18475610374769924),
+    (727, 231, 0.13849245480302153),
+    (863, 100, 0.10753640608389392),
+    (1031, 149, 0.08760727491515574),
+    (1223, 184, 0.0683529322576093),
+    (1451, 681, 0.04897012738082762),
+    (1723, 261, 0.03744626728818168),
+    (2053, 849, 0.030254560083303073),
+    (2437, 1015, 0.02261216564687185),
+    (2897, 680, 0.017953156371701695),
+    (3449, 1565, 0.014939626282871155),
+    (4099, 573, 0.01035563670669859),
+    (4871, 1036, 0.007897676394773345),
+    (5801, 926, 0.006501094547198383),
+    (6899, 1307, 0.005347577249205093),
+    (8209, 1265, 0.003753336103952565),
+    (9743, 4701, 0.003167743775249532),
+    (11587, 5654, 0.0020933802709253158),
+    (13781, 2845, 0.0017731558490323707),
+    (16411, 6927, 0.0013324238976351044),
+    (19489, 323, 0.001115873886253116),
+    (23173, 7867, 0.0007582022037686542),
+    (27581, 13331, 0.0005781451030490992),
+    (32771, 2293, 0.0005064898852069621),
+    (38971, 6647, 0.0003761148383416568),
+    (46349, 1670, 0.0002884642221641087),
+    (55109, 10889, 0.0002122239348933963),
+    (65537, 26270, 0.00016515763138214012),
+    (77951, 20214, 0.0001257698035783683),
+    (92683, 24236, 9.227374115461373e-05),
+    (110221, 45990, 6.847516210228832e-05),
+    (131101, 16230, 4.876466181369388e-05),
+    (155887, 69113, 3.504974935442107e-05),
+    (185369, 9412, 3.302172108243795e-05),
+    (220447, 96849, 2.2460276129399048e-05),
+    (262147, 53293, 1.9324526215447335e-05),
+    (311747, 7644, 1.1128466883336685e-05),
+    (370759, 54485, 9.539195449326243e-06),
+    (440893, 36379, 8.086015047092943e-06),
+    (524309, 62682, 5.481634045345629e-06),
+    (623521, 245153, 5.043651357672374e-06),
+    (741457, 61999, 2.5608079654571014e-06),
+    (881779, 171579, 2.516354252968256e-06),
+    (1048583, 326288, 2.0476586173323597e-06),
+)  # end of the table written by tools/korobov_table.py
+_LATTICE_SHIFTS = 32
+
+
+def _lattice_plan(samples):
+    """(N, a, shifts) of the rule: at least ``samples`` evaluations.
+
+    N is the smallest table entry with 32 shifts of it covering
+    ``samples``; above the table, the largest N with as many shifts as
+    ``samples`` needs.
+    """
+    need = -(-samples // _LATTICE_SHIFTS)
+    for n, a, _ in _KOROBOV:
+        if n >= need:
+            return n, a, _LATTICE_SHIFTS
+    n, a, _ = _KOROBOV[-1]
+    return n, a, -(-samples // n)
+
+
+@lru_cache(maxsize=4)
+def _lattice_block(n, a):
+    """The unshifted points 2 pi frac(k z / N), k < min(N, CHUNK), read-only.
+
+    Shape (4, min(N, CHUNK)): at most 4 x CHUNK doubles, 512 KiB.
+    """
+    z = np.array([pow(a, d, n) for d in range(4)], dtype=np.int64)
+    k = np.arange(min(n, CHUNK), dtype=np.int64)
+    block = (k * z[:, None] % n) * (2.0 * math.pi / n)
+    block.flags.writeable = False
+    return block
+
+
+def _lattice_angles(n, a, delta, k0, count):
+    """Angles 2 pi frac(k z / N + delta_i) at k0 <= k < k0 + count <= N.
+
+    ``delta`` holds one shift per row, shape (s, 4); the angles have shape
+    (4, s, count).  Point k0 + k is frac(k z / N) + frac(k0 z / N + delta)
+    mod 1, so the cached block of unshifted points plus one offset per
+    shift, wrapped once, gives every chunk; ``count`` <= CHUNK.
+    """
+    k0z = np.array([k0 * pow(a, d, n) % n for d in range(4)])
+    offset = (delta + k0z / n) % 1.0 * (2.0 * math.pi)
+    angles = _lattice_block(n, a)[:, None, :count] + offset.T[:, :, None]
+    np.subtract(angles, 2.0 * math.pi, out=angles, where=angles >= 2.0 * math.pi)
+    return angles
+
+
+def _lattice_means(n, a, delta, workers=1):
+    """Mean of the torus integrand over each shift ``delta`` of lattice (n, a).
+
+    When N <= CHUNK a chunk holds the whole shifts nearest CHUNK points in
+    number (at most 1.5 CHUNK points), else one of ceil(N / CHUNK) equal
+    slices of one shift, so the fixed cost of a chunk's array operations is
+    spread over near CHUNK points.  Chunk sums are folded in chunk order,
+    so the means do not depend on ``workers``.
+    """
+    shifts = len(delta)
+    if n <= CHUNK:
+        per = max(1, round(CHUNK / n))
+        plan = [(i, min(i + per, shifts), 0, n) for i in range(0, shifts, per)]
+    else:
+        slices = -(-n // CHUNK)
+        cuts = [j * n // slices for j in range(slices + 1)]
+        plan = [(i, i + 1, k0, k1 - k0)
+                for i in range(shifts) for k0, k1 in zip(cuts, cuts[1:])]
+
+    def chunk_sums(index):
+        i0, i1, k0, count = plan[index]
+        angles = _lattice_angles(n, a, delta[i0:i1], k0, count)
+        t, s = angles.reshape(2, 2, i1 - i0, count)
+        return _torus_third_pair_mean(t, s).sum(axis=1)
+
+    sums = np.zeros(shifts)
+    for (i0, i1, _, _), part in zip(plan, _map_chunks(chunk_sums, len(plan), workers)):
+        sums[i0:i1] += part  # fixed fold order
+    return sums / n
+
+
+def edeg24_integral(mode="mc", rng=None, samples=None, workers=1):
     """Average line count over four random lines, via its torus integral.
 
-    Both modes average, over the first two angle pairs on [0, 2*pi)^4, the
-    integrand's closed-form mean over the third pair.  mode="quadrature"
-    takes the midpoint rule with points_per_dim points per angle (in
-    [4, 24]; p^4 nodes), and its error is the difference from the rule at
-    half the points; mode="mc" averages uniform draws.
+    Averages, over the first two angle pairs on [0, 2*pi)^4, the
+    integrand's closed-form mean over the third pair, by a randomly shifted
+    rank-1 Korobov lattice rule (``_lattice_plan``): 32 shifts of N points
+    (more shifts above the table's largest N), at least ``samples``
+    evaluations in all.  The shifts are one (shifts, 4) uniform draw from
+    ``rng.substream(0)``.  Each shift's mean is an unbiased estimate, so
+    ``value`` is the mean of the shift means and ``stderr`` their standard
+    error; ``n_samples`` counts the evaluations, shifts x N.  ``mode`` takes
+    only "mc".
     """
-    if mode == "mc":
-        if rng is None or samples is None:
-            raise ValueError("mc mode needs rng and samples")
-
-        def kernel(gen, count):
-            t, s = gen.uniform(0.0, 2.0 * math.pi, (2, 2, count))
-            return _torus_third_pair_mean(t, s), 0
-
-        return run_kernel(
-            kernel, rng, samples, workers=workers, method="edeg24-torus-mc"
-        )
-
-    if mode != "quadrature":
+    if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
-    if points_per_dim is None:
-        points_per_dim = 16
-    if not 4 <= points_per_dim <= 24:
-        raise ValueError("points_per_dim must be in [4, 24]")
-    value = _conditional_midpoint(points_per_dim)
+    if rng is None or samples is None:
+        raise ValueError("mc mode needs rng and samples")
+    _check_stream(rng, samples)
+    n, a, shifts = _lattice_plan(samples)
+    delta = rng.substream(0).generator.random((shifts, 4))
+    stats = StreamingStats.from_values(_lattice_means(n, a, delta, workers))
     return Estimate(
-        value=value,
-        stderr=abs(value - _conditional_midpoint(points_per_dim // 2)),
-        n_samples=points_per_dim**4,
-        seed=0,
-        method="edeg24-quadrature",
-        degenerate_count=0,
+        value=stats.mean,
+        stderr=stats.stderr_of_mean,
+        n_samples=shifts * n,
+        seed=rng.seed,
+        method="edeg24-torus-lattice",
     )
-
-
-def _conditional_midpoint(p):
-    """Midpoint rule for the conditional torus integrand, p points per angle.
-
-    One pass per node of the first angle keeps the arrays at p^3 entries.
-    """
-    theta = (np.arange(p) + 0.5) * (2.0 * math.pi / p)
-    s1, t2, s2 = (x.ravel() for x in np.meshgrid(theta, theta, theta, indexing="ij"))
-    total = 0.0
-    for t1 in theta:
-        t = np.stack([np.full_like(t2, t1), t2])
-        total += float(_torus_third_pair_mean(t, np.stack([s1, s2])).sum())
-    return total / p**4
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +615,11 @@ def schubert_ratio_exact(k, n):
     )
 
 
+def _check_schubert_window(eps, delta):
+    if not 0.0 < eps <= delta < math.pi / 2.0:
+        raise ValueError("need 0 < eps <= delta < pi/2")
+
+
 def schubert_ratio_mc(k, n, eps, delta, rng, samples, workers=1):
     """Tube-volume estimate of the Schubert ratio.
 
@@ -487,8 +629,7 @@ def schubert_ratio_mc(k, n, eps, delta, rng, samples, workers=1):
     """
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
-    if not (0.0 < eps <= delta < math.pi / 2.0):
-        raise ValueError("need 0 < eps <= delta < pi/2")
+    _check_schubert_window(eps, delta)
     k = min(k, n - k)  # orthocomplement duality: same angles, smaller frame
     j = n - k  # fixed subspace spans the first n-k coordinates
 

@@ -290,6 +290,19 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("grassdeg: ") and "samples must be >= 0" in err
+    # Monte Carlo options are checked on every method, drawing or not
+    for argv, message in (
+            (("edeg", "--k", "2", "--n", "4", "--samples", "-5"), "samples must be >= 1"),
+            (("zonoid-volume", "--k", "2", "--m", "2", "--samples", "-5"),
+             "samples must be >= 1"),
+            (("schubert-ratio", "--k", "2", "--n", "4", "--samples", "-5"),
+             "samples must be >= 1"),
+            (("schubert-ratio", "--k", "2", "--n", "4", "--eps", "-1"),
+             "need 0 < eps <= delta < pi/2")):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("grassdeg: ") and message in err, argv
 
 
 def test_quadrature_route_names_the_smaller_dimension(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
 from grassdeg import incidence
-from grassdeg.geomlin import Frame, RngStream, principal_angles, sample_uniform_subspace
+from grassdeg.geomlin import RngStream, principal_angles, sample_uniform_subspace
 from grassdeg.incidence import (
     PluckerLine,
     TransversalCount,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import threading
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from scipy.integrate import dblquad
 
 from grassdeg import mc
@@ -248,35 +249,6 @@ def test_alpha_complex_mc_consistent_with_exact():
 # -------------------------------------------------------- periodic integral
 
 
-def test_integral_quadrature_refines_toward_the_anchor():
-    coarse = edeg24_integral(mode="quadrature", points_per_dim=12)
-    fine = edeg24_integral(mode="quadrature", points_per_dim=24)
-    assert abs(coarse.value - EDEG24) < 0.015
-    assert abs(fine.value - EDEG24) < 0.003
-    assert abs(fine.value - EDEG24) < abs(coarse.value - EDEG24)
-    assert fine.n_samples == 24**4
-
-
-def test_integral_quadrature_error_exceeds_the_true_error():
-    # the error is not monotone in p, but the half-resolution difference
-    # stays above it at each of these p
-    for p in (8, 12, 16, 24):
-        est = edeg24_integral(mode="quadrature", points_per_dim=p)
-        assert abs(est.value - EDEG24) < est.stderr, p
-
-
-def test_integral_quadrature_point_cap():
-    with pytest.raises(ValueError):
-        edeg24_integral(mode="quadrature", points_per_dim=25)
-
-
-def test_integral_quadrature_needs_a_coarser_rule():
-    # at 2 points the half-resolution rule was the rule itself: stderr 0.0
-    for p in (2, 3):
-        with pytest.raises(ValueError, match="points_per_dim"):
-            edeg24_integral(mode="quadrature", points_per_dim=p)
-
-
 def test_integral_mode_validation():
     with pytest.raises(ValueError):
         edeg24_integral(mode="trapezoid")
@@ -285,10 +257,85 @@ def test_integral_mode_validation():
 
 
 def test_integral_mc_agrees_and_is_deterministic():
-    a = edeg24_integral(mode="mc", rng=RngStream(43, 0), samples=200_000)
-    b = edeg24_integral(mode="mc", rng=RngStream(43, 0), samples=200_000, workers=8)
-    assert a == b
-    assert abs(a.value - EDEG24) < 4.0 * a.stderr
+    # N = 6899 takes two whole shifts per chunk; N = 23173 > CHUNK two
+    # slices of each shift
+    for samples in (200_000, 640_000):
+        a = edeg24_integral(mode="mc", rng=RngStream(43, 0), samples=samples)
+        b = edeg24_integral(mode="mc", rng=RngStream(43, 0), samples=samples,
+                            workers=8)
+        assert a == b
+        assert a.method == "edeg24-torus-lattice"
+        assert abs(a.value - EDEG24) < 4.0 * a.stderr
+
+
+def test_lattice_plan_covers_the_samples():
+    sizes = [n for n, _, _ in mc._KOROBOV]
+    top = sizes[-1]
+    for samples in (1, 32 * 37, 32 * 37 + 1, 262_144, 10_000_000, 32 * top,
+                    32 * top + 1, 10**9):
+        n, _, shifts = mc._lattice_plan(samples)
+        if samples <= 32 * top:
+            assert shifts == 32
+            assert n == min(m for m in sizes if 32 * m >= samples), samples
+        else:  # above the table: its largest lattice, more shifts
+            assert n == top and shifts == -(-samples // top), samples
+    assert mc._lattice_plan(262_144)[0] == 8209
+    est = edeg24_integral(mode="mc", rng=RngStream(46, 0), samples=50_000)
+    assert est.n_samples == 32 * mc._lattice_plan(50_000)[0] >= 50_000
+
+
+def test_korobov_table_entry_recomputes():
+    # the benchmark's lattice; tools/korobov_table.py --check does them all
+    n, a, stored = next(entry for entry in mc._KOROBOV if entry[0] == 8209)
+    z = np.array([pow(a, d, n) for d in range(4)])
+    x = np.outer(np.arange(n), z) % n / n
+    p2 = np.prod(1.0 + 2.0 * math.pi**2 * (x * x - x + 1.0 / 6.0), axis=1).mean() - 1.0
+    assert abs(p2 - stored) <= 1e-12
+    sizes = [n for n, _, _ in mc._KOROBOV]
+    assert len(sizes) == 61 and sizes == sorted(sizes)
+    assert sizes[0] == 37 and sizes[-1] == 1_048_583
+
+
+def test_lattice_integrates_fourier_modes_exactly():
+    # a shifted rank-1 rule averages exp(2 pi i h.x) to 0, the exact
+    # integral, unless h.z = 0 mod N, where it gives exp(2 pi i h.delta);
+    # two slices exercise the offset of a chunk that starts at k0 > 0
+    n, a, _ = mc._KOROBOV[0]
+    z = np.array([pow(a, d, n) for d in range(4)])
+    delta = np.random.default_rng(8).random((3, 4))
+    angles = np.concatenate([mc._lattice_angles(n, a, delta, 0, 20),
+                             mc._lattice_angles(n, a, delta, 20, n - 20)], axis=2)
+    assert angles.shape == (4, 3, n)
+    assert angles.min() >= 0.0 and angles.max() < 2.0 * math.pi
+    h = np.array(list(itertools.product(range(-3, 4), repeat=4)))
+    h = h[np.any(h != 0, axis=1)]
+    mean = np.exp(1j * np.einsum("hd,dsk->hsk", h, angles)).mean(axis=2)
+    on_dual = h @ z % n == 0
+    assert 0 < on_dual.sum() < len(h)
+    assert np.abs(mean[~on_dual]).max() < 1e-13
+    assert np.abs(np.abs(mean[on_dual]) - 1.0).max() < 1e-13
+
+
+def plain_conditional_mc(rng, samples):
+    """The conditional torus integrand at uniform draws of the four angles."""
+
+    def kernel(gen, count):
+        t, s = gen.uniform(0.0, 2.0 * math.pi, (2, 2, count))
+        return mc._torus_third_pair_mean(t, s), 0
+
+    return run_kernel(kernel, rng, samples)
+
+
+def test_lattice_shift_means_match_plain_draws():
+    # random shifts make each shift's mean unbiased: many shifts of a small
+    # lattice, whose own error is large, average to the integral
+    n, a, _ = mc._KOROBOV[8]
+    shifts = 4096
+    means = mc._lattice_means(n, a, RngStream(45, 0).generator.random((shifts, 4)))
+    lattice = StreamingStats.from_values(means)
+    plain = plain_conditional_mc(RngStream(45, 1), shifts * n)
+    assert abs(lattice.mean - plain.value) <= 3.0 * math.hypot(
+        lattice.stderr_of_mean, plain.stderr)
 
 
 def _torus_rows_by_sines(t, s):
@@ -354,7 +401,7 @@ def test_torus_conditional_mc_beats_the_six_angle_oracle():
     samples = 200_000
     plain = plain_torus_mc(RngStream(44, 0), samples)
     conditional = edeg24_integral(mode="mc", rng=RngStream(44, 1), samples=samples)
-    assert conditional.stderr <= 0.6 * plain.stderr
+    assert conditional.stderr <= 0.01 * plain.stderr
     assert abs(conditional.value - plain.value) <= 3.0 * math.hypot(
         conditional.stderr, plain.stderr)
     assert abs(plain.value - EDEG24) < 4.0 * plain.stderr
