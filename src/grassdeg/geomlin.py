@@ -11,6 +11,8 @@ matrix per draw: up to 4x4 and for two-column frames they are elementwise
 closed forms, because per-matrix LAPACK calls cost more than the arithmetic.
 Above that size they call ``np.linalg``, which is also their test oracle.
 ``half_angle_sin_cos`` gives the kernels sin and cos from one tangent.
+``g24_angles_from_heights`` gives the principal angles of a uniform 2-plane
+of R^4 from two uniforms, with no frame at all.
 """
 
 import math
@@ -28,6 +30,7 @@ __all__ = [
     "det3",
     "small_det",
     "principal_cos2",
+    "g24_angles_from_heights",
     "singular_values",
 ]
 
@@ -262,6 +265,38 @@ def principal_cos2(g, j):
         q, _ = np.linalg.qr(g)
         c2 = np.linalg.svd(q[..., :j, :], compute_uv=False) ** 2
     return np.clip(c2[..., : min(k, j)], 0.0, 1.0)
+
+
+def g24_angles_from_heights(heights, out=None):
+    """Ascending principal angles of 2-planes of R^4 against span(e_1, e_2).
+
+    G(2,4) is (S^2 x S^2)/+-1: the plane with unit Pluecker vector p is the
+    pair of unit vectors a, b of R^3 with p01 = (a_0 + b_0)/2 and
+    p23 = (a_0 - b_0)/2 (the isometry the incidence samplers draw lines
+    by).  ``heights`` has shape (2, ...) and holds u = a_0 and v = b_0, in
+    [-1, 1].  As |p01| = cos t1 cos t2 and |p23| = sin t1 sin t2,
+    cos(t2 - t1) = max(|u|, |v|) = P and cos(t1 + t2) = sign(uv) min(|u|, |v|)
+    = Q, so t1, t2 = (arccos Q -+ arccos P) / 2.  For a uniform 2-plane a and
+    b are independent uniform points of S^2, so by Archimedes u and v are
+    independent Uniform[-1, 1]: two uniforms give both angles.  Returns
+    (t1, t2) with 0 <= t1 <= t2 <= pi/2, shape (2, ...); ``out``, which may
+    be ``heights`` itself, receives them in place of a new array.
+    """
+    h = np.asarray(heights, dtype=float)
+    if h.shape[:1] != (2,):
+        raise ValueError("heights must have shape (2, ...)")
+    flip = np.signbit(h[0]) != np.signbit(h[1])  # uv < 0, up to signed zeros
+    angles = np.abs(h, out=out)
+    q, high = angles[0, ...], angles[1, ...]  # views, 0-d ones included
+    p = np.maximum(q, high, out=np.empty_like(q))
+    np.minimum(q, high, out=q)
+    np.negative(q, out=q, where=flip)
+    np.arccos(p, out=p)
+    np.arccos(q, out=q)
+    np.add(q, p, out=high)
+    np.subtract(q, p, out=q)
+    angles *= 0.5
+    return angles
 
 
 def singular_values(x):

@@ -23,6 +23,7 @@ import numpy as np
 from ._quad import _leggauss, composite_gl_log, ordered_simplex_gl
 from .geomlin import (
     RngStream,
+    g24_angles_from_heights,
     half_angle_sin_cos,
     principal_cos2,
     singular_values,
@@ -620,12 +621,28 @@ def _check_schubert_window(eps, delta):
         raise ValueError("need 0 < eps <= delta < pi/2")
 
 
+def _g24_angles(gen, count):
+    """Principal angles of ``count`` uniform 2-planes of R^4 against a fixed one.
+
+    One (2, count) uniform draw, mapped in place to the heights u, v of
+    ``g24_angles_from_heights`` and then to the ascending angles, row 0 the
+    smaller.
+    """
+    h = gen.random((2, count))
+    h *= 2.0
+    h -= 1.0
+    return g24_angles_from_heights(h, out=h)
+
+
 def schubert_ratio_mc(k, n, eps, delta, rng, samples, workers=1):
     """Tube-volume estimate of the Schubert ratio.
 
     Counts uniform k-planes whose smallest principal angle to a fixed
     (n-k)-plane is <= eps while the second stays >= delta, scaled by the
-    tube width 2*eps.  Requires 0 < eps <= delta < pi/2.
+    tube width 2*eps.  Requires 0 < eps <= delta < pi/2.  At (k, n) = (2, 4)
+    a sample is two uniforms, its angles from ``g24_angles_from_heights``;
+    elsewhere it is a Gaussian n x min(k, n-k) frame, its angles from
+    ``principal_cos2``.
     """
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
@@ -634,6 +651,9 @@ def schubert_ratio_mc(k, n, eps, delta, rng, samples, workers=1):
     j = n - k  # fixed subspace spans the first n-k coordinates
 
     def kernel(gen, count):
+        if (k, n) == (2, 4):
+            t1, t2 = _g24_angles(gen, count)
+            return ((t1 <= eps) & (t2 >= delta)).astype(float) / (2.0 * eps), 0
         g = gen.standard_normal((count, n, k))
         angles = np.arccos(np.sqrt(principal_cos2(g, j)[:, :2]))  # ascending
         hit = angles[:, 0] <= eps
@@ -754,8 +774,12 @@ def _ordered_integral(pdf_sym, k, p):
     return math.factorial(k) * total
 
 
+@lru_cache(maxsize=16)
 def _gof_expected(k, l, n, bins):
     """Exact bin probabilities on the ordered-angle region, by per-cell GL.
+
+    Cached and read-only, like ``_lattice_block``: it depends on
+    (k, l, n, bins) only, and costs more than a small sampled check.
 
     For k = 1 each bin sums 8 Gauss-Legendre nodes.  For k = 2 a cell above
     the diagonal (t1 < t2 throughout) takes the 8 x 8 tensor rule, one row
@@ -772,7 +796,9 @@ def _gof_expected(k, l, n, bins):
     w = np.tile(half * w8, bins)
 
     if k == 1:
-        return (w * pdf_sym(t)).reshape(bins, 8).sum(axis=1)
+        prob = (w * pdf_sym(t)).reshape(bins, 8).sum(axis=1)
+        prob.flags.writeable = False
+        return prob
     prob = np.zeros((bins, bins))
     for b in range(bins - 1):
         t1, w1 = t[8 * b : 8 * b + 8, None], w[8 * b : 8 * b + 8, None]
@@ -784,6 +810,7 @@ def _gof_expected(k, l, n, bins):
     t1, t2 = edges[:-1, None] + width * s[:, None, :]  # (bins, 64) each
     wd = 2.0 * width * width * ws
     prob[np.diag_indices(bins)] = (wd * pdf_sym(t1, t2)).sum(axis=1)
+    prob.flags.writeable = False
     return prob
 
 
@@ -792,7 +819,10 @@ def density_gof(k, l, n, rng, samples, bins=30, workers=1):
 
     Samples principal angles of uniform k-planes against a fixed l-plane,
     histograms them over a bins^k grid on the ordered region, and compares
-    with per-bin quadrature of the density.  Supports k <= 2.
+    with per-bin quadrature of the density (``_gof_expected``, cached).
+    Supports k <= 2.  At (k, l, n) = (2, 2, 4) a sample is two uniforms,
+    its angles from ``g24_angles_from_heights``; elsewhere it is a Gaussian
+    n x k frame, its angles from ``principal_cos2``.
     """
     _check_density_dims(k, l, n)
     if k > 2:
@@ -800,10 +830,14 @@ def density_gof(k, l, n, rng, samples, bins=30, workers=1):
     width = math.pi / 2.0 / bins
 
     def histogram(gen, count):
-        g = gen.standard_normal((count, n, k))
-        angles = np.arccos(np.sqrt(principal_cos2(g, l)))  # ascending
-        idx = np.minimum((angles / width).astype(np.int64), bins - 1)
-        flat = idx[:, 0] if k == 1 else idx[:, 0] * bins + idx[:, 1]
+        if (k, l, n) == (2, 2, 4):
+            angles = _g24_angles(gen, count)  # (2, count), ascending
+        else:
+            g = gen.standard_normal((count, n, k))
+            angles = np.arccos(np.sqrt(principal_cos2(g, l))).T  # ascending
+        angles /= width
+        idx = np.minimum(angles.astype(np.int64), bins - 1)
+        flat = idx[0] if k == 1 else idx[0] * bins + idx[1]
         return np.bincount(flat, minlength=bins**k).reshape([bins] * k)
 
     counts = sum(_run_chunks(histogram, rng, samples, workers))

@@ -50,8 +50,8 @@ def test_criterion_01_three_way_edeg24(criterion_log):
     ok = in_window and agree and elapsed <= 300.0
     _verdict(
         criterion_log, 1, ok, 300.0, elapsed,
-        f"transversal {tr.value:.6f}±{tr.stderr:.6f}, "
-        f"torus {to.value:.6f}±{to.stderr:.6f}, quadrature {qv:.6f}; "
+        f"transversal {tr.value:.6f}±{tr.stderr:.2e}, "
+        f"torus {to.value:.9f}±{to.stderr:.2e}, quadrature {qv:.9f}; "
         f"all in 1.7262±0.005 and pairwise within 3σ",
     )
 

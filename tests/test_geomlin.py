@@ -8,6 +8,7 @@ from scipy.stats import kstest
 from grassdeg.geomlin import (
     Frame,
     RngStream,
+    g24_angles_from_heights,
     principal_angles,
     principal_cos2,
     sample_uniform_subspace,
@@ -250,6 +251,80 @@ def test_principal_cos2_gives_the_kernels_qr_svd_flags_and_bins(n, k, j):
         bins_fast = np.minimum((fast / width).astype(np.int64), 29)
         bins_slow = np.minimum((np.sort(slow, axis=1) / width).astype(np.int64), 29)
         assert np.array_equal(bins_fast, bins_slow)
+
+
+def _g24_heights(g):
+    # unit Pluecker vector of each frame, then the README isometry
+    # p01 = (a_0 + b_0)/2, p23 = (a_0 - b_0)/2 to the heights u = a_0, v = b_0
+    x, y = g[..., 0], g[..., 1]
+    plucker = np.stack([x[:, i] * y[:, j] - x[:, j] * y[:, i]
+                        for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))])
+    plucker /= np.linalg.norm(plucker, axis=0)
+    return np.clip(np.stack([plucker[0] + plucker[5], plucker[0] - plucker[5]]),
+                   -1.0, 1.0)
+
+
+def test_g24_heights_give_the_principal_cos2_angles_flags_and_bins():
+    # the Gaussian frames the (2, 4) kernels drew before the closed form, mapped
+    # to the two heights: same angles, schubert flags for eps = delta in
+    # {0.01, 0.03, 0.04} and 30-bin gof indices, over 2^20 frames
+    width = math.pi / 2.0 / 30
+    stream = RngStream(8, 424)
+    for chunk in range(16):
+        g = stream.substream(chunk).standard_normal((2**16, 4, 2))
+        fast = g24_angles_from_heights(_g24_heights(g))
+        slow = np.arccos(np.sqrt(principal_cos2(g, 2))).T
+        assert np.max(np.abs(fast - slow)) < 1e-8
+        for eps in (0.01, 0.03, 0.04):
+            assert np.array_equal((fast[0] <= eps) & (fast[1] >= eps),
+                                  (slow[0] <= eps) & (slow[1] >= eps))
+        bins_fast = np.minimum((fast / width).astype(np.int64), 29)
+        bins_slow = np.minimum((slow / width).astype(np.int64), 29)
+        assert np.array_equal(bins_fast, bins_slow)
+
+
+def test_g24_heights_of_uniform_planes_are_independent_uniforms():
+    # Archimedes on each S^2 half: u and v uniform on [-1, 1], and their
+    # product has P(|uv| <= t) = t - t log t, which independence gives
+    u, v = _g24_heights(RngStream(9, 424).standard_normal((200_000, 4, 2)))
+    assert kstest(u, "uniform", args=(-1.0, 2.0)).pvalue > 1e-3
+    assert kstest(v, "uniform", args=(-1.0, 2.0)).pvalue > 1e-3
+
+    def product_cdf(w):
+        a = np.abs(w)
+        return 0.5 + 0.5 * np.sign(w) * (a - a * np.log(np.where(a > 0.0, a, 1.0)))
+
+    assert kstest(u * v, product_cdf).pvalue > 1e-3
+
+
+def test_g24_edge_heights_give_finite_ordered_angles():
+    quarter, half = math.pi / 4.0, math.pi / 2.0
+    cases = {
+        (1.0, 1.0): (0.0, 0.0),  # the fixed plane itself
+        (-1.0, -1.0): (0.0, 0.0),
+        (1.0, -1.0): (half, half),  # its orthocomplement
+        (-1.0, 1.0): (half, half),
+        (0.0, 0.0): (0.0, half),
+        (-0.0, 0.0): (0.0, half),
+        (0.0, -0.0): (0.0, half),
+        (-0.0, -0.0): (0.0, half),
+    }
+    for u in (1.0, -1.0):
+        for v in (0.0, -0.0):
+            cases[(u, v)] = cases[(v, u)] = (quarter, quarter)
+    heights = np.array(list(cases)).T
+    angles = g24_angles_from_heights(heights)
+    assert np.all(np.isfinite(angles))
+    assert np.all((0.0 <= angles[0]) & (angles[0] <= angles[1])
+                  & (angles[1] <= half))
+    assert np.allclose(angles.T, list(cases.values()), atol=1e-15, rtol=0.0)
+    # one plane (0-d rows), and in place
+    assert np.allclose(g24_angles_from_heights([1.0, 0.0]), [quarter, quarter])
+    inplace = heights.copy()
+    assert g24_angles_from_heights(inplace, out=inplace) is inplace
+    assert np.array_equal(inplace, angles)
+    with pytest.raises(ValueError):
+        g24_angles_from_heights(np.zeros((3, 4)))
 
 
 def test_principal_cos2_three_columns_is_the_qr_svd_path():

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import dblquad
 
 from grassdeg import mc
-from grassdeg.geomlin import RngStream, det3, half_angle_sin_cos
+from grassdeg.geomlin import RngStream, det3, g24_angles_from_heights, half_angle_sin_cos
 from grassdeg.mc import (
     CHUNK,
     StreamingStats,
@@ -437,6 +437,41 @@ def test_schubert_mc_duality_is_exact():
     assert a == b
 
 
+def _g24_chunk_angles(rng, index, count):
+    # what a (2, 4) chunk should compute: one (2, count) uniform draw, mapped
+    # to the heights 2r - 1 and then to the angles
+    return g24_angles_from_heights(
+        2.0 * rng.substream(index).generator.random((2, count)) - 1.0)
+
+
+def test_g24_chunk_leaves_the_stream_where_two_uniforms_do():
+    count = 1000
+    used, fresh = RngStream(47, 0).generator, RngStream(47, 0).generator
+    angles = mc._g24_angles(used, count)
+    heights = 2.0 * fresh.random((2, count)) - 1.0
+    # the same next raw 64-bit outputs: the same point of the stream
+    assert np.array_equal(used.bit_generator.random_raw(4),
+                          fresh.bit_generator.random_raw(4))
+    assert np.array_equal(angles, g24_angles_from_heights(heights))
+
+
+def test_g24_kernels_read_two_uniforms_per_sample():
+    # both (2, 4) estimators, over a full and a partial chunk, against the
+    # chunks' angles recomputed from their substreams
+    samples = mc.CHUNK + 5
+    rng = RngStream(48, 0)
+    angles = np.concatenate([_g24_chunk_angles(rng, 0, mc.CHUNK),
+                             _g24_chunk_angles(rng, 1, 5)], axis=1)
+    eps, delta = 0.3, 0.5
+    est = schubert_ratio_mc(2, 4, eps=eps, delta=delta, rng=rng, samples=samples)
+    hits = np.count_nonzero((angles[0] <= eps) & (angles[1] >= delta))
+    assert est.value == pytest.approx(hits / samples / (2.0 * eps), rel=1e-12)
+    idx = np.minimum((angles / (math.pi / 60.0)).astype(np.int64), 29)
+    counts = np.bincount(idx[0] * 30 + idx[1], minlength=900).reshape(30, 30)
+    l1 = np.abs(counts / samples - mc._gof_expected(2, 2, 4, 30)).sum()
+    assert density_gof(2, 2, 4, rng, samples) == pytest.approx(l1, rel=1e-12)
+
+
 def _finite_eps_ratio(eps, delta):
     # the quantity the estimator actually targets, by direct 2-d quadrature
     prob, err = dblquad(
@@ -576,6 +611,17 @@ def test_gof_expected_matches_the_loop(k, l, n, bins):
 def test_gof_expected_sums_to_one(k, l, n, bins):
     # the density integrates to 1 over the ordered region, so the cells do too
     assert abs(mc._gof_expected(k, l, n, bins).sum() - 1.0) < 1e-12
+
+
+def test_gof_expected_is_cached_read_only():
+    first = mc._gof_expected(2, 3, 6, 7)
+    values = first.copy()
+    second = mc._gof_expected(2, 3, 6, 7)
+    assert second is first
+    assert not first.flags.writeable
+    assert np.array_equal(second, values)
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
 
 
 def test_density_gof_is_deterministic_and_small():
