@@ -134,18 +134,20 @@ def principal_angles(A, B):
 # ---------------------------------------------------------------------------
 
 
-def half_angle_sin_cos(half, out=None):
+def half_angle_sin_cos(half, out=None, work=None):
     """(sin, cos) of the angle 2*half from the tangent w of ``half``.
 
     sin = 2w / (1 + w^2) and cos = (1 - w^2) / (1 + w^2): one tangent costs
     less than half of a sine and a cosine, and both results are within
     2.3e-16 of np.sin and np.cos for angles in [0, 2*pi).  ``out``, a pair
-    of arrays, receives (sin, cos) in place of two new ones.
+    of arrays, receives (sin, cos) in place of two new ones; sin may be
+    ``half`` itself.  ``work``, an array like ``half``, holds 1 / (1 + w^2)
+    in place of a new one.
     """
     sin, cos = (None, None) if out is None else out
     w = np.tan(half, out=sin)
     w2 = np.multiply(w, w, out=cos)
-    inv = 1.0 / (1.0 + w2)
+    inv = np.divide(1.0, np.add(1.0, w2, out=work), out=work)
     w *= 2.0
     w *= inv
     np.subtract(1.0, w2, out=w2)

@@ -14,6 +14,7 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,6 +23,7 @@ import numpy as np
 
 from ._quad import _leggauss, composite_gl_log, ordered_simplex_gl
 from .geomlin import (
+    _LAPLACE4,
     RngStream,
     g24_angles_from_heights,
     half_angle_sin_cos,
@@ -33,6 +35,7 @@ from .specfun import (
     elliptic_E,
     log_gamma,
     multivariate_gamma_log,
+    rho,
     vol_orthogonal_log,
     vol_sphere_log,
     vol_stiefel_log,
@@ -117,7 +120,10 @@ class StreamingStats:
         if n == 0:
             return cls()
         mu = float(values.mean())
-        return cls(count=n, mean=mu, m2=float(np.sum((values - mu) ** 2)))
+        with _workspace(n) as buf:
+            dev = np.subtract(values, mu, out=buf.reshape(values.shape))
+            m2 = float(np.multiply(dev, dev, out=dev).sum())
+        return cls(count=n, mean=mu, m2=m2)
 
     def merge(self, other):
         """Combined statistics of the two underlying sample sets."""
@@ -165,6 +171,46 @@ def _pool(threads):
             pool = _POOLS[threads] = ThreadPoolExecutor(
                 max_workers=threads, thread_name_prefix=_POOL_THREAD_PREFIX)
         return pool
+
+
+# One float64 buffer per thread, grown to the largest need and kept for the
+# life of the thread.  A chunk array of CHUNK doubles is exactly 128 KiB,
+# glibc's initial mmap threshold.  Allocated afresh, such arrays came as new
+# mappings whose pages fault in on every call, or from heap that glibc
+# trims back to the system once enough of it is free; glibc moves both
+# thresholds up as large blocks are freed, so how much one call faulted
+# depended on what the calls before it had allocated.  The torus chunks,
+# the polar rank-one chunks and the moments of every chunk compute in
+# their thread's buffer instead.
+_WORKSPACES = threading.local()
+# the largest chunk need, the polar kernel's 18 rows of CHUNK (the torus
+# takes 12 rows of at most 1.5 CHUNK); larger requests get a new array, so
+# no thread keeps more than 2.25 MiB
+_WORKSPACE_DOUBLES = 18 * CHUNK
+
+
+@contextmanager
+def _workspace(size):
+    """A float64 array of ``size`` entries that belongs to the calling thread.
+
+    The rule: a chunk takes the buffer for its ``with`` block, and nothing
+    it returns aliases the buffer.  A call made inside the block (a kernel
+    that runs a kernel, serially in the same thread) gets a new array
+    instead, so it cannot clobber the outer chunk's numbers; so does a
+    request above ``_WORKSPACE_DOUBLES``.
+    """
+    local = _WORKSPACES
+    if size > _WORKSPACE_DOUBLES or getattr(local, "busy", False):
+        yield np.empty(size)
+        return
+    buf = getattr(local, "buf", None)
+    if buf is None or buf.size < size:
+        buf = local.buf = np.empty(size)
+    local.busy = True
+    try:
+        yield buf[:size]
+    finally:
+        local.busy = False
 
 
 def _check_stream(rng, samples):
@@ -281,25 +327,91 @@ def _vitale_rows(k, m, itemsize=8):
     return max(1, _VITALE_BATCH_BYTES // (itemsize * (n * (k + m) + n * n + 8)))
 
 
+def _polar_det(sin, cos, work):
+    """det W per draw at real (k, m) = (2, 2); ``_polar_kernel`` says what W is.
+
+    ``sin`` and ``cos`` are (6, count): rows u_1, u_2, u_3, then v_1, v_2,
+    v_3.  The Laplace expansion along W's two u columns (``small_det``'s
+    4x4 rule on W transposed) is a sum of six products of 2x2 minors, each
+    the sine of an angle difference.  ``work`` holds four rows shaped like
+    a row of ``sin``; det W is returned in ``work[0]``.
+    """
+    total, term, vterm, tmp = work
+
+    def minor(sin, cos, i, j, out):
+        # sin(angle_j - angle_i) for rows i < j of W; angle_0 = 0
+        if i == 0:
+            return sin[j - 1]
+        np.multiply(sin[j - 1], cos[i - 1], out=out)
+        out -= np.multiply(cos[j - 1], sin[i - 1], out=tmp)
+        return out
+
+    total.fill(0.0)
+    for (i, j), (p, q), sign in _LAPLACE4:
+        np.multiply(minor(sin[:3], cos[:3], i, j, term),
+                    minor(sin[3:], cos[3:], p, q, vterm), out=term)
+        if sign > 0:
+            total += term
+        else:
+            total -= term
+    return total
+
+
+def _polar_kernel(scale):
+    """Kernel of ``scale`` |det W| at real (k, m) = (2, 2): 6 uniforms a draw.
+
+    For unit x = (cos a, sin a) and y = (cos b, sin b), the row
+    vec(x y^T) is (c_u + c_v, s_v - s_u, s_v + s_u, c_u - c_v) / 2 with
+    u = a - b, v = a + b, c and s their cosines and sines.  A fixed linear
+    map with |det| 4 sends it to W's row (cos u, sin u, cos v, sin v), so
+    |det M| = |det W| / 4.  Uniform (a, b) make (u, v) uniform on the
+    torus, and rotating every x_i by one angle and every y_i by another
+    shifts all u_i and all v_i by any two angles without changing |det W|,
+    so u_0 = v_0 = 0 and the draw is (u_i, v_i), i = 1..3: one (6, count)
+    uniform draw per chunk.  The chunk computes in its thread's workspace.
+    """
+    def kernel(gen, count):
+        with _workspace(18 * count) as buf:
+            sin, cos, work = buf.reshape(3, 6, count)
+            gen.random(out=sin)
+            sin *= math.pi  # half of the angle 2 pi r
+            half_angle_sin_cos(sin, out=(sin, cos), work=work)
+            det = _polar_det(sin, cos, work[:4])
+            good = det != 0.0
+            values = det[good]
+        np.abs(values, out=values)
+        values *= scale
+        return values, int(count - good.sum())
+
+    return kernel
+
+
 def _rank_one_det_kernel(k, m, unit=False, complex_=False):
     """Kernel of |det M| (over C, |det M|^2) for ``run_kernel``.
 
     x_i and y_i are standard Gaussian in R^k and R^m, or in C^k and C^m
-    when ``complex_``, scaled to unit length when ``unit``.  Up to km = 4
-    the determinant is a cofactor expansion; above that it is taken in log
-    magnitude so large km cannot overflow, in sub-batches of
-    ``_vitale_rows`` draws, so a chunk's memory stays near
-    ``_VITALE_BATCH_BYTES`` for any km.  There a draw's Gaussians come off
-    the generator as one samples-major row (x_i then y_i for each i), so the
-    sub-batches read the same numbers as one draw of the whole chunk.  A
-    complex number is two consecutive Gaussians, its real and imaginary
-    parts.  A draw is degenerate when its determinant is exactly 0.
+    when ``complex_``, scaled to unit length when ``unit``.  At real
+    (k, m) = (2, 2) a draw is six uniform angles (``_polar_kernel``): the
+    value is |det M| / 4 over unit vectors, and for Gaussian ones its
+    radii are integrated exactly, E|det M| = rho_2^8 E|det M_unit| with
+    rho_2 = E|x| = sqrt(pi / 2).  Otherwise, up to km = 4 the determinant
+    is a cofactor expansion; above that it is taken in log magnitude so
+    large km cannot overflow, in sub-batches of ``_vitale_rows`` draws, so
+    a chunk's memory stays near ``_VITALE_BATCH_BYTES`` for any km.  There
+    a draw's Gaussians come off the generator as one samples-major row
+    (x_i then y_i for each i), so the sub-batches read the same numbers as
+    one draw of the whole chunk.  A complex number is two consecutive
+    Gaussians, its real and imaginary parts.  A draw is degenerate when
+    its determinant is exactly 0.  The values a chunk returns are new
+    arrays, so a caller may scale them in place.
     """
     if k < 1 or m < 1:
         raise ValueError("k and m must be >= 1")
     n = k * m
     if n > 36:
         raise ValueError("km > 36 not supported (cost and variance blow up)")
+    if (k, m) == (2, 2) and not complex_:
+        return _polar_kernel(0.25 if unit else 0.25 * rho(2) ** 8)
     dtype = np.dtype(complex if complex_ else float)
     parts = 2 if complex_ else 1  # Gaussians per number, and a draw's power
     batch = _vitale_rows(k, m, dtype.itemsize)
@@ -346,7 +458,11 @@ def _rank_one_det_kernel(k, m, unit=False, complex_=False):
 
 
 def alpha_mc(k, m, rng, samples, workers=1):
-    """Estimate alpha(k, m) = E|det M| over unit x_i, y_i, for km <= 36."""
+    """Estimate alpha(k, m) = E|det M| over unit x_i, y_i, for km <= 36.
+
+    At (k, m) = (2, 2) a draw is six uniform angles, not 16 Gaussians
+    (``_rank_one_det_kernel``).
+    """
     return run_kernel(_rank_one_det_kernel(k, m, unit=True), rng, samples,
                       workers=workers, method="alpha-mc")
 
@@ -380,47 +496,65 @@ _TORUS_PREFACTOR = math.pi**6 / 128.0
 _TORUS_CONDITIONAL_PREFACTOR = (2.0 / math.pi) ** 2 * _TORUS_PREFACTOR
 
 
-def _torus_rows(t, s):
-    """Row entries (sin t sin s, cos t sin s, sin t cos s) at angle pairs (t, s).
-
-    Row i of the integrand's 3x3 matrix is these entries at (t_i, s_i); the
-    determinant is transpose-invariant, so rows and columns may swap.
-    """
-    st, ct = half_angle_sin_cos(0.5 * t)
-    ss, cs = half_angle_sin_cos(0.5 * s)
-    return st * ss, ct * ss, st * cs
-
-
-def _torus_cross(t, s):
-    """v = r1 x r2, rows r1 and r2 at the angle pairs (t[0], s[0]), (t[1], s[1]).
-
-    The rows are freed on return, before the eigenvalue step allocates,
-    which keeps a chunk's peak memory level with the six-angle kernel's.
-    """
-    (a1, a2), (b1, b2), (c1, c2) = _torus_rows(t, s)
-    return b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2
-
-
-def _torus_third_pair_mean(t, s):
+def _torus_third_pair_mean(t, s, work=None):
     """The torus integrand averaged over the third angle pair in closed form.
 
-    ``t`` and ``s`` have shape (2, ...): the first two angle pairs.  With
-    v = r1 x r2, det3(r1, r2, r3) = A sin s3 + B cos s3, where
-    A = v0 sin t3 + v1 cos t3 and B = v2 sin t3.  Its |.| averages over s3
-    to (2/pi) sqrt(A^2 + B^2), a quadratic form in (sin t3, cos t3) whose
-    eigenvalues lmax >= lmin average its root over t3 to
-    (2/pi) sqrt(lmax) E(1 - lmin/lmax).  Where r1 and r2 are parallel,
-    v = 0 and the value is 0.
+    ``t`` and ``s`` have shape (2, ...): the first two angle pairs.  Row i
+    of the integrand's 3x3 matrix is r_i = (sin t_i sin s_i,
+    cos t_i sin s_i, sin t_i cos s_i); the determinant is
+    transpose-invariant, so rows and columns may swap.  With v = r1 x r2,
+    det3(r1, r2, r3) = A sin s3 + B cos s3, where A = v0 sin t3 + v1 cos t3
+    and B = v2 sin t3.  Its |.| averages over s3 to (2/pi) sqrt(A^2 + B^2),
+    a quadratic form in (sin t3, cos t3) whose eigenvalues lmax >= lmin
+    average its root over t3 to (2/pi) sqrt(lmax) E(1 - lmin/lmax).  Where
+    r1 and r2 are parallel, v = 0 and the value is 0.
+
+    Every step runs in place in the rows of ``work``, a (12, ...) array, or
+    of a new one, and the value is returned in one of its rows.  ``t`` and
+    ``s`` may be ``work[0:2]`` and ``work[2:4]``.
     """
-    p0, p1, p2 = (v * v for v in _torus_cross(t, s))
-    diff = p0 + p2 - p1
-    lmax = 0.5 * (p0 + p1 + p2 + np.sqrt(diff * diff + 4.0 * p0 * p1))
+    if work is None:
+        work = np.empty((12,) + np.shape(t)[1:])
+    st1, st2, ss1, ss2, ct1, ct2, cs1, cs2, w0, w1, w2, w3 = work
+    np.multiply(t, 0.5, out=work[0:2])
+    np.multiply(s, 0.5, out=work[2:4])
+    half_angle_sin_cos(work[0:4], out=(work[0:4], work[4:8]), work=work[8:12])
+    # r_i = (a_i, b_i, c_i)
+    a1, a2 = np.multiply(st1, ss1, out=w0), np.multiply(st2, ss2, out=w1)
+    b1, b2 = np.multiply(ct1, ss1, out=ct1), np.multiply(ct2, ss2, out=ct2)
+    c1, c2 = np.multiply(st1, cs1, out=st1), np.multiply(st2, cs2, out=st2)
+    # p_j = v_j^2, v = r1 x r2
+    p0 = np.multiply(b1, c2, out=ss1)
+    p0 -= np.multiply(c1, b2, out=cs1)
+    p1 = np.multiply(c1, a2, out=ss2)
+    p1 -= np.multiply(a1, c2, out=cs2)
+    p2 = np.multiply(a1, b2, out=w2)
+    p2 -= np.multiply(b1, a2, out=w3)
+    for p in (p0, p1, p2):
+        p *= p
+    root = np.subtract(np.add(p0, p2, out=st1), p1, out=st1)
+    root *= root
+    root += np.multiply(np.multiply(p0, 4.0, out=st2), p1, out=st2)
+    np.sqrt(root, out=root)
+    lmax = np.add(p0, p1, out=ct1)
+    lmax += p2
+    lmax += root
+    lmax *= 0.5
     # lmin = det / lmax: no difference of nearly equal roots.  lmax = 0
     # only where v = 0, and there p1 * p2 = 0 makes lmin and the value 0.
-    safe = np.where(lmax > 0.0, lmax, 1.0)
-    lmin = p1 * p2 / safe
-    parameter = np.maximum(1.0 - lmin / safe, 0.0)  # the ratio may round above 1
-    return np.sqrt(lmax) * elliptic_E(parameter) * _TORUS_CONDITIONAL_PREFACTOR
+    safe = ct2
+    safe.fill(1.0)
+    np.copyto(safe, lmax, where=lmax > 0.0)
+    ratio = np.multiply(p1, p2, out=p1)  # lmin, then lmin / lmax
+    ratio /= safe
+    ratio /= safe
+    parameter = np.subtract(1.0, ratio, out=ratio)
+    np.maximum(parameter, 0.0, out=parameter)  # the ratio may round above 1
+    e = elliptic_E(parameter, work=(st1, st2, w0, w1, cs1))
+    value = np.sqrt(lmax, out=lmax)
+    value *= e
+    value *= _TORUS_CONDITIONAL_PREFACTOR
+    return value
 
 
 # Randomly shifted rank-1 Korobov lattices: point k of shift i is
@@ -522,17 +656,19 @@ def _lattice_block(n, a):
     return block
 
 
-def _lattice_angles(n, a, delta, k0, count):
+def _lattice_angles(n, a, delta, k0, count, out=None):
     """Angles 2 pi frac(k z / N + delta_i) at k0 <= k < k0 + count <= N.
 
     ``delta`` holds one shift per row, shape (s, 4); the angles have shape
-    (4, s, count).  Point k0 + k is frac(k z / N) + frac(k0 z / N + delta)
-    mod 1, so the cached block of unshifted points plus one offset per
-    shift, wrapped once, gives every chunk; ``count`` <= CHUNK.
+    (4, s, count), in ``out`` if given.  Point k0 + k is
+    frac(k z / N) + frac(k0 z / N + delta) mod 1, so the cached block of
+    unshifted points plus one offset per shift, wrapped once, gives every
+    chunk; ``count`` <= CHUNK.
     """
     k0z = np.array([k0 * pow(a, d, n) % n for d in range(4)])
     offset = (delta + k0z / n) % 1.0 * (2.0 * math.pi)
-    angles = _lattice_block(n, a)[:, None, :count] + offset.T[:, :, None]
+    angles = np.add(_lattice_block(n, a)[:, None, :count], offset.T[:, :, None],
+                    out=out)
     np.subtract(angles, 2.0 * math.pi, out=angles, where=angles >= 2.0 * math.pi)
     return angles
 
@@ -544,7 +680,8 @@ def _lattice_means(n, a, delta, workers=1):
     number (at most 1.5 CHUNK points), else one of ceil(N / CHUNK) equal
     slices of one shift, so the fixed cost of a chunk's array operations is
     spread over near CHUNK points.  Chunk sums are folded in chunk order,
-    so the means do not depend on ``workers``.
+    so the means do not depend on ``workers``.  A chunk computes in its
+    thread's workspace.
     """
     shifts = len(delta)
     if n <= CHUNK:
@@ -558,9 +695,10 @@ def _lattice_means(n, a, delta, workers=1):
 
     def chunk_sums(index):
         i0, i1, k0, count = plan[index]
-        angles = _lattice_angles(n, a, delta[i0:i1], k0, count)
-        t, s = angles.reshape(2, 2, i1 - i0, count)
-        return _torus_third_pair_mean(t, s).sum(axis=1)
+        with _workspace(12 * (i1 - i0) * count) as buf:
+            work = buf.reshape(12, i1 - i0, count)
+            _lattice_angles(n, a, delta[i0:i1], k0, count, out=work[:4])
+            return _torus_third_pair_mean(work[0:2], work[2:4], work).sum(axis=1)
 
     sums = np.zeros(shifts)
     for (i0, i1, _, _), part in zip(plan, _map_chunks(chunk_sums, len(plan), workers)):
@@ -859,6 +997,7 @@ def vitale_closed_form(d):
     return math.exp(
         log_gamma(d + 1.0) - 0.5 * d * math.log(2.0) - log_gamma(1.0 + d / 2.0)
     )
+
 
 def vitale_check(d, rng, samples, workers=1):
     """Monte Carlo estimate of E|det G| for a d x d Gaussian matrix, d <= 12.

@@ -94,7 +94,7 @@ def rho(k):
 _AGM_RTOL = 1e-15
 
 
-def _agm_elliptic(s):
+def _agm_elliptic(s, work=None):
     # One AGM sweep serving both integrals, elementwise over the array s:
     # returns (K, E) with K = pi / (2 * agm(1, sqrt(1-s))) and
     # E = K * (1 - sum_j 2^{j-1} c_j^2), c_0 = sqrt(s), c_j = (a-b)/2.
@@ -103,18 +103,25 @@ def _agm_elliptic(s):
     # and b are then equal or an ulp apart, and pow2 * c^2 falls below
     # csum's last bit), so each element gets the value a loop over it alone
     # would return.
-    a, b = np.ones_like(s), np.sqrt(1.0 - s)
-    csum = 0.5 * s  # 2^{-1} * c_0^2
+    # The sweep runs in place in five arrays shaped like s: ``work``, or
+    # new ones; K and E come back in two of them.  s is last read where
+    # csum is first written, so it may be that last array.
+    a, b, c, t, csum = (np.empty_like(s) for _ in range(5)) if work is None else work
+    np.sqrt(np.subtract(1.0, s, out=b), out=b)
+    np.multiply(s, 0.5, out=csum)  # 2^{-1} * c_0^2
+    a.fill(1.0)
     pow2 = 0.5
     for _ in range(60):
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        np.multiply(np.subtract(a, b, out=c), 0.5, out=c)
+        np.multiply(np.add(a, b, out=t), 0.5, out=t)  # the next a
+        np.sqrt(np.multiply(b, a, out=b), out=b)
+        a, t = t, a
         pow2 *= 2.0
-        csum += pow2 * c * c
-        if (c <= _AGM_RTOL * a).all():
+        csum += np.multiply(np.multiply(c, pow2, out=t), c, out=t)
+        if (c <= np.multiply(a, _AGM_RTOL, out=t)).all():
             break
-    K = math.pi / (2.0 * a)
-    return K, K * (1.0 - csum)
+    K = np.divide(math.pi, np.multiply(a, 2.0, out=t), out=t)
+    return K, np.multiply(np.subtract(1.0, csum, out=csum), K, out=csum)
 
 
 def _parameter(s, name, upper_closed):
@@ -133,15 +140,22 @@ def _like(s, value):
     return value if isinstance(s, np.ndarray) else float(value)
 
 
-def elliptic_E(s):
+def elliptic_E(s, work=None):
     """Complete elliptic integral E(s) = int_0^{pi/2} sqrt(1 - s sin^2 t) dt.
 
-    ``s`` is a number or an array; an array gives E elementwise.
+    ``s`` is a number or an array; an array gives E elementwise.  For an
+    array, ``work`` may give five arrays shaped like it to compute in
+    instead of new ones; E is then returned in one of them.
     """
     x = _parameter(s, "elliptic_E", upper_closed=True)
     one = x == 1.0  # K is infinite there; E(1) = 1
-    e = _agm_elliptic(np.where(one, 0.0, x))[1]
-    return _like(s, np.where(one, 1.0, e))
+    rows = [np.empty_like(x) for _ in range(5)] if work is None else work
+    z = rows[-1]  # the sweep reads its s before it writes this row
+    np.copyto(z, x)
+    np.copyto(z, 0.0, where=one)
+    e = _agm_elliptic(z, rows)[1]
+    np.copyto(e, 1.0, where=one)
+    return _like(s, e)
 
 
 def elliptic_K(s):

@@ -489,7 +489,9 @@ def vol_C_vitale_mc(k, m, rng, samples, workers=1):
 
     M stacks the km vectorized products x_i y_i^T; its determinants come
     from ``mc._rank_one_det_kernel``, which also says how they are taken
-    and when a draw is degenerate.
+    and when a draw is degenerate.  At (k, m) = (2, 2) a draw is six
+    uniform angles and the radii of x_i, y_i are integrated exactly, which
+    cuts the standard error ~3.8x at equal draws.
     """
     if k < 1 or m < k:
         raise ValueError("need 1 <= k <= m")
@@ -498,7 +500,8 @@ def vol_C_vitale_mc(k, m, rng, samples, workers=1):
 
     def kernel(gen, count):
         values, degenerate = dets(gen, count)
-        return values / scale, degenerate
+        values /= scale  # a new array, never a workspace
+        return values, degenerate
 
     return run_kernel(kernel, rng, samples, workers=workers, method="vitale-volume-mc")
 

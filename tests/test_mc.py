@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import os
@@ -12,7 +13,13 @@ from hypothesis import given, strategies as st
 from scipy.integrate import dblquad
 
 from grassdeg import mc
-from grassdeg.geomlin import RngStream, det3, g24_angles_from_heights, half_angle_sin_cos
+from grassdeg.geomlin import (
+    RngStream,
+    det3,
+    g24_angles_from_heights,
+    half_angle_sin_cos,
+    small_det,
+)
 from grassdeg.mc import (
     CHUNK,
     StreamingStats,
@@ -30,6 +37,7 @@ from grassdeg.mc import (
     vitale_check,
     vitale_closed_form,
 )
+from grassdeg.zonoid import vol_C_vitale_mc
 
 EDEG24 = 1.726231248998883  # pinned by the n=3 quadrature, used as a loose anchor
 
@@ -214,12 +222,111 @@ def test_kernel_input_validation():
             run_kernel(_unit_kernel, RngStream(0, 0), 100, workers=workers)
 
 
+# ------------------------------------------------------------- workspace
+
+
+def _data_pointer(array):
+    return array.__array_interface__["data"][0]
+
+
+def test_warm_torus_and_polar_calls_allocate_no_chunk_arrays():
+    # chunks that allocate their temporaries peak at megabytes of 128 KiB
+    # arrays; in the workspace a warm call holds its returned values and
+    # small masks
+    calls = (lambda: edeg24_integral(rng=RngStream(47, 0), samples=262_144),
+             lambda: vol_C_vitale_mc(2, 2, RngStream(47, 1), 131_072))
+    for call in calls:
+        call()  # grows the workspace and caches the lattice block
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, peak
+
+
+def test_pool_threads_keep_their_own_workspace(monkeypatch):
+    pool = mc._pool(2)
+    both = threading.Barrier(2, timeout=30)
+
+    def take(_):
+        # the largest need of a torus or polar chunk, so no kernel below
+        # grows the buffer
+        with mc._workspace(18 * CHUNK) as buf:
+            both.wait()  # both threads hold a buffer at once
+            return threading.get_ident(), _data_pointer(buf)
+
+    first = dict(pool.map(take, range(2)))
+    assert len(first) == 2 and len(set(first.values())) == 2
+    assert dict(pool.map(take, range(2))) == first
+    # and in the kernels, call after call
+    seen = []
+    workspace = mc._workspace
+
+    @contextlib.contextmanager
+    def spy(size):
+        with workspace(size) as buf:
+            seen.append((threading.get_ident(), _data_pointer(buf)))
+            yield buf
+
+    monkeypatch.setattr(mc, "_workspace", spy)
+    for stream in range(2):
+        edeg24_integral(rng=RngStream(47, stream), samples=262_144, workers=2)
+        vol_C_vitale_mc(2, 2, RngStream(47, stream), 4 * CHUNK, workers=2)
+    pointers = {}
+    for thread, pointer in seen:
+        pointers.setdefault(thread, set()).add(pointer)
+    assert all(pointers[thread] == {first[thread]} for thread in first
+               if thread in pointers)
+    assert all(len(p) == 1 for p in pointers.values())
+
+
+def test_workspace_is_never_shared_with_a_result_or_a_nested_call():
+    # the rule of mc._workspace: what a chunk returns is a new array, and a
+    # call inside a chunk's block, in the same thread, gets its own buffer
+    values, _ = mc._rank_one_det_kernel(2, 2)(RngStream(48, 0).generator, CHUNK)
+    assert not np.shares_memory(values, mc._WORKSPACES.buf)
+    want = vol_C_vitale_mc(2, 2, RngStream(48, 1), 2 * CHUNK)
+    with mc._workspace(CHUNK) as outer:
+        outer.fill(1.0)
+        with mc._workspace(CHUNK) as inner:
+            assert not np.shares_memory(inner, outer)
+        assert vol_C_vitale_mc(2, 2, RngStream(48, 1), 2 * CHUNK) == want
+        means = mc._lattice_means(37, 5, RngStream(48, 2).generator.random((4, 4)))
+        assert (outer == 1.0).all()
+    assert not np.shares_memory(means, mc._WORKSPACES.buf)
+    # no chunk needs more; a larger request is not kept
+    big = StreamingStats.from_values(np.ones(mc._WORKSPACE_DOUBLES + 1))
+    assert (big.count, big.m2) == (mc._WORKSPACE_DOUBLES + 1, 0.0)
+    assert mc._WORKSPACES.buf.size <= mc._WORKSPACE_DOUBLES
+
+
 # ------------------------------------------------------------------ alpha
 
 
 def test_alpha22_near_its_known_value():
     est = alpha_mc(2, 2, RngStream(40, 0), 200_000)
     assert abs(est.value - 0.2298) < max(4.0 * est.stderr, 5e-4)
+
+
+def test_polar_det_is_the_rank_one_determinant():
+    # rows vec(x y^T) of unit x, y at angles a = (u + v) / 2, b = (v - u) / 2
+    u, v = np.random.default_rng(8).uniform(0.0, 2.0 * math.pi, (2, 4, 2000))
+    u[0] = v[0] = 0.0
+    angles = np.concatenate([u[1:], v[1:]])
+    det = mc._polar_det(np.sin(angles), np.cos(angles), np.empty((4, 2000)))
+    a, b = (u + v) / 2.0, (v - u) / 2.0
+    rows = np.stack([np.cos(a) * np.cos(b), np.cos(a) * np.sin(b),
+                     np.sin(a) * np.cos(b), np.sin(a) * np.sin(b)])
+    want = small_det(rows.transpose(2, 1, 0))
+    np.testing.assert_allclose(np.abs(det) / 4.0, np.abs(want), rtol=1e-12)
+
+
+def test_polar_kernel_worker_count_is_invisible():
+    for route in (alpha_mc, vol_C_vitale_mc):
+        one = route(2, 2, RngStream(42, 0), 3 * CHUNK + 17)
+        assert route(2, 2, RngStream(42, 0), 3 * CHUNK + 17, workers=8) == one
 
 
 def test_alpha_is_symmetric_in_distribution():
@@ -366,6 +473,10 @@ def test_half_angle_sin_cos_match_numpy():
     got = half_angle_sin_cos(0.5 * angle, out=out)
     assert got[0] is out[0] and got[1] is out[1]
     assert np.array_equal(out[0], sin) and np.array_equal(out[1], cos)
+    half = 0.5 * angle  # in place, sine over the half angles
+    got = half_angle_sin_cos(half, out=(half, out[1]), work=np.empty_like(angle))
+    assert got[0] is half
+    assert np.array_equal(half, sin) and np.array_equal(out[1], cos)
 
 
 def test_torus_conditional_value_is_the_mean_over_the_third_pair():
@@ -373,6 +484,10 @@ def test_torus_conditional_value_is_the_mean_over_the_third_pair():
     # t3 (a small eigenvalue) need the finer axis there
     t, s = np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, (2, 2, 6))
     conditional = mc._torus_third_pair_mean(t, s)
+    work = np.empty((12, 6))  # the chunks' call: angles in the work rows
+    work[0:2], work[2:4] = t, s
+    in_place = mc._torus_third_pair_mean(work[0:2], work[2:4], work)
+    assert np.array_equal(in_place, conditional)
     nt, ns = 4096, 1024
     grid_t = (np.arange(nt) + 0.5) * (2.0 * math.pi / nt)
     grid_s = (np.arange(ns) + 0.5) * (2.0 * math.pi / ns)

@@ -127,6 +127,10 @@ def test_elliptic_array_path_matches_scipy():
     np.testing.assert_allclose(e, ss.ellipe(s), rtol=3e-15, atol=0.0)
     np.testing.assert_array_equal(elliptic_E(s), e)
     np.testing.assert_array_equal(elliptic_K(s), k)
+    work = np.empty((5, s.size))
+    got = elliptic_E(s, work=work)
+    assert np.shares_memory(got, work)
+    np.testing.assert_array_equal(got, e)
 
 
 def test_elliptic_array_path_equals_scalar_path():

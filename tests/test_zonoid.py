@@ -456,13 +456,33 @@ def broadcast_vitale_volume(k, m, rng, samples):
 
 
 def test_vitale_volume_rows_match_the_broadcast_build():
-    # same products, same cofactor arithmetic: equal to the last bit
-    for k, m in ((2, 2), (1, 3), (1, 4)):
+    # same products, same cofactor arithmetic: equal to the last bit; (2, 2)
+    # takes the polar kernel instead
+    for k, m in ((1, 3), (1, 4)):
         rng = RngStream(31, k * 10 + m)
         assert vol_C_vitale_mc(k, m, rng, 40_000) == broadcast_vitale_volume(
             k, m, rng, 40_000)
     est = vol_C_vitale_mc(2, 2, RngStream(31, 0), 50_000)
-    assert (est.value, est.stderr) == (0.05628620540881488, 0.00085032898669032)
+    assert (est.value, est.stderr) == (0.05847756555675961, 0.00023004390331032463)
+
+
+def test_polar_kernel_matches_quadrature():
+    # alpha(2, 2) = E|det M| over Gaussians / rho_2^8 = 24 |C(2, 2)| / rho_2^8
+    ref = vol_C_quadrature(2, zonoid.default_profile())
+    for route, scale, stream in ((vol_C_vitale_mc, 1.0, 0),
+                                 (alpha_mc, 24.0 / (math.pi / 2.0) ** 4, 1)):
+        est = route(2, 2, RngStream(35, stream), 1_000_000)
+        assert est.degenerate_count == 0
+        assert abs(est.value - scale * ref) < 3.0 * est.stderr, route.__name__
+
+
+def test_polar_kernel_takes_six_uniforms_per_draw():
+    for unit in (False, True):
+        gen = RngStream(36, 0).generator
+        mc._rank_one_det_kernel(2, 2, unit=unit)(gen, 1000)
+        after = RngStream(36, 0).generator
+        after.random(6 * 1000)
+        assert gen.random() == after.random()
 
 
 def whole_chunk_vitale_volume(k, m, rng, samples):
@@ -509,10 +529,13 @@ def gram_alpha(k, m, rng, samples, complex_=False):
 
 
 def test_alpha_is_the_gram_formula_on_the_same_draws():
-    # cofactors of M against the Gram determinant, km <= 4
+    # cofactors of M against the Gram determinant, km <= 4; real (2, 2)
+    # takes the polar kernel instead
     for k, m in ((2, 2), (1, 3), (1, 4)):
         rng = RngStream(32, k * 10 + m)
         for route, complex_ in ((alpha_mc, False), (alpha_complex_mc, True)):
+            if (k, m) == (2, 2) and not complex_:
+                continue
             want = gram_alpha(k, m, rng, 40_000, complex_)
             got = route(k, m, rng, 40_000)
             assert math.isclose(got.value, want.value, rel_tol=1e-12)
