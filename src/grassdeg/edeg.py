@@ -105,10 +105,12 @@ def edeg_general(
     """edeg G(k, n) = |G(k,n)| N!/2^N |C(k, n-k)|, N = k(n-k), as an Estimate.
 
     Orthocomplement duality k -> n-k is applied first, so zonoid_quadrature
-    covers k = 2 and k = n-2; zonoid_vitale estimates |C| by determinant
-    Monte Carlo for any k(n-k) <= 36.  The value is a float up to N = 30
-    and a LogValue beyond, with stderr on the same scale: the panel
-    doubling of vol_C_quadrature_log, or the Vitale standard error.
+    covers k = 2 and k = n-2; zonoid_vitale estimates |C| for any
+    k(n-k) <= 36 as (rho_k rho_m)^N / N! times the Monte Carlo alpha(k, m),
+    with the radii of the Gaussian columns integrated exactly.  The value
+    is a float up to N = 30 and a LogValue beyond, with stderr on the same
+    scale: the panel doubling of vol_C_quadrature_log, or the Vitale
+    standard error.
     """
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")

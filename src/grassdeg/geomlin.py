@@ -5,11 +5,11 @@ representing points of G(k,n), the principal angles between two subspaces,
 and an RNG wrapper (SFC64 keyed by a SeedSequence) that makes every Monte
 Carlo run reproducible from (seed, stream_id).
 
-The batched helpers at the end (``small_det``, ``principal_cos2``,
-``singular_values``) serve the Monte Carlo kernels, which hold one tiny
-matrix per draw: up to 4x4 and for two-column frames they are elementwise
-closed forms, because per-matrix LAPACK calls cost more than the arithmetic.
-Above that size they call ``np.linalg``, which is also their test oracle.
+The batched helpers at the end (``small_det``, ``principal_cos2``) serve
+the Monte Carlo kernels, which hold one tiny matrix per draw: up to 4x4 and
+for two-column frames they are elementwise closed forms, because
+per-matrix LAPACK calls cost more than the arithmetic.  Above that size
+they call ``np.linalg``, which is also their test oracle.
 ``half_angle_sin_cos`` gives the kernels sin and cos from one tangent.
 ``g24_angles_from_heights`` gives the principal angles of a uniform 2-plane
 of R^4 from two uniforms, with no frame at all.
@@ -31,7 +31,6 @@ __all__ = [
     "small_det",
     "principal_cos2",
     "g24_angles_from_heights",
-    "singular_values",
 ]
 
 _ORTHO_TOL = 1e-12
@@ -300,30 +299,3 @@ def g24_angles_from_heights(heights, out=None):
     angles *= 0.5
     return angles
 
-
-def singular_values(x):
-    """Singular values of a stack of k x m matrices with k <= m, descending.
-
-    For k <= 2 the squares are the eigenvalues of x x^T = [[p, q], [q, r]]:
-    the larger from p + r and the discriminant (p - r)^2 + 4 q^2, the smaller
-    as det(x x^T) over it, with the determinant a sum of squared 2x2 minors.
-    Each matrix is scaled by its largest entry first, so no square
-    overflows.  k >= 3 calls ``np.linalg.svd``.
-    """
-    x = np.asarray(x, dtype=float)
-    k, m = x.shape[-2:]
-    if k > m:
-        raise ValueError("need k <= m")
-    if k >= 3:
-        return np.linalg.svd(x, compute_uv=False)
-    scale = np.abs(x).max(axis=(-2, -1))
-    scale = np.where(scale > 0.0, scale, 1.0)
-    y = x / scale[..., None, None]
-    if k == 1:
-        sv2 = (y[..., 0, :] ** 2).sum(axis=-1)[..., None]
-    else:
-        u, v = y[..., 0, :], y[..., 1, :]
-        p, q, r = (u * u).sum(axis=-1), (u * v).sum(axis=-1), (v * v).sum(axis=-1)
-        det = sum(m2 for _, _, m2 in _squared_minors(u, v))
-        sv2 = _roots_descending(1.0, p + r, det, (p - r) ** 2 + 4.0 * q * q)
-    return np.sqrt(sv2) * scale[..., None]

@@ -28,14 +28,12 @@ from .geomlin import (
     g24_angles_from_heights,
     half_angle_sin_cos,
     principal_cos2,
-    singular_values,
     small_det,
 )
 from .specfun import (
     elliptic_E,
     log_gamma,
     multivariate_gamma_log,
-    rho,
     vol_orthogonal_log,
     vol_sphere_log,
     vol_stiefel_log,
@@ -303,9 +301,11 @@ def run_kernel(kernel, rng, samples, workers=1, method="mc"):
 
 
 # ---------------------------------------------------------------------------
-# E|det M| over rank-one columns: M stacks the n = km vectorized products
-# vec(x_i y_i^T).  For Gaussian x_i, y_i it is n! |C(k, m)|, the Vitale
-# volume; for unit x_i, y_i it is alpha(k, m).
+# alpha(k, m) = E|det M| over unit x_i, y_i, where M stacks the n = km
+# vectorized products vec(x_i y_i^T).  Over Gaussian x_i, y_i the mean is
+# the Vitale volume n! |C(k, m)| = (rho_k rho_m)^n alpha(k, m): column i is
+# |x_i| |y_i| times a unit column, and the radii are independent of the
+# directions (zonoid.vol_C_vitale_mc).
 # ---------------------------------------------------------------------------
 
 # Working memory of one sub-batch of a rank-one determinant chunk above
@@ -319,8 +319,8 @@ def _vitale_rows(k, m, itemsize=8):
     A draw of n = km holds n(k + m) numbers of Gaussians and n^2 of matrix
     while its determinant is taken; the model adds 8 for the sign, log and
     result arrays.  A number takes ``itemsize`` bytes, 16 over C.  By
-    tracemalloc one chunk of any of the three routes then peaks at 7.3 to
-    9.0 MiB for km = 5 to 36.  Depends on (k, m) only, so the draws are the
+    tracemalloc one chunk, real or complex, then peaks at 7.3 to 9.0 MiB
+    for km = 5 to 36.  Depends on (k, m) only, so the draws are the
     same for every worker count.
     """
     n = k * m
@@ -357,8 +357,8 @@ def _polar_det(sin, cos, work):
     return total
 
 
-def _polar_kernel(scale):
-    """Kernel of ``scale`` |det W| at real (k, m) = (2, 2): 6 uniforms a draw.
+def _polar_kernel(gen, count):
+    """Kernel of |det M| over unit x_i, y_i at real (k, m) = (2, 2): 6 uniforms.
 
     For unit x = (cos a, sin a) and y = (cos b, sin b), the row
     vec(x y^T) is (c_u + c_v, s_v - s_u, s_v + s_u, c_u - c_v) / 2 with
@@ -370,40 +370,34 @@ def _polar_kernel(scale):
     so u_0 = v_0 = 0 and the draw is (u_i, v_i), i = 1..3: one (6, count)
     uniform draw per chunk.  The chunk computes in its thread's workspace.
     """
-    def kernel(gen, count):
-        with _workspace(18 * count) as buf:
-            sin, cos, work = buf.reshape(3, 6, count)
-            gen.random(out=sin)
-            sin *= math.pi  # half of the angle 2 pi r
-            half_angle_sin_cos(sin, out=(sin, cos), work=work)
-            det = _polar_det(sin, cos, work[:4])
-            good = det != 0.0
-            values = det[good]
-        np.abs(values, out=values)
-        values *= scale
-        return values, int(count - good.sum())
-
-    return kernel
+    with _workspace(18 * count) as buf:
+        sin, cos, work = buf.reshape(3, 6, count)
+        gen.random(out=sin)
+        sin *= math.pi  # half of the angle 2 pi r
+        half_angle_sin_cos(sin, out=(sin, cos), work=work)
+        det = _polar_det(sin, cos, work[:4])
+        good = det != 0.0
+        values = det[good]
+    np.abs(values, out=values)
+    values *= 0.25
+    return values, int(count - good.sum())
 
 
-def _rank_one_det_kernel(k, m, unit=False, complex_=False):
-    """Kernel of |det M| (over C, |det M|^2) for ``run_kernel``.
+def _rank_one_det_kernel(k, m, complex_=False):
+    """Kernel of |det M| (over C, |det M|^2) over unit x_i, y_i.
 
-    x_i and y_i are standard Gaussian in R^k and R^m, or in C^k and C^m
-    when ``complex_``, scaled to unit length when ``unit``.  At real
-    (k, m) = (2, 2) a draw is six uniform angles (``_polar_kernel``): the
-    value is |det M| / 4 over unit vectors, and for Gaussian ones its
-    radii are integrated exactly, E|det M| = rho_2^8 E|det M_unit| with
-    rho_2 = E|x| = sqrt(pi / 2).  Otherwise, up to km = 4 the determinant
-    is a cofactor expansion; above that it is taken in log magnitude so
-    large km cannot overflow, in sub-batches of ``_vitale_rows`` draws, so
-    a chunk's memory stays near ``_VITALE_BATCH_BYTES`` for any km.  There
-    a draw's Gaussians come off the generator as one samples-major row
-    (x_i then y_i for each i), so the sub-batches read the same numbers as
-    one draw of the whole chunk.  A complex number is two consecutive
-    Gaussians, its real and imaginary parts.  A draw is degenerate when
-    its determinant is exactly 0.  The values a chunk returns are new
-    arrays, so a caller may scale them in place.
+    x_i and y_i are uniform on the unit spheres of R^k and R^m, or of C^k
+    and C^m when ``complex_``: standard Gaussians scaled to unit length.  At
+    real (k, m) = (2, 2) a draw is six uniform angles instead
+    (``_polar_kernel``).  Otherwise, up to km = 4 the determinant is a
+    cofactor expansion; above that it is taken in log magnitude so large km
+    cannot overflow, in sub-batches of ``_vitale_rows`` draws, so a chunk's
+    memory stays near ``_VITALE_BATCH_BYTES`` for any km.  There a draw's
+    Gaussians come off the generator as one samples-major row (x_i then y_i
+    for each i), so the sub-batches read the same numbers as one draw of the
+    whole chunk.  A complex number is two consecutive Gaussians, its real
+    and imaginary parts.  A draw is degenerate when its determinant is
+    exactly 0.
     """
     if k < 1 or m < 1:
         raise ValueError("k and m must be >= 1")
@@ -411,27 +405,26 @@ def _rank_one_det_kernel(k, m, unit=False, complex_=False):
     if n > 36:
         raise ValueError("km > 36 not supported (cost and variance blow up)")
     if (k, m) == (2, 2) and not complex_:
-        return _polar_kernel(0.25 if unit else 0.25 * rho(2) ** 8)
+        return _polar_kernel
     dtype = np.dtype(complex if complex_ else float)
     parts = 2 if complex_ else 1  # Gaussians per number, and a draw's power
     batch = _vitale_rows(k, m, dtype.itemsize)
 
-    def gaussians(gen, count, *widths):
+    def directions(gen, count, *widths):
         # normalised as real parts before the complex view: same norm, and
         # no complex temporaries
         z = gen.standard_normal((count, n, parts * sum(widths)))
-        if unit:
-            stop = 0
-            for width in widths:
-                v = z[:, :, stop : stop + parts * width]
-                v /= np.linalg.norm(v, axis=2, keepdims=True)
-                stop += parts * width
+        stop = 0
+        for width in widths:
+            v = z[:, :, stop : stop + parts * width]
+            v /= np.linalg.norm(v, axis=2, keepdims=True)
+            stop += parts * width
         return z.view(dtype)
 
     def kernel(gen, count):
         if n <= 4:
-            x = gaussians(gen, count, k)
-            y = gaussians(gen, count, m)
+            x = directions(gen, count, k)
+            y = directions(gen, count, m)
             # entry (i, p*m + q) of every draw, x_ip * y_iq, as one
             # contiguous run over the draws: the products' inner loops and
             # the cofactor expansion then both stream along the draws
@@ -445,7 +438,7 @@ def _rank_one_det_kernel(k, m, unit=False, complex_=False):
         good = np.empty(count, dtype=bool)
         for start in range(0, count, batch):
             stop = min(start + batch, count)
-            sign, logab[start:stop] = log_dets(gaussians(gen, stop - start, k, m))
+            sign, logab[start:stop] = log_dets(directions(gen, stop - start, k, m))
             good[start:stop] = sign != 0
         return np.exp(parts * logab[good]), int(count - good.sum())
 
@@ -460,10 +453,11 @@ def _rank_one_det_kernel(k, m, unit=False, complex_=False):
 def alpha_mc(k, m, rng, samples, workers=1):
     """Estimate alpha(k, m) = E|det M| over unit x_i, y_i, for km <= 36.
 
-    At (k, m) = (2, 2) a draw is six uniform angles, not 16 Gaussians
-    (``_rank_one_det_kernel``).
+    M stacks the km products vec(x_i y_i^T); at (k, m) = (2, 2) a draw is
+    six uniform angles, not 16 Gaussians (``_rank_one_det_kernel``).
+    ``zonoid.vol_C_vitale_mc`` scales it to the Vitale volume.
     """
-    return run_kernel(_rank_one_det_kernel(k, m, unit=True), rng, samples,
+    return run_kernel(_rank_one_det_kernel(k, m), rng, samples,
                       workers=workers, method="alpha-mc")
 
 
@@ -482,8 +476,8 @@ def alpha_complex_mc(k, m, rng, samples, workers=1):
 
     E|det M|^2 over unit complex x_i, y_i, for km <= 36.
     """
-    return run_kernel(_rank_one_det_kernel(k, m, unit=True, complex_=True), rng,
-                      samples, workers=workers, method="alpha-complex-mc")
+    return run_kernel(_rank_one_det_kernel(k, m, complex_=True), rng, samples,
+                      workers=workers, method="alpha-complex-mc")
 
 
 # ---------------------------------------------------------------------------
@@ -1070,7 +1064,7 @@ def integration_formula_check(
     def kernel(gen, count):
         x = gen.standard_normal((count, 2, m))
         x /= np.linalg.norm(x, axis=(1, 2), keepdims=True)
-        sv = singular_values(x)
+        sv = np.linalg.svd(x, compute_uv=False)
         return f_of_sv(sv[:, 0], sv[:, 1]), 0
 
     sphere_area = vol_sphere_log(2 * m - 1).exp()

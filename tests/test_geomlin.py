@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
 from grassdeg.geomlin import (
@@ -12,7 +12,6 @@ from grassdeg.geomlin import (
     principal_angles,
     principal_cos2,
     sample_uniform_subspace,
-    singular_values,
     small_det,
 )
 
@@ -356,32 +355,3 @@ def test_principal_cos2_degenerate_frames_stay_finite():
         principal_cos2(e[:, :2], 0)
     with pytest.raises(ValueError):
         principal_cos2(np.ones((1, 2)), 1)  # two columns in R^1
-
-
-@given(
-    k=st.integers(min_value=1, max_value=2),
-    extra=st.integers(min_value=0, max_value=6),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    log_scale=st.floats(min_value=-300.0, max_value=300.0),
-)
-@example(k=2, extra=1, seed=0, log_scale=300.0)
-def test_singular_values_match_lapack(k, extra, seed, log_scale):
-    x = RngStream(seed, 0).standard_normal((3, k, k + extra))
-    x[2, 1 % k] = x[2, 0]  # rank one when k = 2
-    x *= 10.0**log_scale
-    fast = singular_values(x)
-    oracle = np.linalg.svd(x, compute_uv=False)
-    assert np.all(np.isfinite(fast))
-    top = oracle[:, :1]
-    assert np.all(np.abs(fast - oracle) <= 16.0 * EPS * top)
-
-
-def test_singular_values_of_zero_and_wide_stacks():
-    assert np.array_equal(singular_values(np.zeros((2, 5))), np.zeros(2))
-    # equal singular values: the discriminant is a sum of squares, so no sqrt(eps)
-    equal = singular_values(3.0 * np.eye(2, 3))
-    assert np.allclose(equal, [3.0, 3.0], rtol=0.0, atol=4.0 * EPS)
-    x = RngStream(10, 0).standard_normal((4, 3, 5))
-    assert np.array_equal(singular_values(x), np.linalg.svd(x, compute_uv=False))
-    with pytest.raises(ValueError):
-        singular_values(np.ones((3, 2)))

@@ -10,7 +10,7 @@ from scipy.special import elliprg
 from grassdeg import mc, zonoid
 from grassdeg.geomlin import RngStream, small_det
 from grassdeg.mc import CHUNK, alpha_complex_mc, alpha_mc, run_kernel
-from grassdeg.specfun import elliptic_E
+from grassdeg.specfun import elliptic_E, rho
 from grassdeg.zonoid import (
     RadialProfile2,
     build_radial_profile_2,
@@ -441,29 +441,82 @@ def test_vitale_volume_matches_quadrature(profile2):
         assert abs(est.value - ref) < 4.0 * est.stderr + 1e-12
 
 
-def broadcast_vitale_volume(k, m, rng, samples):
-    """The draw-major (count, n, k, m) row build of the cofactor path."""
+def rank_one_draws(k, m, gen, count):
+    """One chunk's Gaussian x_i, y_i, read as the rank-one kernel reads them.
+
+    Up to km = 4 all x_i, then all y_i; above, one samples-major row of x_i
+    and y_i per draw, which its sub-batches read in turn.
+    """
     n = k * m
+    if n <= 4:
+        return gen.standard_normal((count, n, k)), gen.standard_normal((count, n, m))
+    xy = gen.standard_normal((count, n, k + m))
+    return xy[:, :, :k], xy[:, :, k:]
+
+
+def rank_one_dets(x, y):
+    """det M of every draw from the raw vectors, rows vec(x_i y_i^T)."""
+    count, n, _ = x.shape
+    return small_det((x[:, :, :, None] * y[:, :, None, :]).reshape(count, n, n))
+
+
+def broadcast_alpha(k, m, rng, samples):
+    """alpha by the draw-major (count, n, k, m) row build, km <= 4."""
 
     def kernel(gen, count):
-        x = gen.standard_normal((count, n, k))
-        y = gen.standard_normal((count, n, m))
-        det = small_det((x[:, :, :, None] * y[:, :, None, :]).reshape(count, n, n))
+        x, y = rank_one_draws(k, m, gen, count)
+        x /= np.linalg.norm(x, axis=2, keepdims=True)
+        y /= np.linalg.norm(y, axis=2, keepdims=True)
+        det = rank_one_dets(x, y)
         good = det != 0.0
-        return np.abs(det[good]) / math.factorial(n), int(count - good.sum())
+        return np.abs(det[good]), int(count - good.sum())
 
-    return run_kernel(kernel, rng, samples, method="vitale-volume-mc")
+    return run_kernel(kernel, rng, samples, method="alpha-mc")
+
+
+def radius_constant(k, m):
+    """(rho_k rho_m)^(km) / (km)!: the Vitale volume over alpha."""
+    return (rho(k) * rho(m)) ** (k * m) / math.factorial(k * m)
 
 
 def test_vitale_volume_rows_match_the_broadcast_build():
-    # same products, same cofactor arithmetic: equal to the last bit; (2, 2)
-    # takes the polar kernel instead
+    # the volume's rows are alpha's; same products, same cofactor arithmetic:
+    # equal to the last bit; (2, 2) takes the polar kernel instead
     for k, m in ((1, 3), (1, 4)):
         rng = RngStream(31, k * 10 + m)
-        assert vol_C_vitale_mc(k, m, rng, 40_000) == broadcast_vitale_volume(
-            k, m, rng, 40_000)
+        assert alpha_mc(k, m, rng, 40_000) == broadcast_alpha(k, m, rng, 40_000)
     est = vol_C_vitale_mc(2, 2, RngStream(31, 0), 50_000)
-    assert (est.value, est.stderr) == (0.05847756555675961, 0.00023004390331032463)
+    assert (est.value, est.stderr) == (0.05847756555675962, 0.00023004390331032466)
+
+
+def test_vitale_volume_is_alpha_times_the_radius_constant():
+    for k, m in ((1, 3), (2, 2), (2, 3), (3, 3)):
+        rng = RngStream(38, k * 10 + m)
+        want = alpha_mc(k, m, rng, 20_000).scaled(radius_constant(k, m),
+                                                  method="vitale-volume-mc")
+        assert vol_C_vitale_mc(k, m, rng, 20_000) == want
+
+
+def test_unit_draws_times_the_radii_are_the_gaussian_determinants():
+    # column i of the Gaussian M is |x_i| |y_i| times the unit one, draw by
+    # draw: what lets the volume integrate the radii exactly
+    for k, m in ((1, 3), (1, 4), (2, 3), (3, 3)):
+        values, degenerate = mc._rank_one_det_kernel(k, m)(
+            RngStream(37, k * 10 + m).generator, CHUNK)
+        x, y = rank_one_draws(k, m, RngStream(37, k * 10 + m).generator, CHUNK)
+        radii = np.prod(np.linalg.norm(x, axis=2) * np.linalg.norm(y, axis=2), axis=1)
+        assert degenerate == 0
+        np.testing.assert_allclose(values * radii, np.abs(rank_one_dets(x, y)),
+                                   rtol=1e-10)
+
+
+def test_vitale_volume_33_matches_the_k3_radial_integral():
+    # log|C(3,3)| = -8.4113092 by the k = 3 radial integral over the normal
+    # (24 x 48 Gauss-Legendre nodes, agreeing with 32 x 64 to 2e-13)
+    est = vol_C_vitale_mc(3, 3, RngStream(39, 0), 200_000, workers=2)
+    ref = math.exp(-8.4113092)
+    assert est.stderr / est.value < 0.005
+    assert abs(est.value - ref) < 3.0 * est.stderr
 
 
 def test_polar_kernel_matches_quadrature():
@@ -477,25 +530,11 @@ def test_polar_kernel_matches_quadrature():
 
 
 def test_polar_kernel_takes_six_uniforms_per_draw():
-    for unit in (False, True):
-        gen = RngStream(36, 0).generator
-        mc._rank_one_det_kernel(2, 2, unit=unit)(gen, 1000)
-        after = RngStream(36, 0).generator
-        after.random(6 * 1000)
-        assert gen.random() == after.random()
-
-
-def whole_chunk_vitale_volume(k, m, rng, samples):
-    """The slogdet path without sub-batches: |det| of every draw of a chunk."""
-    n = k * m
-
-    def kernel(gen, count):
-        xy = gen.standard_normal((count, n, k + m))
-        det = np.linalg.det((xy[:, :, :k, None] * xy[:, :, None, k:]).reshape(-1, n, n))
-        good = det != 0.0
-        return np.abs(det[good]) / math.factorial(n), int(count - good.sum())
-
-    return run_kernel(kernel, rng, samples, method="vitale-volume-mc")
+    gen = RngStream(36, 0).generator
+    mc._rank_one_det_kernel(2, 2)(gen, 1000)
+    after = RngStream(36, 0).generator
+    after.random(6 * 1000)
+    assert gen.random() == after.random()
 
 
 def gram_alpha(k, m, rng, samples, complex_=False):
@@ -546,8 +585,7 @@ def test_alpha_is_the_gram_formula_on_the_same_draws():
 def test_vitale_volume_sub_batches_read_the_whole_chunk_draws(monkeypatch):
     for k, m in ((1, 5), (2, 3), (3, 3)):
         rng = RngStream(33, k * 10 + m)
-        pairs = [(vol_C_vitale_mc, whole_chunk_vitale_volume),
-                 (alpha_mc, gram_alpha),
+        pairs = [(alpha_mc, gram_alpha),
                  (alpha_complex_mc, lambda *a: gram_alpha(*a, complex_=True))]
         for route, oracle in pairs:
             want = oracle(k, m, rng, CHUNK + 5000)
