@@ -31,7 +31,7 @@ from .geomlin import (
     small_det,
 )
 from .specfun import (
-    elliptic_E,
+    _e_complement,
     log_gamma,
     multivariate_gamma_log,
     vol_orthogonal_log,
@@ -490,29 +490,30 @@ _TORUS_PREFACTOR = math.pi**6 / 128.0
 _TORUS_CONDITIONAL_PREFACTOR = (2.0 / math.pi) ** 2 * _TORUS_PREFACTOR
 
 
-def _torus_third_pair_mean(t, s, work=None):
+def _torus_third_pair_mean(sin, cos, work=None):
     """The torus integrand averaged over the third angle pair in closed form.
 
-    ``t`` and ``s`` have shape (2, ...): the first two angle pairs.  Row i
-    of the integrand's 3x3 matrix is r_i = (sin t_i sin s_i,
-    cos t_i sin s_i, sin t_i cos s_i); the determinant is
-    transpose-invariant, so rows and columns may swap.  With v = r1 x r2,
-    det3(r1, r2, r3) = A sin s3 + B cos s3, where A = v0 sin t3 + v1 cos t3
-    and B = v2 sin t3.  Its |.| averages over s3 to (2/pi) sqrt(A^2 + B^2),
-    a quadratic form in (sin t3, cos t3) whose eigenvalues lmax >= lmin
-    average its root over t3 to (2/pi) sqrt(lmax) E(1 - lmin/lmax).  Where
-    r1 and r2 are parallel, v = 0 and the value is 0.
+    ``sin`` and ``cos`` have shape (4, ...): the sines and cosines of the
+    first two angle pairs, in the order (t1, t2, s1, s2).  Row i of the
+    integrand's 3x3 matrix is r_i = (sin t_i sin s_i, cos t_i sin s_i,
+    sin t_i cos s_i); the determinant is transpose-invariant, so rows and
+    columns may swap.  With v = r1 x r2, det3(r1, r2, r3) = A sin s3 +
+    B cos s3, where A = v0 sin t3 + v1 cos t3 and B = v2 sin t3.  Its |.|
+    averages over s3 to (2/pi) sqrt(A^2 + B^2), a quadratic form in
+    (sin t3, cos t3) whose eigenvalues lmax >= lmin average its root over
+    t3 to (2/pi) sqrt(lmax) E(1 - x), x = lmin/lmax, E by Cephes' form in x
+    (``specfun._e_complement``).  Where r1 and r2 are parallel, v = 0 and
+    the value is 0.
 
-    Every step runs in place in the rows of ``work``, a (12, ...) array, or
-    of a new one, and the value is returned in one of its rows.  ``t`` and
-    ``s`` may be ``work[0:2]`` and ``work[2:4]``.
+    Every step runs in place in the rows of ``work``, a (12, ...) array, and
+    the value is returned in one of its rows.  A caller that passes
+    ``work`` passes ``work[0:4]`` and ``work[4:8]`` as ``sin`` and ``cos``;
+    without it they are copied into a new one.
     """
     if work is None:
-        work = np.empty((12,) + np.shape(t)[1:])
+        work = np.empty((12,) + np.shape(sin)[1:])
+        work[0:4], work[4:8] = sin, cos
     st1, st2, ss1, ss2, ct1, ct2, cs1, cs2, w0, w1, w2, w3 = work
-    np.multiply(t, 0.5, out=work[0:2])
-    np.multiply(s, 0.5, out=work[2:4])
-    half_angle_sin_cos(work[0:4], out=(work[0:4], work[4:8]), work=work[8:12])
     # r_i = (a_i, b_i, c_i)
     a1, a2 = np.multiply(st1, ss1, out=w0), np.multiply(st2, ss2, out=w1)
     b1, b2 = np.multiply(ct1, ss1, out=ct1), np.multiply(ct2, ss2, out=ct2)
@@ -542,9 +543,8 @@ def _torus_third_pair_mean(t, s, work=None):
     ratio = np.multiply(p1, p2, out=p1)  # lmin, then lmin / lmax
     ratio /= safe
     ratio /= safe
-    parameter = np.subtract(1.0, ratio, out=ratio)
-    np.maximum(parameter, 0.0, out=parameter)  # the ratio may round above 1
-    e = elliptic_E(parameter, work=(st1, st2, w0, w1, cs1))
+    np.minimum(ratio, 1.0, out=ratio)  # it may round above 1
+    e = _e_complement(ratio, (st1, st2))
     value = np.sqrt(lmax, out=lmax)
     value *= e
     value *= _TORUS_CONDITIONAL_PREFACTOR
@@ -638,37 +638,28 @@ def _lattice_plan(samples):
 
 
 @lru_cache(maxsize=4)
-def _lattice_block(n, a):
-    """The unshifted points 2 pi frac(k z / N), k < min(N, CHUNK), read-only.
+def _lattice_sin_cos(n, a):
+    """sin and cos of the unshifted points 2 pi frac(k z / N), k < min(N, CHUNK).
 
-    Shape (4, min(N, CHUNK)): at most 4 x CHUNK doubles, 512 KiB.
+    Shape (2, 4, min(N, CHUNK)), read-only: at most 8 x CHUNK doubles, 1 MiB.
     """
     z = np.array([pow(a, d, n) for d in range(4)], dtype=np.int64)
     k = np.arange(min(n, CHUNK), dtype=np.int64)
-    block = (k * z[:, None] % n) * (2.0 * math.pi / n)
+    angles = (k * z[:, None] % n) * (2.0 * math.pi / n)
+    block = np.stack([np.sin(angles), np.cos(angles)])
     block.flags.writeable = False
     return block
 
 
-def _lattice_angles(n, a, delta, k0, count, out=None):
-    """Angles 2 pi frac(k z / N + delta_i) at k0 <= k < k0 + count <= N.
-
-    ``delta`` holds one shift per row, shape (s, 4); the angles have shape
-    (4, s, count), in ``out`` if given.  Point k0 + k is
-    frac(k z / N) + frac(k0 z / N + delta) mod 1, so the cached block of
-    unshifted points plus one offset per shift, wrapped once, gives every
-    chunk; ``count`` <= CHUNK.
-    """
-    k0z = np.array([k0 * pow(a, d, n) % n for d in range(4)])
-    offset = (delta + k0z / n) % 1.0 * (2.0 * math.pi)
-    angles = np.add(_lattice_block(n, a)[:, None, :count], offset.T[:, :, None],
-                    out=out)
-    np.subtract(angles, 2.0 * math.pi, out=angles, where=angles >= 2.0 * math.pi)
-    return angles
-
-
 def _lattice_means(n, a, delta, workers=1):
     """Mean of the torus integrand over each shift ``delta`` of lattice (n, a).
+
+    Point k0 + k of shift i is the angle theta_k + phi_i, where theta_k =
+    2 pi frac(k z / N) is a point of the unshifted block and phi_i =
+    2 pi frac(k0 z / N + delta_i) one offset per shift and chunk.  A chunk
+    reads sin and cos of the block from the cache (``_lattice_sin_cos``)
+    and turns them into its rows by angle addition: sin(theta + phi) =
+    S cos phi + C sin phi and cos(theta + phi) = C cos phi - S sin phi.
 
     When N <= CHUNK a chunk holds the whole shifts nearest CHUNK points in
     number (at most 1.5 CHUNK points), else one of ceil(N / CHUNK) equal
@@ -689,10 +680,18 @@ def _lattice_means(n, a, delta, workers=1):
 
     def chunk_sums(index):
         i0, i1, k0, count = plan[index]
+        k0z = np.array([k0 * pow(a, d, n) % n for d in range(4)])
+        phase = ((delta[i0:i1] + k0z / n) % 1.0 * (2.0 * math.pi)).T[:, :, None]
+        sin_phase, cos_phase = np.sin(phase), np.cos(phase)
+        block_sin, block_cos = _lattice_sin_cos(n, a)[:, :, None, :count]
         with _workspace(12 * (i1 - i0) * count) as buf:
             work = buf.reshape(12, i1 - i0, count)
-            _lattice_angles(n, a, delta[i0:i1], k0, count, out=work[:4])
-            return _torus_third_pair_mean(work[0:2], work[2:4], work).sum(axis=1)
+            sin, cos, tmp = work[0:4], work[4:8], work[8:12]
+            np.multiply(block_sin, cos_phase, out=sin)
+            sin += np.multiply(block_cos, sin_phase, out=tmp)
+            np.multiply(block_cos, cos_phase, out=cos)
+            cos -= np.multiply(block_sin, sin_phase, out=tmp)
+            return _torus_third_pair_mean(sin, cos, work).sum(axis=1)
 
     sums = np.zeros(shifts)
     for (i0, i1, _, _), part in zip(plan, _map_chunks(chunk_sums, len(plan), workers)):
@@ -910,7 +909,7 @@ def _ordered_integral(pdf_sym, k, p):
 def _gof_expected(k, l, n, bins):
     """Exact bin probabilities on the ordered-angle region, by per-cell GL.
 
-    Cached and read-only, like ``_lattice_block``: it depends on
+    Cached and read-only, like ``_lattice_sin_cos``: it depends on
     (k, l, n, bins) only, and costs more than a small sampled check.
 
     For k = 1 each bin sums 8 Gauss-Legendre nodes.  For k = 2 a cell above

@@ -2,8 +2,8 @@
 
 Everything here is deterministic closed-form arithmetic: log-gamma (the C
 library's lgamma on x > 0), the multivariate gamma function, complete
-elliptic integrals by one elementwise AGM iteration (a number passes
-through it as a 0-d array), and the volumes that enter every
+elliptic integrals by Cephes' fixed-degree forms in 1 - s (a number passes
+through them as a 0-d array), and the volumes that enter every
 expected-degree formula.  Each volume is returned as a LogValue, its
 natural log, which stays finite far beyond the range where the value
 itself overflows a double; ``.exp()`` gives the value where it fits.
@@ -88,40 +88,68 @@ def rho(k):
     return math.exp(0.5 * math.log(2.0) + log_gamma((k + 1) / 2.0) - log_gamma(k / 2.0))
 
 
-# The AGM stops once c = (a - b)/2 is at most this fraction of a: the next
-# c is then ~c^2/(4a), below every digit of a and of the c^2 sum.  An
-# absolute test never fires where a and b settle one ulp apart.
-_AGM_RTOL = 1e-15
+# S. L. Moshier's Cephes ``ellpe``/``ellpk`` forms in the complementary
+# parameter x = 1 - s, highest degree first:
+#   E = P_E(x) - log(x) x Q_E(x),   K = P_K(x) - log(x) Q_K(x),
+# within about one ulp of E and K on all of [0, 1].
+_P_E = (1.53552577301013293365E-4, 2.50888492163602060990E-3,
+        8.68786816565889628429E-3, 1.07350949056076193403E-2,
+        7.77395492516787092951E-3, 7.58395289413514708519E-3,
+        1.15688436810574127319E-2, 2.18317996015557253103E-2,
+        5.68051945617860553470E-2, 4.43147180560990850618E-1,
+        1.00000000000000000299E0)
+_Q_E = (3.27954898576485872656E-5, 1.00962792679356715133E-3,
+        6.50609489976927491433E-3, 1.68862163993311317300E-2,
+        2.61769742454493659583E-2, 3.34833904888224918614E-2,
+        4.27180926518931511717E-2, 5.85936634471101055642E-2,
+        9.37499997197644278445E-2, 2.49999999999888314361E-1)
+_P_K = (1.37982864606273237150E-4, 2.28025724005875567385E-3,
+        7.97404013220415179367E-3, 9.85821379021226008714E-3,
+        6.87489687449949877925E-3, 6.18901033637687613229E-3,
+        8.79078273952743772254E-3, 1.49380448916805252718E-2,
+        3.08851465246711995998E-2, 9.65735902811690126535E-2,
+        1.38629436111989062502E0)
+_Q_K = (2.94078955048598507511E-5, 9.14184723865917226571E-4,
+        5.94058303753167793257E-3, 1.54850516649762399335E-2,
+        2.39089602715924892727E-2, 3.01204715227604046988E-2,
+        3.73774314173823228969E-2, 4.88280347570998239232E-2,
+        7.03124996963957469739E-2, 1.24999999999870820058E-1,
+        4.99999999999999999821E-1)
 
 
-def _agm_elliptic(s, work=None):
-    # One AGM sweep serving both integrals, elementwise over the array s:
-    # returns (K, E) with K = pi / (2 * agm(1, sqrt(1-s))) and
-    # E = K * (1 - sum_j 2^{j-1} c_j^2), c_0 = sqrt(s), c_j = (a-b)/2.
-    # The sweeps run until every element has met the stop.  Those an
-    # element runs after its own stop leave its a and csum as they were (a
-    # and b are then equal or an ulp apart, and pow2 * c^2 falls below
-    # csum's last bit), so each element gets the value a loop over it alone
-    # would return.
-    # The sweep runs in place in five arrays shaped like s: ``work``, or
-    # new ones; K and E come back in two of them.  s is last read where
-    # csum is first written, so it may be that last array.
-    a, b, c, t, csum = (np.empty_like(s) for _ in range(5)) if work is None else work
-    np.sqrt(np.subtract(1.0, s, out=b), out=b)
-    np.multiply(s, 0.5, out=csum)  # 2^{-1} * c_0^2
-    a.fill(1.0)
-    pow2 = 0.5
-    for _ in range(60):
-        np.multiply(np.subtract(a, b, out=c), 0.5, out=c)
-        np.multiply(np.add(a, b, out=t), 0.5, out=t)  # the next a
-        np.sqrt(np.multiply(b, a, out=b), out=b)
-        a, t = t, a
-        pow2 *= 2.0
-        csum += np.multiply(np.multiply(c, pow2, out=t), c, out=t)
-        if (c <= np.multiply(a, _AGM_RTOL, out=t)).all():
-            break
-    K = np.divide(math.pi, np.multiply(a, 2.0, out=t), out=t)
-    return K, np.multiply(np.subtract(1.0, csum, out=csum), K, out=csum)
+def _horner(coeffs, x, out):
+    """The polynomial ``coeffs`` (highest degree first) at x, into ``out``."""
+    np.multiply(x, coeffs[0], out=out)
+    for c in coeffs[1:-1]:
+        out += c
+        out *= x
+    out += coeffs[-1]
+    return out
+
+
+def _e_complement(x, rows):
+    """E(1 - x) for x in [0, 1], elementwise in the two arrays ``rows``.
+
+    Returned in rows[0].  log(0) counts as 0, so x = 0 gives E(1) =
+    P_E(0) = 1 and no divide warning.
+    """
+    e, t = rows
+    _horner(_Q_E, x, t)
+    t *= x
+    e.fill(0.0)
+    t *= np.log(x, out=e, where=x > 0.0)
+    return np.subtract(_horner(_P_E, x, e), t, out=e)
+
+
+def _k_complement(x, rows):
+    """K(1 - x) for x in (0, 1], elementwise in the two arrays ``rows``.
+
+    Returned in rows[0].
+    """
+    k, t = rows
+    _horner(_Q_K, x, t)
+    t *= np.log(x, out=k)
+    return np.subtract(_horner(_P_K, x, k), t, out=k)
 
 
 def _parameter(s, name, upper_closed):
@@ -143,19 +171,16 @@ def _like(s, value):
 def elliptic_E(s, work=None):
     """Complete elliptic integral E(s) = int_0^{pi/2} sqrt(1 - s sin^2 t) dt.
 
+    By Cephes' form P_E(x) - log(x) x Q_E(x) in x = 1 - s, within about an
+    ulp of E; at s = 1 the log term is 0 and E(1) = P_E(0) = 1.
     ``s`` is a number or an array; an array gives E elementwise.  For an
-    array, ``work`` may give five arrays shaped like it to compute in
+    array, ``work`` may give three arrays shaped like it to compute in
     instead of new ones; E is then returned in one of them.
     """
     x = _parameter(s, "elliptic_E", upper_closed=True)
-    one = x == 1.0  # K is infinite there; E(1) = 1
-    rows = [np.empty_like(x) for _ in range(5)] if work is None else work
-    z = rows[-1]  # the sweep reads its s before it writes this row
-    np.copyto(z, x)
-    np.copyto(z, 0.0, where=one)
-    e = _agm_elliptic(z, rows)[1]
-    np.copyto(e, 1.0, where=one)
-    return _like(s, e)
+    rows = [np.empty_like(x) for _ in range(3)] if work is None else work
+    complement = np.subtract(1.0, x, out=rows[0])
+    return _like(s, _e_complement(complement, rows[1:3]))
 
 
 def elliptic_K(s):
@@ -163,17 +188,19 @@ def elliptic_K(s):
 
     ``s`` is a number or an array; an array gives K elementwise.
     """
-    x = _parameter(s, "elliptic_K", upper_closed=False)
-    return _like(s, _agm_elliptic(x)[0])
+    x = 1.0 - _parameter(s, "elliptic_K", upper_closed=False)
+    return _like(s, _k_complement(x, (np.empty_like(x), np.empty_like(x))))
 
 
 def elliptic_KE(s):
-    """(K(s), E(s)) from one AGM sweep: each equals elliptic_K / elliptic_E.
+    """(K(s), E(s)), each equal to elliptic_K / elliptic_E.
 
     ``s`` is a number or an array; an array gives a pair of arrays.
     """
-    k, e = _agm_elliptic(_parameter(s, "elliptic_KE", upper_closed=False))
-    return _like(s, k), _like(s, e)
+    x = 1.0 - _parameter(s, "elliptic_KE", upper_closed=False)
+    rows = [np.empty_like(x) for _ in range(4)]
+    return (_like(s, _k_complement(x, rows[0:2])),
+            _like(s, _e_complement(x, rows[2:4])))
 
 
 # ---------------------------------------------------------------------------

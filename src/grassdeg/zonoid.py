@@ -128,7 +128,7 @@ def _e_and_ek_diff_over_s(s):
     second is stable down to s = 0, where it equals -pi/4.
 
     Near zero the difference E - K cancels catastrophically, so a power
-    series in s takes over below 1e-3.  One AGM sweep gives both integrals.
+    series in s takes over below 1e-3.
     """
     s = np.asarray(s)
     k, e = elliptic_KE(s)

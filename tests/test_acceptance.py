@@ -204,8 +204,9 @@ def test_criterion_08_bounds(criterion_log):
     ok = all(checks) and eps_ok and eps2_ok and elapsed <= 10.0
     _verdict(
         criterion_log, 8, ok, 10.0, elapsed,
-        f"edeg ≤ bound for (2,4), (2,5), (3,6) [latter {float(est36.value):.3f} vs "
-        f"{bound36:.3f}]; ε_k strictly decreasing on 2..50, ε_2 = {eps_seq[0]:.4f}",
+        f"edeg ≤ bound for (2,4), (2,5), (3,6) [latter {float(est36.value):.3f}"
+        f"±{est36.stderr:.3f} vs {bound36:.3f}]; ε_k strictly decreasing on 2..50, "
+        f"ε_2 = {eps_seq[0]:.4f}",
     )
 
 

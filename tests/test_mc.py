@@ -403,32 +403,91 @@ def test_korobov_table_entry_recomputes():
     assert sizes[0] == 37 and sizes[-1] == 1_048_583
 
 
-def test_lattice_integrates_fourier_modes_exactly():
+def _chunk_rows(n, a, delta, monkeypatch):
+    """The (sin, cos) rows that ``_lattice_means`` hands the integrand.
+
+    Each is (4, shifts, n); above CHUNK ``delta`` holds one shift, whose
+    slices are joined along the points.
+    """
+    seen = []
+
+    def record(sin, cos, work):
+        seen.append((sin.copy(), cos.copy()))
+        return np.zeros(sin.shape[1:])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mc, "_torus_third_pair_mean", record)
+        mc._lattice_means(n, a, delta)
+    axis = 1 if n <= CHUNK else 2
+    return (np.concatenate([sin for sin, _ in seen], axis=axis),
+            np.concatenate([cos for _, cos in seen], axis=axis))
+
+
+def _half_angle_lattice_means(n, a, delta):
+    """Shift means by explicit angles: 2 pi frac(k z / N + delta), wrapped
+    into [0, 2 pi), then sin and cos from the tangent of the half angle."""
+    z = np.array([pow(a, d, n) for d in range(4)])
+    k = np.arange(n)
+    sums = np.zeros(len(delta))
+    for start in range(0, n, CHUNK):
+        points = (k[start:start + CHUNK, None] * z % n / n)[None, :, :]
+        angles = ((points + delta[:, None, :]) % 1.0 * (2.0 * math.pi)).transpose(2, 0, 1)
+        sin, cos = half_angle_sin_cos(0.5 * angles)
+        sums += mc._torus_third_pair_mean(sin, cos).sum(axis=1)
+    return sums / n
+
+
+def test_lattice_integrates_fourier_modes_exactly(monkeypatch):
     # a shifted rank-1 rule averages exp(2 pi i h.x) to 0, the exact
     # integral, unless h.z = 0 mod N, where it gives exp(2 pi i h.delta);
-    # two slices exercise the offset of a chunk that starts at k0 > 0
-    n, a, _ = mc._KOROBOV[0]
-    z = np.array([pow(a, d, n) for d in range(4)])
-    delta = np.random.default_rng(8).random((3, 4))
-    angles = np.concatenate([mc._lattice_angles(n, a, delta, 0, 20),
-                             mc._lattice_angles(n, a, delta, 20, n - 20)], axis=2)
-    assert angles.shape == (4, 3, n)
-    assert angles.min() >= 0.0 and angles.max() < 2.0 * math.pi
-    h = np.array(list(itertools.product(range(-3, 4), repeat=4)))
-    h = h[np.any(h != 0, axis=1)]
-    mean = np.exp(1j * np.einsum("hd,dsk->hsk", h, angles)).mean(axis=2)
-    on_dual = h @ z % n == 0
-    assert 0 < on_dual.sum() < len(h)
-    assert np.abs(mean[~on_dual]).max() < 1e-13
-    assert np.abs(np.abs(mean[on_dual]) - 1.0).max() < 1e-13
+    # exp(i h.theta) is the product of (cos + i sin)^h_d of the chunk rows.
+    # The sliced lattice exercises the offset of a chunk that starts at k0 > 0.
+    for n, a, _ in (mc._KOROBOV[0], mc._KOROBOV[38]):
+        z = np.array([pow(a, d, n) for d in range(4)])
+        span = shifts = 3 if n <= CHUNK else 1
+        delta = np.random.default_rng(8).random((shifts, 4))
+        sin, cos = _chunk_rows(n, a, delta, monkeypatch)
+        assert sin.shape == cos.shape == (4, len(delta), n)
+        # on the unit circle to rounding; sin^2 + cos^2 - 1 itself rounds
+        # to 5.6e-16 on these points, by angle addition or half-angle tangent
+        assert np.abs(np.hypot(sin, cos) - 1.0).max() <= 4e-16
+        unit = cos + 1j * sin
+        powers = {h: unit**h for h in range(-span, span + 1)}
+        h = np.array(list(itertools.product(range(-span, span + 1), repeat=4)))
+        h = h[np.any(h != 0, axis=1)]
+        mean = np.array([np.prod([powers[hd][d] for d, hd in enumerate(row)], axis=0)
+                         .mean(axis=1) for row in h])
+        on_dual = h @ z % n == 0
+        assert np.abs(mean[~on_dual]).max() < 1e-13, n
+        if n <= CHUNK:
+            assert 0 < on_dual.sum() < len(h)
+            phase = np.exp(2j * math.pi * (h[on_dual] @ delta.T))
+            assert np.abs(mean[on_dual] - phase).max() < 1e-13
+
+
+def test_angle_addition_chunks_match_half_angle_chunks():
+    # the same lattice points and shifts through explicit angles: N = 8209
+    # holds two shifts per chunk, N = 23173 slices each shift in two
+    for n, a, _ in (mc._KOROBOV[32], mc._KOROBOV[38]):
+        assert n in (8209, 23173)
+        delta = np.random.default_rng(n).random((4, 4))
+        got = mc._lattice_means(n, a, delta)
+        want = _half_angle_lattice_means(n, a, delta)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_torus_integral_value_is_pinned():
+    # the value the half-angle path with the AGM's E gave on this stream
+    est = edeg24_integral(rng=RngStream(5, 1), samples=262_144)
+    assert math.isclose(est.value, 1.7262276046835674, rel_tol=1e-14)
 
 
 def plain_conditional_mc(rng, samples):
     """The conditional torus integrand at uniform draws of the four angles."""
 
     def kernel(gen, count):
-        t, s = gen.uniform(0.0, 2.0 * math.pi, (2, 2, count))
-        return mc._torus_third_pair_mean(t, s), 0
+        angles = gen.uniform(0.0, 2.0 * math.pi, (4, count))
+        return mc._torus_third_pair_mean(np.sin(angles), np.cos(angles)), 0
 
     return run_kernel(kernel, rng, samples)
 
@@ -483,10 +542,11 @@ def test_torus_conditional_value_is_the_mean_over_the_third_pair():
     # brute force: |det3| on a midpoint grid over (t3, s3); near-kinks in
     # t3 (a small eigenvalue) need the finer axis there
     t, s = np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, (2, 2, 6))
-    conditional = mc._torus_third_pair_mean(t, s)
-    work = np.empty((12, 6))  # the chunks' call: angles in the work rows
-    work[0:2], work[2:4] = t, s
-    in_place = mc._torus_third_pair_mean(work[0:2], work[2:4], work)
+    angles = np.concatenate([t, s])
+    conditional = mc._torus_third_pair_mean(np.sin(angles), np.cos(angles))
+    work = np.empty((12, 6))  # the chunks' call: sin and cos in the work rows
+    work[0:4], work[4:8] = np.sin(angles), np.cos(angles)
+    in_place = mc._torus_third_pair_mean(work[0:4], work[4:8], work)
     assert np.array_equal(in_place, conditional)
     nt, ns = 4096, 1024
     grid_t = (np.arange(nt) + 0.5) * (2.0 * math.pi / nt)
@@ -506,8 +566,9 @@ def test_torus_conditional_value_is_zero_for_parallel_rows():
     # equal pairs give r1 = r2; (0, 0) gives the zero row
     t = np.array([[0.3, 0.0, 1.0], [0.3, 2.0, 1.0 + 1e-9]])
     s = np.array([[1.1, 0.0, 2.0], [1.1, 0.7, 2.0]])
+    angles = np.concatenate([t, s])
     with np.errstate(all="raise"):
-        value = mc._torus_third_pair_mean(t, s)
+        value = mc._torus_third_pair_mean(np.sin(angles), np.cos(angles))
     assert value[0] == 0.0 and value[1] == 0.0
     assert 0.0 < value[2] < 1e-6
 
