@@ -11,4 +11,19 @@ tie them together.
 
 __version__ = "0.1.0"
 
-from . import specfun, geomlin, zonoid, mc, edeg, incidence  # noqa: F401
+import importlib
+
+# Each submodule loads on first access, so a cold command imports only the
+# modules it runs: a quadrature never loads the Monte Carlo engine.
+_SUBMODULES = ("specfun", "geomlin", "zonoid", "mc", "edeg", "incidence",
+               "estimate")
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SUBMODULES))

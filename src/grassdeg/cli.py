@@ -1,7 +1,6 @@
 """Command-line front end: reproducible runs with machine-readable reports."""
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -10,8 +9,8 @@ import time
 
 import numpy as np
 
-from . import __version__, edeg, incidence, mc, zonoid
-from .geomlin import RngStream
+from . import __version__, edeg, zonoid
+from .estimate import Estimate
 from .specfun import LogValue
 
 SCHEMA_VERSION = 1
@@ -24,7 +23,7 @@ def _exact(value, method, stderr=0.0, n_samples=0):
     ``stderr=None`` marks a number with no error estimate; it is reported
     as null.
     """
-    return mc.Estimate(value, stderr, n_samples, seed=0, method=method)
+    return Estimate(value, stderr, n_samples, seed=0, method=method)
 
 
 def _render(records, fmt, shared):
@@ -57,6 +56,8 @@ def _render(records, fmt, shared):
         payload = rows[0] if len(rows) == 1 else rows
         return json.dumps(payload, sort_keys=True, indent=2,
                           allow_nan=False) + "\n"
+    import csv
+
     base_cols = ["quantity", "value", "log_value", "stderr", "n_samples",
                  "degenerate_count", "seed", "method", "runtime_ms"]
     param_cols = sorted({k for row in rows for k in row["params"]})
@@ -165,7 +166,11 @@ def _parser():
 
 def _cmd_edeg(args):
     # only the Vitale route draws; a stream would load numpy.random for nothing
-    rng = RngStream(args.seed, 0) if args.method == "zonoid_vitale" else None
+    rng = None
+    if args.method == "zonoid_vitale":
+        from .geomlin import RngStream
+
+        rng = RngStream(args.seed, 0)
     est = edeg.edeg_general(
         args.k, args.n, method=args.method, rng=rng, samples=args.samples,
         quad_points=args.quad_points, workers=args.workers,
@@ -187,6 +192,9 @@ def _cmd_edeg_lines(args):
 
 
 def _cmd_alpha(args):
+    from . import mc
+    from .geomlin import RngStream
+
     est = mc.alpha_mc(args.k, args.m, RngStream(args.seed, 0), args.samples,
                       workers=args.workers)
     return [("alpha", {"k": args.k, "m": args.m, "samples": args.samples},
@@ -194,12 +202,18 @@ def _cmd_alpha(args):
 
 
 def _cmd_transversals(args):
+    from . import incidence
+    from .geomlin import RngStream
+
     est = incidence.edeg24_transversal_mc(
         RngStream(args.seed, 0), args.samples, workers=args.workers)
     return [("edeg24-transversal", {"samples": args.samples}, est)]
 
 
 def _cmd_rig(args):
+    from . import incidence
+    from .geomlin import RngStream
+
     try:
         r = tuple(int(x) for x in args.r.split(","))
     except ValueError:
@@ -223,6 +237,8 @@ def _cmd_zonoid_volume(args):
         # the volume underflows long before km is large; report its log
         return [("zonoid-volume", params,
                  edeg._on_scale(volume, args.k * args.m))]
+    from .geomlin import RngStream
+
     est = zonoid.vol_C_vitale_mc(args.k, args.m, RngStream(args.seed, 0),
                                  args.samples, workers=args.workers)
     params["samples"] = args.samples
@@ -230,6 +246,9 @@ def _cmd_zonoid_volume(args):
 
 
 def _cmd_density_check(args):
+    from . import mc
+    from .geomlin import RngStream
+
     dims = {"k": args.k, "l": args.l, "n": args.n}
     records = [("density-normalization", dims,
                 mc.density_normalization(args.k, args.l, args.n))]
@@ -244,6 +263,9 @@ def _cmd_density_check(args):
 
 
 def _cmd_schubert_ratio(args):
+    from . import mc
+    from .geomlin import RngStream
+
     exact = mc.schubert_ratio_exact(args.k, args.n)
     if not args.mc:
         return [("schubert-ratio", {"k": args.k, "n": args.n},
@@ -258,6 +280,9 @@ def _cmd_schubert_ratio(args):
 
 
 def _cmd_vitale(args):
+    from . import mc
+    from .geomlin import RngStream
+
     est = mc.vitale_check(args.d, RngStream(args.seed, 0), args.samples,
                           workers=args.workers)
     return [("vitale-moment",
@@ -334,6 +359,8 @@ def _check_mc_options(args):
     elif samples is not None and samples < 1:
         raise ValueError("samples must be >= 1")
     if args.command == "schubert-ratio":
+        from . import mc
+
         mc._check_schubert_window(
             args.eps, args.eps if args.delta is None else args.delta)
 

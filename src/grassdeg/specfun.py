@@ -252,24 +252,33 @@ def vol_unitary_log(k):
 
 
 def vol_grassmann_real_log(k, n):
-    """log volume of G(k, n) = |O(n)| / (|O(k)| |O(n-k)|)."""
+    """log volume of G(k, n) = |O(n)| / (|O(k)| |O(n-k)|).
+
+    With k the smaller of k and n - k, |O(n)| / |O(n-k)| is the product of
+    |S^(n-1-i)| over i < k: O(k) terms, and no cancellation between sums
+    of size n^2 log n.
+    """
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
+    k = min(k, n - k)
     return LogValue(
-        vol_orthogonal_log(n).log_magnitude
+        sum(vol_sphere_log(n - 1 - i).log_magnitude for i in range(k))
         - vol_orthogonal_log(k).log_magnitude
-        - vol_orthogonal_log(n - k).log_magnitude
     )
 
 
 def vol_grassmann_complex_log(k, n):
-    """log volume of the complex Grassmannian via unitary group quotients."""
+    """log volume of the complex Grassmannian |U(n)| / (|U(k)| |U(n-k)|).
+
+    As for the real one, with k the smaller side: |U(n)| / |U(n-k)| is the
+    product of |S^(2(n-i)-1)| over i < k.
+    """
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
+    k = min(k, n - k)
     return LogValue(
-        vol_unitary_log(n).log_magnitude
+        sum(vol_sphere_log(2 * (n - i) - 1).log_magnitude for i in range(k))
         - vol_unitary_log(k).log_magnitude
-        - vol_unitary_log(n - k).log_magnitude
     )
 
 

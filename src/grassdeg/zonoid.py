@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._quad import composite_gl_log
-from .mc import Estimate, alpha_mc
+from .estimate import Estimate
 from .specfun import (
     LogValue,
     elliptic_KE,
@@ -493,6 +493,8 @@ def vol_C_vitale_mc(k, m, rng, samples, workers=1):
     integrated exactly, and the estimate is ``mc.alpha_mc`` on the same
     draws times that constant over (km)!.
     """
+    from .mc import alpha_mc  # the engine loads only when a route draws
+
     if k < 1 or m < k:
         raise ValueError("need 1 <= k <= m")
     n = k * m

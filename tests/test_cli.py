@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -195,22 +196,47 @@ def test_quadrature_commands_never_import_scipy():
 
 
 def test_import_and_quadrature_leave_numpy_random_unloaded():
-    # numpy.random loads on first use, so a cold call that draws nothing
-    # does not pay for it
+    # A cold process imports only the modules its command runs: import
+    # grassdeg loads no submodule, and the quadrature commands load neither
+    # the Monte Carlo engine, its thread pool nor numpy.random.
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "import grassdeg\n"
+        "after_import = sorted(m for m in sys.modules\n"
+        "                      if m.startswith('grassdeg.'))\n"
         "from grassdeg.cli import run\n"
-        "assert 'numpy.random' not in sys.modules\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert run(['edeg', '--k', '2', '--n', '4']) == 0\n"
-        "print('numpy.random' in sys.modules)\n"
+        "argvs = (['edeg', '--k', '2', '--n', '4'],\n"
+        "         ['edeg', '--k', '2', '--n', '40'],\n"
+        "         ['edeg-lines', '--n', '17'],\n"
+        "         ['zonoid-volume', '--k', '2', '--m', '2'],\n"
+        "         ['bounds', '--k', '2', '--n', '40'])\n"
+        "for argv in argvs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert run(argv) == 0, argv\n"
+        "unused = ('grassdeg.mc', 'grassdeg.incidence', 'grassdeg.geomlin',\n"
+        "          'concurrent.futures', 'fractions', 'numpy.random')\n"
+        "loaded = [m for m in unused if m in sys.modules]\n"
+        "mc = grassdeg.mc\n"
+        "print(json.dumps({\n"
+        "    'after_import': after_import,\n"
+        "    'loaded': loaded,\n"
+        "    'mc_by_attribute': mc is sys.modules['grassdeg.mc'],\n"
+        "    'dir': dir(grassdeg),\n"
+        "    'estimate_reexported':\n"
+        "        mc.Estimate is sys.modules['grassdeg.estimate'].Estimate,\n"
+        "}))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "False"
+    seen = json.loads(proc.stdout)
+    assert seen["after_import"] == []
+    assert seen["loaded"] == []
+    assert seen["mc_by_attribute"]
+    assert {"specfun", "geomlin", "zonoid", "mc", "edeg",
+            "incidence"} <= set(seen["dir"])
+    assert seen["estimate_reexported"]
 
 
 def test_density_check_emits_two_records(capsys):
@@ -251,6 +277,22 @@ def test_bounds_switches_to_log_for_large_n(capsys):
     assert bound["log_value"] > 0.0
     eps = [r for r in recs if r["quantity"] == "epsilon-k"][0]
     assert math.isclose(eps["value"], 1.3029922589446408, rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("argv", [["bounds", "--k", "2", "--n", "100000000"],
+                                  ["edeg-lines", "--n", "100000000"]],
+                         ids=["bounds", "edeg-lines"])
+def test_huge_n_costs_no_more_than_small_n(argv):
+    # |G(k, n)| takes O(min(k, n-k)) terms, so a cold process at n = 10^8
+    # finishes as fast as one at n = 40
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "grassdeg.cli", *argv],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=20)
+    wall = time.perf_counter() - started
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert wall < 2.0
 
 
 def test_csv_output(tmp_path, capsys):

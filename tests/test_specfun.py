@@ -266,6 +266,21 @@ def test_log_variants_agree_with_direct():
     assert vol_grassmann_real_log(10, 200).log_magnitude < -700.0
 
 
+@pytest.mark.parametrize("volume, k, n, expect", [
+    (vol_grassmann_real_log, 2, 10**5, -867492.1651713902450076724),
+    (vol_grassmann_real_log, 2, 10**6, -10977617.36298284103133318),
+    (vol_grassmann_real_log, 3, 10**6, -16466418.3267628913671987),
+    (vol_grassmann_real_log, 10**6 - 3, 10**6, -16466418.3267628913671987),
+    (vol_grassmann_complex_log, 2, 10**6, -23341540.13000640840549368),
+    (vol_grassmann_complex_log, 3, 10**5, -2810419.231851548106433877),
+])
+def test_grassmann_log_volume_at_large_n(volume, k, n, expect):
+    # References from 40-digit mpmath (the product of sphere volumes over
+    # loggamma).  mpmath is not a dependency of grassdeg or of its tests,
+    # so the values are pinned here.
+    assert math.isclose(volume(k, n).log_magnitude, expect, rel_tol=1e-14)
+
+
 # ----------------------------------------------------- complex degree
 
 
