@@ -4,7 +4,9 @@ The average count of real lines meeting four random lines in projective
 3-space is about 1.7262.  This script computes it three ways that share
 no code path past the RNG:
 
-  1. brute force -- draw four lines, count their common transversals;
+  1. brute force -- draw four lines, count their common transversals, and
+     count them again for the mirror image of the draw (the second
+     point of lines 2 and 3 on S^2 negated), which has the same law;
   2. an integral over a flat torus (the kinematic route): the integrand's
      closed-form mean over one angle pair, averaged over the other four
      angles by a randomly shifted rank-1 lattice rule, whose shifts give

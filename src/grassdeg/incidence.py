@@ -64,7 +64,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .geomlin import Frame, half_angle_sin_cos
-from .mc import run_kernel
+from .mc import _integer, _workspace, run_kernel
 
 __all__ = [
     "PluckerLine",
@@ -172,18 +172,20 @@ def meet_pairing(p, q):
     return float(_polar(_as_vector(p), _as_vector(q)))
 
 
-def _count_from_pairings(x, y, z):
+def _count_from_pairings(x, y, z, work=None):
     """Transversal counts from x, y, z = m01 m23, m02 m13, m03 m12.
 
     x, y, z share one shape and are overwritten: the arithmetic runs in
     place, so beside the boolean results it allocates only two float arrays
-    of that shape.  Returns (counts, degenerate) of that shape, counts 0.0
-    or 2.0; degenerate configurations count 0.
+    of that shape, or none when ``work`` gives two such arrays instead.
+    Returns (counts, degenerate) of that shape, counts 0.0 or 2.0 in x;
+    degenerate configurations count 0.
     """
+    det, rest = (None, None) if work is None else work
     # det M = (x - y)^2 + z (z - 2 (x + y)), in the rounding of that formula
-    det = np.subtract(x, y)
+    det = np.subtract(x, y, out=det)
     det *= det
-    rest = np.add(x, y)
+    rest = np.add(x, y, out=rest)
     rest *= -2.0
     rest += z
     rest *= z
@@ -342,12 +344,106 @@ def _rig_rows(r):
     return max(1, _RIG_BATCH_BYTES // row_bytes)
 
 
+# Rows of CHUNK-sized arrays that one chunk of the transversal kernel takes
+# in mc._workspace (31 x 128 KiB = 3.9 MiB per thread): 16 for the lines, 8
+# per half, and 15 for the draws and then the pairings and the counts.
+_MIRROR_ROWS = 31
+
+
+def _dot(pairs, out, tmp):
+    """p0 q0 + p1 q1 + ... over ``pairs`` into ``out``, rounded left to right."""
+    (p, q), *rest = pairs
+    np.multiply(p, q, out=out)
+    for p, q in rest:
+        out += np.multiply(p, q, out=tmp)
+    return out
+
+
+def _mirror_counts(gen, count, buf):
+    """Counts of ``count`` four-line draws and of their mirror images.
+
+    Reads the rows of 10 uniforms that ``_random_lines(gen, count, 4)`` reads
+    and builds the same lines bit for bit, in ``buf`` of ``_MIRROR_ROWS *
+    count`` doubles; the columns of the draw are read where they lie, not
+    copied out first.  The mirror image negates b of lines 2 and 3.  With
+    A_ij = a_i.a_j and B_ij = b_i.b_j the draw pairs as m_ij = A_ij - B_ij,
+    each A_ij and B_ij formed once, and the mirror as A_ij + B_ij for the
+    pairs (0, 2), (0, 3), (1, 2), (1, 3); m01 and m23, so x = m01 m23, are
+    the same for both.  Returns (counts, degenerate, mirror_counts,
+    mirror_degenerate) as ``_count_from_pairings`` does; the counts alias
+    ``buf``.
+    """
+    rows = buf[:_MIRROR_ROWS * count].reshape(_MIRROR_ROWS, count)
+    lines, work = rows[:16].reshape(2, 8, count), rows[16:]
+    # per half, rows z1 z2 z3, x1 x2 x3, y2 y3; line 0 is (e_z, e_z), and
+    # line 1 has y = 0
+    coords = [(half[:3], half[3:6], half[6:]) for half in lines]
+    draws = work[:10].reshape(count, 10)
+    gen.random(out=draws)
+    cos, inv = work[10:12], work[12:14]
+    for (z, x, y), half in zip(coords, (draws[:, :5].T, draws[:, 5:].T)):
+        np.multiply(half[:3], 2.0, out=z)
+        z -= 1.0
+        rho = np.multiply(z, z, out=x)
+        np.subtract(1.0, rho, out=rho)
+        np.sqrt(rho, out=rho)  # x1; rho of lines 2 and 3 until scaled below
+        np.multiply(half[3:], math.pi, out=y)
+        half_angle_sin_cos(y, out=(y, cos), work=inv)
+        y *= rho[1:]
+        x[1:] *= cos
+
+    tmp = work[0]
+    a12, b12, a13, b13, a23, b23 = work[1:7]
+    for (z, x, y), (p12, p13, p23) in zip(coords, ((a12, a13, a23), (b12, b13, b23))):
+        _dot(((x[0], x[1]), (z[0], z[1])), p12, tmp)
+        _dot(((x[0], x[2]), (z[0], z[2])), p13, tmp)
+        _dot(((x[1], x[2]), (y[0], y[1]), (z[1], z[2])), p23, tmp)
+    (za, _, _), (zb, _, _) = coords
+    x, y, z, x_m, y_m, z_m = work[7:13]
+    np.subtract(za[0], zb[0], out=x)
+    x *= np.subtract(a23, b23, out=a23)
+    x_m[...] = x
+    np.subtract(za[1], zb[1], out=y)
+    y *= np.subtract(a13, b13, out=tmp)
+    np.subtract(za[2], zb[2], out=z)
+    z *= np.subtract(a12, b12, out=tmp)
+    np.add(za[1], zb[1], out=y_m)
+    y_m *= np.add(a13, b13, out=tmp)
+    np.add(za[2], zb[2], out=z_m)
+    z_m *= np.add(a12, b12, out=tmp)
+    counts, degenerate = _count_from_pairings(x, y, z, work[13:15])
+    return (counts, degenerate) + _count_from_pairings(x_m, y_m, z_m, work[13:15])
+
+
+def _transversal_kernel(gen, count):
+    """Pair means of ``_mirror_counts``, computed in the thread's workspace."""
+    with _workspace(_MIRROR_ROWS * count) as buf:
+        counts, degenerate, mirror, mirror_degenerate = _mirror_counts(gen, count, buf)
+        degenerate |= mirror_degenerate
+        counts += mirror
+        values = counts[~degenerate]
+    values *= 0.5
+    return values, int(degenerate.sum())
+
+
 def edeg24_transversal_mc(rng, samples, workers=1):
     """Mean transversal count over i.i.d. uniform 4-tuples of lines.
 
-    The rig estimator with one line in each union.
+    Each sample is the mean of two counts: the count for four lines drawn
+    in the canonical frame, and the count for their mirror image, the same
+    lines with the half b of lines 2 and 3 negated (``_mirror_counts``).
+    Each b_i is uniform on S^2 and independent of everything else, so -b_i
+    is too: the mirror image has exactly the law of the draw, and the mean
+    of the two counts is an unbiased estimate of edeg G(2, 4).  The two
+    counts are nearly uncorrelated, so the mean keeps about half of one
+    count's variance, for one more count from pairings already formed.
+
+    A sample is degenerate when either configuration is; it is left out of
+    the mean and counted in ``degenerate_count``.  ``stderr`` is the
+    standard error of the mean of the i.i.d. pair means.
     """
-    return _union_mc((1, 1, 1, 1), rng, samples, workers, "transversal-mc")
+    return run_kernel(_transversal_kernel, rng, samples, workers=workers,
+                      method="transversal-mc")
 
 
 def rig_union_of_lines_mc(r, rng, samples, workers=1):
@@ -357,16 +453,16 @@ def rig_union_of_lines_mc(r, rng, samples, workers=1):
     the transversal counts over all r_1 r_2 r_3 r_4 ways of picking one line
     from each union.  A degenerate pick marks the whole sample degenerate.
     """
-    r = tuple(int(x) for x in r)
+    r = tuple(_integer(x, "r") for x in r)
     if len(r) != 4 or any(x < 1 for x in r):
         raise ValueError("r must be four positive integers")
     if math.prod(r) > 1000:
         raise ValueError("r1*r2*r3*r4 must be <= 1000")
-    return _union_mc(r, rng, samples, workers, "rig-mc")
+    return _union_mc(r, rng, samples, workers)
 
 
-def _union_mc(r, rng, samples, workers, method):
-    """The chunked Monte Carlo behind both estimators.
+def _union_mc(r, rng, samples, workers):
+    """The chunked Monte Carlo of the rig estimator.
 
     A chunk is drawn and counted in sub-batches of ``_rig_rows(r)`` rows, so
     its memory stays near ``_RIG_BATCH_BYTES`` for any r.  Uniform draws come
@@ -386,4 +482,4 @@ def _union_mc(r, rng, samples, workers, method):
             bad[start:start + n] = degenerate.reshape(-1, n).any(axis=0)
         return totals[~bad], int(bad.sum())
 
-    return run_kernel(kernel, rng, samples, workers=workers, method=method)
+    return run_kernel(kernel, rng, samples, workers=workers, method="rig-mc")

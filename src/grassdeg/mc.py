@@ -10,6 +10,7 @@ count.
 """
 
 import math
+import operator
 import os
 import threading
 from collections import deque
@@ -141,13 +142,14 @@ def _pool(threads):
 # trims back to the system once enough of it is free; glibc moves both
 # thresholds up as large blocks are freed, so how much one call faulted
 # depended on what the calls before it had allocated.  The torus chunks,
-# the polar rank-one chunks and the moments of every chunk compute in
-# their thread's buffer instead.
+# the polar rank-one chunks, the transversal chunks and the moments of
+# every chunk compute in their thread's buffer instead.
 _WORKSPACES = threading.local()
-# the largest chunk need, the polar kernel's 18 rows of CHUNK (the torus
-# takes 12 rows of at most 1.5 CHUNK); larger requests get a new array, so
-# no thread keeps more than 2.25 MiB
-_WORKSPACE_DOUBLES = 18 * CHUNK
+# the largest chunk need, the transversal kernel's 31 rows of CHUNK
+# (incidence._MIRROR_ROWS; the polar kernel takes 18, the torus 12 rows of
+# at most 1.5 CHUNK); larger requests get a new array, so no thread keeps
+# more than 3.9 MiB
+_WORKSPACE_DOUBLES = 31 * CHUNK
 
 
 @contextmanager
@@ -174,8 +176,18 @@ def _workspace(size):
         local.busy = False
 
 
+def _integer(value, what):
+    """``value`` as an int; a float or a bool raises instead of truncating."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
 def _check_stream(rng, samples):
-    if samples < 1:
+    if _integer(samples, "samples") < 1:
         raise ValueError("samples must be >= 1")
     if not isinstance(rng, RngStream):
         raise TypeError("rng must be an RngStream")

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
-from grassdeg import incidence
+from grassdeg import incidence, mc
 from grassdeg.geomlin import RngStream, principal_angles, sample_uniform_subspace
 from grassdeg.incidence import (
     PluckerLine,
     TransversalCount,
     _count_batch,
     _half_pairing,
+    _MIRROR_ROWS,
     _minors_of_basis,
+    _mirror_counts,
     _pairing_block,
     _pick_counts,
     _polar,
@@ -42,8 +44,10 @@ def family_b(c, d):
 
 
 def b_plucker(c, d):
-    # exact unit Pluecker vector of family_b(c, d) when c^2 + d^2 = 1
-    return np.array([0.0, c * c, c * d, c * d, d * d, 0.0])
+    # exact unit Pluecker vector of family_b(c, d) when c^2 + d^2 = 1; arrays
+    # c, d give one vector per entry along a last axis
+    zero = np.zeros_like(c * d)
+    return np.stack([zero, c * c, c * d, c * d, d * d, zero], axis=-1)
 
 
 def svd_count_batch(pluckers, tol=1e-12):
@@ -250,31 +254,32 @@ def test_repeated_line_is_degenerate():
     assert oracle_of_four(*lines) == res
 
 
-def _ruling_scan_count(target, grid=4096):
-    """Independent count of ruling-B lines meeting `target`: sign changes of
-    the pairing along the full (pi-periodic) ruling circle."""
+def _ruling_scan_counts(targets, grid=4096):
+    """Independent count of ruling-B lines meeting each of ``targets``: sign
+    changes of the pairing along the full (pi-periodic) ruling circle.
+
+    targets: (m, 6) unit Pluecker vectors; one batch of m x grid pairings.
+    """
     ts = np.linspace(0.0, math.pi, grid, endpoint=False)
-    vals = np.array(
-        [meet_pairing(b_plucker(math.cos(t), math.sin(t)), target) for t in ts]
-    )
-    signs = np.sign(vals)
+    ruling = b_plucker(np.cos(ts), np.sin(ts))
+    ruling /= np.linalg.norm(ruling, axis=-1, keepdims=True)
+    signs = np.sign(_polar(ruling[None, :, :], np.asarray(targets)[:, None, :]))
     assert np.all(signs != 0.0), "scan hit an exact zero; re-seed the test"
-    flips = int(np.sum(signs != np.roll(signs, -1)))
-    return flips
+    return np.sum(signs != np.roll(signs, -1, axis=-1), axis=-1)
 
 
 def test_transversal_count_matches_ruling_scan():
     a_lines = [plucker_of(family_a(1.0, 0.0)),
                plucker_of(family_a(0.0, 1.0)),
                plucker_of(family_a(math.cos(0.9), math.sin(0.9)))]
+    probes = [plucker_of(RngStream(seed, 7).standard_normal((4, 2)))
+              for seed in range(120)]
+    expect = _ruling_scan_counts([probe.p for probe in probes])
     hits = {0: 0, 2: 0}
-    for seed in range(120):
-        M = RngStream(seed, 7).standard_normal((4, 2))
-        probe = plucker_of(M)
+    for seed, probe in enumerate(probes):
         res = transversals_of_four(*a_lines, probe)
         assert not res.degenerate
-        expect = _ruling_scan_count(probe)
-        assert res.count == expect, (seed, res.count, expect)
+        assert res.count == expect[seed], (seed, res.count, expect[seed])
         hits[res.count] += 1
     # both outcomes genuinely occur in this ensemble
     assert hits[0] > 10
@@ -313,7 +318,7 @@ def test_tangent_line_is_degenerate_and_its_tilts_split():
         tilted = plucker_of(np.column_stack([P + sign * delta * N, D]))
         res = transversals_of_four(*a_lines, tilted)
         assert not res.degenerate
-        assert res.count == _ruling_scan_count(tilted.p)
+        assert res.count == _ruling_scan_counts([tilted.p])[0]
         assert oracle_of_four(*a_lines, tilted) == res
         seen.add(res.count)
     assert seen == {0, 2}
@@ -396,6 +401,18 @@ def test_counts_match_svd_oracle_on_sampler_draws():
         plucker_counts, plucker_degenerate = _count_batch(pl)
         assert np.array_equal(plucker_counts, want_counts)
         assert np.array_equal(plucker_degenerate, want_degenerate)
+        # the transversal kernel reads the same uniforms: its draw counts as
+        # above, and its mirror image, b of lines 2 and 3 negated, as the
+        # SVD count of those lines
+        got = _mirror_counts(rng.substream(index).generator, CHUNK,
+                             np.empty(_MIRROR_ROWS * CHUNK))
+        assert np.array_equal(got[0], want_counts)
+        assert np.array_equal(got[1], want_degenerate)
+        lines[1, :, 2:] *= -1.0
+        mirror_counts, mirror_degenerate = svd_count_batch(unit_pluckers(lines))
+        assert np.array_equal(got[2], mirror_counts)
+        assert np.array_equal(got[3], mirror_degenerate)
+        assert not np.array_equal(mirror_counts, want_counts)
 
 
 def test_rig_pick_counts_match_svd_oracle():
@@ -463,9 +480,12 @@ class _FixedUniforms:
     def __init__(self, draws):
         self.draws = draws
 
-    def random(self, shape):
-        assert shape == self.draws.shape
-        return self.draws.copy()
+    def random(self, shape=None, out=None):
+        if out is None:
+            assert shape == self.draws.shape
+            return self.draws.copy()
+        out[...] = self.draws
+        return out
 
 
 def test_line_draw_is_finite_at_the_ends_of_the_uniforms():
@@ -527,13 +547,54 @@ def test_canonical_frame_keeps_pairings_counts_and_flags():
 # --------------------------------------------------------------- the MC
 
 
+def test_a_sample_is_degenerate_when_either_configuration_is():
+    # rows of 10 uniforms, per half the heights of lines 1 to 3, then the
+    # azimuths of lines 2 and 3: line 0 is (e_z, e_z), and line 2 is
+    # (-e_z, -e_z), the same line, in the first row; in the second it is
+    # (a_1, -b_1), whose mirror image is line 1; the third row is generic
+    draws = np.array([[0.3, 0.0, 0.6, 0.1, 0.7, 0.8, 0.0, 0.35, 0.2, 0.45],
+                      [0.3, 0.3, 0.6, 0.0, 0.7, 0.75, 0.25, 0.35, 0.5, 0.45],
+                      [0.3, 0.9, 0.6, 0.1, 0.7, 0.8, 0.15, 0.35, 0.2, 0.45]])
+    counts, degenerate, mirror, mirror_degenerate = _mirror_counts(
+        _FixedUniforms(draws), 3, np.empty(_MIRROR_ROWS * 3))
+    assert degenerate.tolist() == [True, False, False]
+    assert mirror_degenerate.tolist() == [False, True, False]
+    values, bad = incidence._transversal_kernel(_FixedUniforms(draws), 3)
+    assert bad == 2
+    assert values.tolist() == [(counts[2] + mirror[2]) / 2.0]
+
+
 def test_transversal_mc_reproducible_and_anchored():
     a = edeg24_transversal_mc(RngStream(54, 0), 200_000)
     b = edeg24_transversal_mc(RngStream(54, 0), 200_000, workers=8)
     assert a == b
     assert a.degenerate_count == 0
     assert abs(a.value - 1.726231248998883) < 4.0 * a.stderr
-    assert a.value == 1.72436  # what the SVD count gave on these draws
+    # the mean and standard error of the SVD count's pair means, drawn and
+    # mirrored, on these draws: 345333/200000
+    assert (a.value, a.stderr) == (1.726665, 0.0011030054269947451)
+
+
+def test_transversal_stderr_is_calibrated():
+    # the spread of the estimates over seeds is what their stderr says
+    z = np.array([(est.value - 1.726231248998883) / est.stderr
+                  for est in (edeg24_transversal_mc(RngStream(69, i), 20_000)
+                              for i in range(100))])
+    assert 0.8 <= np.std(z, ddof=1) <= 1.2
+    assert abs(z.mean()) < 0.3  # 3 sd of the mean of 100 z
+
+
+def test_transversal_chunk_computes_in_its_workspace():
+    assert _MIRROR_ROWS * CHUNK <= mc._WORKSPACE_DOUBLES
+    edeg24_transversal_mc(RngStream(70, 0), CHUNK)  # the buffer grows here
+    tracemalloc.start()
+    try:
+        edeg24_transversal_mc(RngStream(70, 1), CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the values and a few boolean rows, against 3.9 MiB of workspace
+    assert peak < 0.5 * 2**20, peak
 
 
 def test_rig_validation():
@@ -544,6 +605,14 @@ def test_rig_validation():
         rig_union_of_lines_mc((0, 1, 1, 1), r, 10)
     with pytest.raises(ValueError):
         rig_union_of_lines_mc((10, 10, 10, 2), r, 10)
+    # truncating would run these as r = (1, 1, 1, 1)
+    for bad in ((1.9, 1, 1, 1), (1, 1, 1, True)):
+        with pytest.raises(TypeError, match="r must be an integer"):
+            rig_union_of_lines_mc(bad, r, 10)
+    with pytest.raises(TypeError, match="samples must be an integer, got 10.0"):
+        rig_union_of_lines_mc((1, 1, 1, 1), r, 10.0)
+    with pytest.raises(TypeError, match="samples must be an integer"):
+        edeg24_transversal_mc(r, 1000.5)
 
 
 def test_rig_trivial_partition_matches_plain_transversals():

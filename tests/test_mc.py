@@ -217,6 +217,10 @@ def test_kernel_input_validation():
         run_kernel(_unit_kernel, RngStream(0, 0), 0)
     with pytest.raises(TypeError):
         run_kernel(_unit_kernel, np.random.default_rng(0), 100)
+    for samples in (1000.5, 100.0, True, None):
+        with pytest.raises(TypeError, match="samples must be an integer"):
+            run_kernel(_unit_kernel, RngStream(0, 0), samples)
+    assert run_kernel(_unit_kernel, RngStream(0, 0), np.int64(3)).n_samples == 3
     for workers in (0, -2):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             run_kernel(_unit_kernel, RngStream(0, 0), 100, workers=workers)
@@ -361,6 +365,8 @@ def test_integral_mode_validation():
         edeg24_integral(mode="trapezoid")
     with pytest.raises(ValueError):
         edeg24_integral(mode="mc")  # rng/samples missing
+    with pytest.raises(TypeError, match="samples must be an integer, got 1000.5"):
+        edeg24_integral(mode="mc", rng=RngStream(0, 0), samples=1000.5)
 
 
 def test_integral_mc_agrees_and_is_deterministic():
