@@ -452,23 +452,17 @@ def rig_union_of_lines_mc(r, rng, samples, workers=1):
     Per sample draws r_1 + r_2 + r_3 + r_4 independent uniform lines and sums
     the transversal counts over all r_1 r_2 r_3 r_4 ways of picking one line
     from each union.  A degenerate pick marks the whole sample degenerate.
-    """
-    r = tuple(_integer(x, "r") for x in r)
-    if len(r) != 4 or any(x < 1 for x in r):
-        raise ValueError("r must be four positive integers")
-    if math.prod(r) > 1000:
-        raise ValueError("r1*r2*r3*r4 must be <= 1000")
-    return _union_mc(r, rng, samples, workers)
-
-
-def _union_mc(r, rng, samples, workers):
-    """The chunked Monte Carlo of the rig estimator.
 
     A chunk is drawn and counted in sub-batches of ``_rig_rows(r)`` rows, so
     its memory stays near ``_RIG_BATCH_BYTES`` for any r.  Uniform draws come
     off the generator in sequence, so the sub-batches see the same numbers
     as one draw of the whole chunk.
     """
+    r = tuple(_integer(x, "r") for x in r)
+    if len(r) != 4 or any(x < 1 for x in r):
+        raise ValueError("r must be four positive integers")
+    if math.prod(r) > 1000:
+        raise ValueError("r1*r2*r3*r4 must be <= 1000")
     total_lines = sum(r)
     rows = _rig_rows(r)
 

@@ -168,19 +168,15 @@ def _like(s, value):
     return value if isinstance(s, np.ndarray) else float(value)
 
 
-def elliptic_E(s, work=None):
+def elliptic_E(s):
     """Complete elliptic integral E(s) = int_0^{pi/2} sqrt(1 - s sin^2 t) dt.
 
     By Cephes' form P_E(x) - log(x) x Q_E(x) in x = 1 - s, within about an
     ulp of E; at s = 1 the log term is 0 and E(1) = P_E(0) = 1.
-    ``s`` is a number or an array; an array gives E elementwise.  For an
-    array, ``work`` may give three arrays shaped like it to compute in
-    instead of new ones; E is then returned in one of them.
+    ``s`` is a number or an array; an array gives E elementwise.
     """
-    x = _parameter(s, "elliptic_E", upper_closed=True)
-    rows = [np.empty_like(x) for _ in range(3)] if work is None else work
-    complement = np.subtract(1.0, x, out=rows[0])
-    return _like(s, _e_complement(complement, rows[1:3]))
+    x = 1.0 - _parameter(s, "elliptic_E", upper_closed=True)
+    return _like(s, _e_complement(x, (np.empty_like(x), np.empty_like(x))))
 
 
 def elliptic_K(s):
@@ -192,15 +188,23 @@ def elliptic_K(s):
     return _like(s, _k_complement(x, (np.empty_like(x), np.empty_like(x))))
 
 
+def _ke_complement(x):
+    """(K(1 - x), E(1 - x)) for an array x in (0, 1], as two new arrays.
+
+    Reading the complement x itself keeps the relative accuracy of K and E
+    as x -> 0, where 1 - s would keep only the digits of s.
+    """
+    rows = [np.empty_like(x) for _ in range(4)]
+    return _k_complement(x, rows[0:2]), _e_complement(x, rows[2:4])
+
+
 def elliptic_KE(s):
     """(K(s), E(s)), each equal to elliptic_K / elliptic_E.
 
     ``s`` is a number or an array; an array gives a pair of arrays.
     """
-    x = 1.0 - _parameter(s, "elliptic_KE", upper_closed=False)
-    rows = [np.empty_like(x) for _ in range(4)]
-    return (_like(s, _k_complement(x, rows[0:2])),
-            _like(s, _e_complement(x, rows[2:4])))
+    k, e = _ke_complement(1.0 - _parameter(s, "elliptic_KE", upper_closed=False))
+    return _like(s, k), _like(s, e)
 
 
 # ---------------------------------------------------------------------------

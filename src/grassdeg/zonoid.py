@@ -10,9 +10,10 @@ used for expected-degree computations.
 h, its gradient and its Hessian are one-dimensional integrals for every k,
 evaluated by one fixed trapezoid rule to a few ulps, so the support data
 and the k >= 3 radial function (Newton on the convex dual problem) are
-deterministic.  The k = 2 radial function has no elementary closed form; it
-is built once per process as a RadialProfile2 (a monotone-cubic PCHIP
-interpolant of the gradient-map curve of h).
+deterministic.  For k = 2, grad h is closed-form in E and K, and the radial
+function has no elementary closed form but is exact all the same: a
+RadialProfile2, built once per process, inverts the gradient-map angle by
+Newton's method from a grid of its points.
 """
 
 import math
@@ -25,7 +26,7 @@ from ._quad import composite_gl_log
 from .estimate import Estimate
 from .specfun import (
     LogValue,
-    elliptic_KE,
+    _ke_complement,
     log_gamma,
     rho,
     vol_orthogonal_log,
@@ -47,9 +48,10 @@ __all__ = [
 
 _QUARTER_PI = math.pi / 4.0
 _HALF_PI = math.pi / 2.0
-_T_MIN = 1e-3  # gradient-map parameter kept away from the axes
+_T_MIN = 1e-3  # start of the uniform seed grid; a ramp grades it into the axis
 MAX_QUAD_POINTS = 256  # Gauss-Legendre nodes per panel of the radial integral
 MAX_GRID_SIZE = 65_536  # gradient-map grid of a profile: 16x the default's
+_SOLVE_STEPS = 50  # Newton steps of the k = 2 radial solve; 3 or 4 are taken
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +125,17 @@ def g_k(k, sigma):
 # ---------------------------------------------------------------------------
 
 
-def _e_and_ek_diff_over_s(s):
-    """(E(s), (E(s) - K(s)) / s) elementwise on an array s in [0, 1); the
-    second is stable down to s = 0, where it equals -pi/4.
+def _e_and_ek_diff_over_s(x):
+    """(E(s), (E(s) - K(s)) / s) elementwise at s = 1 - x, for an array x in
+    (0, 1]; the second is stable down to s = 0, where it equals -pi/4.
 
-    Near zero the difference E - K cancels catastrophically, so a power
-    series in s takes over below 1e-3.
+    K and E read x itself (specfun._ke_complement), so they keep their
+    relative accuracy as x -> 0.  Near s = 0 the difference E - K cancels
+    catastrophically, so a power series in s takes over below 1e-3.
     """
-    s = np.asarray(s)
-    k, e = elliptic_KE(s)
+    x = np.asarray(x)
+    k, e = _ke_complement(x)
+    s = 1.0 - x
     small = s < 1e-3
     with np.errstate(divide="ignore", invalid="ignore"):
         dd = np.asarray((e - k) / s)
@@ -160,7 +164,8 @@ def _ek_diff_series(s):
 def _grad_h2(sigma1, sigma2):
     """Analytic gradient of h(s1, s2) = g_2(s1, s2) / sqrt(2*pi), elementwise.
 
-    Valid for sigma1, sigma2 > 0.  Writing s = 1 - (min/max)^2, the partial
+    Valid for sigma1, sigma2 > 0 with min/max above 1e-154 (its square must
+    not underflow).  Writing x = (min/max)^2 and s = 1 - x, the partial
     derivatives combine E(s) with (E(s) - K(s))/s; both stay finite on the
     open quadrant.
     """
@@ -171,97 +176,84 @@ def _grad_h2(sigma1, sigma2):
     if np.any(b <= 0.0):
         raise ValueError("analytic gradient needs strictly positive entries")
     ratio = b / a
-    s = np.clip(1.0 - ratio * ratio, 0.0, 1.0 - 1e-15)
-    e, dd = _e_and_ek_diff_over_s(s)
-    d_major = (e + (1.0 - s) * dd) / math.pi
+    x = ratio * ratio
+    e, dd = _e_and_ek_diff_over_s(x)
+    d_major = (e + x * dd) / math.pi
     d_minor = -(ratio * dd) / math.pi
     return np.where(swap, d_minor, d_major), np.where(swap, d_major, d_minor)
 
 
 # ---------------------------------------------------------------------------
-# the k = 2 radial profile
+# the k = 2 radial function
 # ---------------------------------------------------------------------------
 
 
-def _pchip_slopes(x, y):
-    """Knot slopes of the PCHIP interpolant (Fritsch-Carlson, Moler's ends).
+def _gradient_map(phi):
+    """(theta, r, dtheta/dphi) of the gradient map of h at angles phi > 0.
 
-    Interior slopes are the weighted harmonic mean of the neighbouring
-    secants, or 0 where the secants change sign or one vanishes; each end
-    takes the one-sided three-point estimate, kept shape-preserving.  The
-    arithmetic follows scipy's PchipInterpolator step for step, so the
-    interpolant is bit-identical to it.
+    The boundary point of D(2) with outer normal tau = (cos phi, sin phi) is
+    grad h(tau) = h tau + h' tau_perp (h and h' = dh/dphi at phi): it lies at
+    angle theta = atan2(d_2 h, d_1 h) and radius r = |grad h|, and
+    dtheta/dphi = h (h + h'') / r^2.  Legendre's equation for E(s) turns
+    into h + h'' = 4 h' / sin(4 phi), so the slope needs nothing beyond the
+    gradient.  It falls from +inf at the axis to 1/2 at phi = pi/4, where h'
+    and sin(4 phi) both vanish and their quotient is rounding noise; the
+    floor at 1/2, its least value, keeps the computed slope in range.
     """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    d = np.zeros_like(y)
-    w1 = 2.0 * h[1:] + h[:-1]
-    w2 = h[1:] + 2.0 * h[:-1]
-    zero = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-    d[1:-1][~zero] = 1.0 / whmean[~zero]
-    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    return d
-
-
-def _pchip_end_slope(h0, h1, m0, m1):
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
+    c, s = np.cos(phi), np.sin(phi)
+    g1, g2 = _grad_h2(c, s)
+    h, dh = g1 * c + g2 * s, g2 * c - g1 * s
+    r = np.hypot(g1, g2)
+    slope = 4.0 * h * dh / (r * r * np.sin(4.0 * phi))
+    return np.arctan2(g2, g1), r, np.maximum(slope, 0.5)
 
 
 @dataclass
 class RadialProfile2:
-    """Radial function of D(2) on the fundamental arc theta in [0, pi/4].
+    """Exact radial function of D(2), seeded by points of its gradient map.
 
-    ``knots`` are (theta, r) pairs with strictly increasing theta; evaluation
-    outside the arc folds through the symmetry r(theta) = r(pi/2 - theta).
-    Between knots the radius is the PCHIP cubic, stored per cell as the
-    coefficients (c0, c1, c2, c3) of c0 s^3 + c1 s^2 + c2 s + c3 in the
-    offset s from the cell's left knot (the rows of a (4, cells) array).
-    Should the knots start above theta = 0, values below the first knot come
-    from an even-quadratic extension (the radial function is even in theta).
+    ``phi`` are increasing gradient-map parameters from 0 to pi/4, and
+    ``knots`` the (theta, r) points of the gradient map there
+    (_gradient_map), pinned to the closed forms (0, 1/pi) and
+    (pi/4, radius_R(2)) at the two ends.  radius(theta) folds theta into
+    the fundamental arc [0, pi/4] through r(theta) = r(pi/2 - theta) and
+    solves theta(phi) = theta by Newton's method, from the chord of the
+    knot cell that holds theta, until a step is below 1e-9 phi: the next
+    one would be below an ulp.  r = |grad h(cos phi, sin phi)| there,
+    whatever the grid.  The knot angles must come out strictly increasing
+    -- a non-monotone sequence means the gradient went wrong, and the
+    construction aborts with a diagnostic rather than seed the solve with
+    it.
     """
 
-    knots: list
+    phi: list
+    knots: list = field(init=False)
     _theta: np.ndarray = field(init=False, repr=False, compare=False)
-    _coef: np.ndarray = field(init=False, repr=False, compare=False)
+    _phi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.knots) < 4:
-            raise ValueError("need at least 4 knots")
-        theta = np.array([t for t, _ in self.knots], dtype=float)
-        r = np.array([v for _, v in self.knots], dtype=float)
-        if np.any(np.diff(theta) <= 0.0):
-            raise ValueError("knot angles must be strictly increasing")
-        if theta[0] < 0.0 or theta[-1] > _QUARTER_PI + 1e-12:
-            raise ValueError("knot angles must lie in [0, pi/4]")
-        if np.any(r <= 0.0):
-            raise ValueError("radial values must be positive")
-        r2 = radius_R(2)
-        if abs(r[-1] - r2) > 1e-8 or abs(theta[-1] - _QUARTER_PI) > 1e-8:
-            raise ValueError("profile must end at (pi/4, radius_R(2))")
-        if np.any(r > r2 + 1e-12):
-            raise ValueError("radial values must not exceed radius_R(2)")
-        if theta[0] == 0.0:
-            # r is even in theta; mirror a few knots across 0 so the
-            # interpolant's derivative there vanishes instead of following a
-            # one-sided estimate (the mirror cells are never evaluated).
-            theta = np.concatenate([-theta[3:0:-1], theta])
-            r = np.concatenate([r[3:0:-1], r])
-        d = _pchip_slopes(theta, r)
-        h = np.diff(theta)
-        secant = np.diff(r) / h
-        cubic = (d[:-1] + d[1:] - 2.0 * secant) / h
-        self._theta = theta
-        self._coef = np.stack(
-            [cubic / h, (secant - d[:-1]) / h - cubic, d[:-1], r[:-1]]
-        )
+        phi = np.array(self.phi, dtype=float)
+        if phi.ndim != 1 or phi.size < 2 or phi[0] != 0.0 or phi[-1] != _QUARTER_PI:
+            raise ValueError("phi must run from 0 to pi/4")
+        if np.any(np.diff(phi) <= 0.0):
+            raise ValueError("phi must be strictly increasing")
+        theta, r, _ = _gradient_map(phi[1:-1])
+        # the axis and orbit knots are closed forms: the boundary normal at
+        # theta = 0 is axis-aligned, so r(0) = h(e_1) = 1/pi, and
+        # grad h at phi = pi/4 is (1/4, 1/4)
+        theta = np.concatenate([[0.0], theta, [_QUARTER_PI]])
+        r = np.concatenate([[1.0 / math.pi], r, [radius_R(2)]])
+        diffs = np.diff(theta)
+        if np.any(diffs <= 0.0):
+            bad = int(np.argmax(diffs <= 0.0))
+            raise RuntimeError(
+                "gradient-map angle is not strictly increasing at knot "
+                f"{bad}: theta[{bad}]={theta[bad]:.6g}, "
+                f"theta[{bad + 1}]={theta[bad + 1]:.6g}; the gradient of h "
+                "looks inconsistent"
+            )
+        self.knots = list(zip(theta.tolist(), r.tolist()))
+        self._theta, self._phi = theta, phi
 
     def radius(self, theta):
         """Radial value at any angle in [0, pi/2] (scalar or array)."""
@@ -272,80 +264,55 @@ class RadialProfile2:
             raise ValueError("angle must lie in [0, pi/2]")
         np.clip(t, 0.0, _HALF_PI, out=t)
         t = np.where(t > _QUARTER_PI, _HALF_PI - t, t)  # fold the symmetric half
-        t0, r0 = self.knots[0]
-        t1, r1 = self.knots[1]
-        # below the first knot extend with an even quadratic a + b*theta^2:
-        # the radial function is symmetric in theta, so its slope at 0 is 0
-        curv = (r1 - r0) / (t1 * t1 - t0 * t0)
-        below = t < t0
-        out = np.empty_like(t)
-        out[below] = r0 + curv * (t[below] ** 2 - t0 * t0)
-        out[~below] = self._cubic(t[~below])
+        # r(0) = h(e_1) = 1/pi; r / (1/pi) - 1 ~ theta^2 / 2, so below
+        # theta = 1e-9 the radius is 1/pi to the last bit
+        out = np.full_like(t, 1.0 / math.pi)
+        solve = t > 1e-9
+        out[solve] = self._solve(t[solve])
         return float(out[0]) if scalar else out
 
-    def _cubic(self, t):
-        """The PCHIP cubic at angles t in [theta_0, pi/4]."""
-        cell = np.searchsorted(self._theta, t, side="right") - 1
-        np.minimum(cell, len(self._theta) - 2, out=cell)
-        s = t - self._theta[cell]
-        c0, c1, c2, c3 = self._coef.take(cell, axis=1)
-        # c3 + c2 s + c1 s^2 + c0 s^3 summed left to right: scipy PPoly's rounding
-        s2 = s * s
-        out = c2 * s
-        out += c3
-        out += c1 * s2
-        out += c0 * (s2 * s)
-        return out
+    def _solve(self, t):
+        """r at angles t in (0, pi/4] by Newton's method on theta(phi) = t.
+
+        theta(phi) is concave on (0, pi/4]: from the left of the root a
+        Newton step stays left of it, from the right it may overshoot to
+        the left.  Holding each step to at most halving phi keeps phi > 0.
+        """
+        cell = np.minimum(np.searchsorted(self._theta, t, side="right"),
+                          self._theta.size - 1)
+        t0, t1 = self._theta[cell - 1], self._theta[cell]
+        p0, p1 = self._phi[cell - 1], self._phi[cell]
+        phi = p0 + (p1 - p0) * ((t - t0) / (t1 - t0))
+        for _ in range(_SOLVE_STEPS):
+            theta, _, slope = _gradient_map(phi)
+            step = (theta - t) / slope
+            phi = np.maximum(phi - step, 0.5 * phi)
+            if np.all(np.abs(step) <= 1e-9 * phi):
+                return _gradient_map(phi)[1]
+        raise RuntimeError(
+            f"radial solve not converged after {_SOLVE_STEPS} Newton steps "
+            f"(largest step {np.max(np.abs(step)):.2e})")
 
 
 def build_radial_profile_2(grid_size):
-    """Construct the D(2) radial profile from the gradient map of h.
+    """Construct the seeds of the D(2) radial function: the gradient map of h.
 
-    Evaluates gamma(t) = grad h(cos t, sin t) on an odd grid over
-    [t_min, pi/2 - t_min] in one array pass; each point gives the knot
-    (atan2(gamma_2, gamma_1), |gamma|), and the knots before the first angle
-    past pi/4 form the profile.  The angle sequence must come out strictly
-    increasing -- a non-monotone sequence means the gradient went wrong, and
-    the build aborts with a diagnostic rather than emit a corrupt
-    interpolant.  grid_size lies in [64, MAX_GRID_SIZE].
+    Places grid_size // 2 + 1 uniform parameters on [t_min, pi/4], after a
+    graded ramp into the axis, and evaluates the gradient map
+    gamma(t) = grad h(cos t, sin t) there in one array pass
+    (RadialProfile2); each gives the knot (atan2(gamma_2, gamma_1),
+    |gamma|), and the build aborts if their angles do not increase.
+    grid_size lies in [64, MAX_GRID_SIZE].
     """
     if not 64 <= grid_size <= MAX_GRID_SIZE:
         raise ValueError(
             f"grid_size must be in [64, {MAX_GRID_SIZE}], got {grid_size!r}"
         )
-    count = grid_size + 1 if grid_size % 2 == 0 else grid_size  # pi/4 on-grid
-    ts = np.linspace(_T_MIN, _HALF_PI - _T_MIN, count)
-    # graded ramp into the axis: the gradient map expands angles there (the
-    # first uniform step would leave a wide knot-free cell next to theta = 0)
+    # graded ramp into the axis: the gradient map expands angles there, and
+    # the ramp keeps the chord seeds of small angles close to their roots
     ramp = _T_MIN * 2.0 ** (-0.5 * np.arange(20, 0, -1))
-    ts = np.concatenate([ramp, ts])
-
-    g1, g2 = _grad_h2(np.cos(ts), np.sin(ts))
-    theta = np.arctan2(g2, g1)
-    # past the fundamental arc symmetry covers the rest
-    past = theta > _QUARTER_PI + 1e-12
-    end = int(np.argmax(past)) if past.any() else len(ts)
-    # The axis value is known in closed form: the boundary normal at theta=0
-    # is axis-aligned, so r(0) = h(e_1) = rho_1 / sqrt(2 pi) = 1/pi.
-    theta = np.concatenate([[0.0], theta[:end]])
-    r = np.concatenate([[1.0 / math.pi], np.hypot(g1[:end], g2[:end])])
-
-    diffs = np.diff(theta)
-    if np.any(diffs <= 0.0):
-        bad = int(np.argmax(diffs <= 0.0))
-        raise RuntimeError(
-            "gradient-map angle is not strictly increasing at knot "
-            f"{bad}: theta[{bad}]={theta[bad]:.6g}, "
-            f"theta[{bad + 1}]={theta[bad + 1]:.6g}; the gradient of h "
-            "looks inconsistent"
-        )
-    knots = list(zip(theta.tolist(), r.tolist()))
-    # pin the endpoint exactly: gamma(pi/4) = (1/4, 1/4)
-    if abs(knots[-1][0] - _QUARTER_PI) < 1e-9:
-        knots[-1] = (_QUARTER_PI, radius_R(2))
-    else:
-        knots.append((_QUARTER_PI, radius_R(2)))
-    return RadialProfile2(knots=knots)
+    ts = np.linspace(_T_MIN, _QUARTER_PI, grid_size // 2 + 1)
+    return RadialProfile2(phi=np.concatenate([[0.0], ramp, ts]).tolist())
 
 
 _DEFAULT_PROFILE = None
@@ -445,7 +412,8 @@ def vol_C_quadrature_log(m, profile, quad_points=32):
     nodes per panel, on 16 and on 32 panels.  Returns an Estimate whose
     value is the LogValue of the 32-panel volume and whose stderr is
     |log I_32 - log I_16|; that panel-doubling difference is the error of
-    every quadrature route in the package.
+    every quadrature route in the package.  Where the two agree to the last
+    bits the stderr is held at rounding, 4 ulps of max(1, |log vol|).
     """
     _check_vol_c_args(m, profile)
     if not 1 <= quad_points <= MAX_QUAD_POINTS:
@@ -475,8 +443,10 @@ def vol_C_quadrature_log(m, profile, quad_points=32):
             f"{log_error:.2e}; raise quad_points",
             stacklevel=2,
         )
-    return Estimate(value=LogValue(_log_vol_C_prefactor(m) + fine),
-                    stderr=log_error, n_samples=0, seed=0, method="quadrature")
+    log_vol = _log_vol_C_prefactor(m) + fine
+    rounding = 4.0 * math.ulp(max(1.0, abs(log_vol)))
+    return Estimate(value=LogValue(log_vol), stderr=max(log_error, rounding),
+                    n_samples=0, seed=0, method="quadrature")
 
 
 def vol_C_quadrature(m, profile, quad_points=32):
@@ -497,10 +467,11 @@ def vol_C_vitale_mc(k, m, rng, samples, workers=1):
 
     if k < 1 or m < k:
         raise ValueError("need 1 <= k <= m")
+    # alpha_mc refuses km > 36 before drawing, where the scale may overflow
+    alpha = alpha_mc(k, m, rng, samples, workers)
     n = k * m
-    scale = (rho(k) * rho(m)) ** n / math.factorial(n)
-    return alpha_mc(k, m, rng, samples, workers).scaled(
-        scale, method="vitale-volume-mc")
+    return alpha.scaled((rho(k) * rho(m)) ** n / math.factorial(n),
+                        method="vitale-volume-mc")
 
 
 def vol_ball(k, m):

@@ -358,13 +358,18 @@ def test_quadrature_route_names_the_smaller_dimension(capsys):
 
 
 def test_vitale_route_above_the_km_cap_exits_1(capsys):
-    # N = 6 * 7 = 42 > 36: the rank-one kernel refuses it before drawing
-    code, out, err = invoke(capsys, "edeg", "--k", "6", "--n", "13",
-                            "--method", "zonoid_vitale", "--samples", "100")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("grassdeg: ") and "km > 36" in err
-    assert "Traceback" not in err
+    # N = 6 * 7 = 42 > 36: the rank-one kernel refuses it before drawing;
+    # at N = 1296 and 400 the volume's scale (rho_k rho_m)^N would overflow
+    for argv in (("edeg", "--k", "6", "--n", "13", "--method", "zonoid_vitale",
+                  "--samples", "100"),
+                 ("edeg", "--k", "36", "--n", "72", "--method", "zonoid_vitale",
+                  "--samples", "10"),
+                 ("zonoid-volume", "--k", "20", "--m", "20", "--method", "vitale")):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("grassdeg: ") and "km > 36" in err, err
+        assert "Traceback" not in err
 
 
 def test_quad_points_out_of_range_exit_1(capsys):

@@ -3,8 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
-from scipy.interpolate import PchipInterpolator
+from hypothesis import given, strategies as st
 from scipy.special import elliprg
 
 from grassdeg import mc, zonoid
@@ -170,6 +169,18 @@ def test_integral_gradient_matches_the_analytic_k2_gradient():
     assert np.max(np.abs(integral - analytic)) < 1e-13
 
 
+def test_analytic_gradient_keeps_its_digits_near_the_axes():
+    # E and K read the complement x = (min/max)^2 itself: 1 - s would keep
+    # only the digits of s, and none of x below 1e-16
+    near = np.geomspace(1e-9, 1e-2, 15)
+    for t in (near, math.pi / 2.0 - near):
+        c, s = np.cos(t), np.sin(t)
+        analytic = np.stack(zonoid._grad_h2(c, s), axis=1)
+        integral = np.array([zonoid._support_data(np.array(p))[1]
+                             for p in zip(c, s)])
+        np.testing.assert_allclose(analytic, integral, rtol=4e-15, atol=0.0)
+
+
 def test_support_hessian_matches_gradient_differences():
     tau = np.array([0.8, 0.5, 0.3, 1e-3])
     value, grad, hess = zonoid._support_data(tau)
@@ -229,72 +240,56 @@ def test_axis_value_matches_closed_form(profile2):
     assert math.isclose(profile2.radius(0.0), 1.0 / math.pi, rel_tol=1e-12)
 
 
-def scipy_pchip(knots):
-    """scipy's PCHIP on the knots a RadialProfile2 interpolates (the oracle)."""
-    theta = np.array([t for t, _ in knots])
-    r = np.array([v for _, v in knots])
-    if theta[0] == 0.0:  # the profile's mirror across theta = 0
-        theta = np.concatenate([-theta[3:0:-1], theta])
-        r = np.concatenate([r[3:0:-1], r])
-    return PchipInterpolator(theta, r, extrapolate=False)
+def test_radius_agrees_across_profile_grids():
+    # the grid only seeds the solve: r is the same, to rounding, at every
+    # size, down to the two closed-form knots alone
+    ts = np.array([1e-9, 1e-7, 1e-4, 0.01, 0.2, math.pi / 8.0, 0.7,
+                   QUARTER_PI - 1e-6, QUARTER_PI])
+    ends = RadialProfile2(phi=[0.0, QUARTER_PI])
+    radii = [build_radial_profile_2(g).radius(ts)
+             for g in (64, 4096, zonoid.MAX_GRID_SIZE)] + [ends.radius(ts)]
+    for other in radii[1:]:
+        np.testing.assert_allclose(other, radii[0], rtol=1e-15, atol=0.0)
+    oracle = [radial_duality_2([math.cos(t), math.sin(t)]) for t in ts]
+    np.testing.assert_allclose(radii[0], oracle, rtol=1e-14, atol=0.0)
 
 
-def test_default_profile_is_bit_identical_to_scipy_pchip(profile2):
-    knots = np.array([t for t, _ in profile2.knots])
-    ts = np.concatenate([np.linspace(0.0, math.pi / 2.0, 100_001), knots,
-                         math.pi / 2.0 - knots])
-    folded = np.where(ts > QUARTER_PI, math.pi / 2.0 - ts, ts)
-    assert np.array_equal(profile2.radius(ts), scipy_pchip(profile2.knots)(folded))
+def test_gradient_map_slope_is_the_derivative_of_its_angle():
+    phi = np.linspace(0.01, QUARTER_PI - 0.01, 50)
+    step = 1e-6
+    numeric = (zonoid._gradient_map(phi + step)[0]
+               - zonoid._gradient_map(phi - step)[0]) / (2.0 * step)
+    np.testing.assert_allclose(zonoid._gradient_map(phi)[2], numeric, rtol=1e-8)
+    # within ulps of pi/4 h' / sin(4 phi) is rounding noise, of either
+    # sign: the slope is held at or above its least value, 1/2
+    slope = zonoid._gradient_map(QUARTER_PI + np.arange(-2000, 2001) * 2.0**-53)[2]
+    assert np.all(np.isfinite(slope)) and slope.min() == 0.5
 
 
-R2 = radius_R(2)
-radii = st.one_of(st.sampled_from([0.12, 0.2, 0.3, 0.34, R2]),
-                  st.floats(min_value=0.05, max_value=R2))
-
-
-@st.composite
-def knot_sets(draw):
-    """Valid profile knots: monotone, non-monotone or with flat cells."""
-    count = draw(st.integers(min_value=4, max_value=12))
-    widths = draw(st.lists(st.floats(min_value=0.05, max_value=1.0),
-                           min_size=count - 1, max_size=count - 1))
-    start = draw(st.sampled_from([0.0, 0.05, 0.3]))
-    theta = start + (QUARTER_PI - start) * np.cumsum([0.0] + widths) / sum(widths)
-    theta[-1] = QUARTER_PI
-    r = draw(st.lists(radii, min_size=count - 1, max_size=count - 1)) + [R2]
-    return [(float(t), float(v)) for t, v in zip(theta, r)]
-
-
-# the right end slope flips sign and is zeroed; the left end overshoots
-# three secants and is capped (the two branches of _pchip_end_slope)
-ZEROED_END = [(0.1, 0.2), (0.3, 0.21), (0.5, 0.35), (QUARTER_PI, R2)]
-CAPPED_END = [(0.1, 0.2), (0.4, 0.3), (0.41, 0.25), (QUARTER_PI, R2)]
-
-
-@given(knot_sets())
-@example(ZEROED_END)
-@example(CAPPED_END)
-def test_profile_matches_scipy_pchip_on_random_knots(knots):
-    profile = RadialProfile2(knots=knots)
-    theta = np.array([t for t, _ in knots])
-    ts = np.concatenate([theta, 0.5 * (theta[:-1] + theta[1:]),
-                         np.linspace(theta[0], QUARTER_PI, 257)])
-    np.testing.assert_allclose(profile.radius(ts), scipy_pchip(knots)(ts),
-                               rtol=1e-13, atol=0.0)
+def test_radius_solve_failure_is_a_runtime_error(monkeypatch):
+    # a constant gradient puts every boundary point at theta = pi/4
+    profile = build_radial_profile_2(64)
+    monkeypatch.setattr(zonoid, "_grad_h2",
+                        lambda c, s: (np.ones_like(c), np.ones_like(c)))
+    with pytest.raises(RuntimeError, match="radial solve not converged"):
+        profile.radius(0.3)
 
 
 def test_profile_validation():
-    R2 = radius_R(2)
-    with pytest.raises(ValueError):
-        RadialProfile2(knots=[(0.1, 0.32), (0.2, 0.33)])  # too few
-    with pytest.raises(ValueError):
-        RadialProfile2(  # not increasing
-            knots=[(0.3, 0.33), (0.2, 0.34), (0.5, 0.35), (math.pi / 4, R2)]
-        )
-    with pytest.raises(ValueError):
-        RadialProfile2(  # wrong endpoint
-            knots=[(0.1, 0.32), (0.2, 0.33), (0.3, 0.335), (0.6, 0.34)]
-        )
+    profile = RadialProfile2(phi=[0.0, 0.1, QUARTER_PI])
+    theta, r, _ = zonoid._gradient_map(np.array([0.1]))
+    assert profile.knots == [(0.0, 1.0 / math.pi), (float(theta[0]), float(r[0])),
+                             (QUARTER_PI, radius_R(2))]
+    with pytest.raises(TypeError):  # the knots follow from phi
+        RadialProfile2(phi=[0.0, QUARTER_PI], knots=profile.knots)
+    with pytest.raises(ValueError):  # too few
+        RadialProfile2(phi=[0.0])
+    with pytest.raises(ValueError):  # phi not increasing
+        RadialProfile2(phi=[0.0, 0.9, 0.5, QUARTER_PI])
+    with pytest.raises(ValueError):  # off the axis
+        RadialProfile2(phi=[0.05, 0.1, QUARTER_PI])
+    with pytest.raises(ValueError):  # short of the orbit direction
+        RadialProfile2(phi=[0.0, 0.1, 0.7])
 
 
 def test_builder_rejects_grid_outside_bounds():
@@ -340,13 +335,14 @@ def test_duality_agreement_at_pi_over_8(profile2):
     sig = np.array([math.cos(t), math.sin(t)])
     via_profile = radial_D(2, sig, profile=profile2)
     via_duality = radial_duality_2(sig)
-    assert abs(via_profile - via_duality) < 1e-4
+    assert math.isclose(via_profile, via_duality, rel_tol=1e-14)
 
 
 def test_duality_agreement_on_a_small_grid(profile2):
     for t in (0.05, 0.2, 0.55, 0.7):
         sig = np.array([math.cos(t), math.sin(t)])
-        assert abs(radial_D(2, sig, profile=profile2) - radial_duality_2(sig)) < 1e-4
+        assert math.isclose(radial_D(2, sig, profile=profile2), radial_duality_2(sig),
+                            rel_tol=1e-14)
 
 
 def test_radial_k3_orbit_direction():
@@ -407,6 +403,16 @@ def test_vol_quadrature_closes_the_lines_identity(profile2):
     assembled = vol * vol_grassmann_real_log(2, 4).exp() * math.factorial(4) / 2.0**4
     direct = float(edeg_lines_quadrature(3).value)
     assert math.isclose(assembled, direct, rel_tol=1e-9)
+
+
+def test_vol_quadrature_matches_the_converged_references(profile2):
+    # the converged values of log|C(2, m)|: an error in r enters them
+    # multiplied by 2m, and the panel-doubling stderr cannot see it
+    assert math.isclose(vol_C_quadrature_log(2, profile2).value.log_magnitude,
+                        -2.8421314970035, rel_tol=0.0, abs_tol=1e-13)
+    with pytest.warns(UserWarning, match="panel doubling"):
+        est = vol_C_quadrature_log(99_999, profile2)
+    assert abs(est.value.log_magnitude - -1144758.3453068193) <= est.stderr
 
 
 def test_vol_quadrature_log_consistency(profile2):
