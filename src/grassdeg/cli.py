@@ -387,7 +387,7 @@ def run(argv):
         }
         _emit(_render(records, args.format, shared), args.out)
     except (ValueError, TypeError, RuntimeError, OverflowError,
-            ArithmeticError, OSError) as exc:
+            ArithmeticError, OSError, MemoryError) as exc:
         print(f"grassdeg: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -279,19 +279,22 @@ def g24_angles_from_heights(heights, out=None):
     cos(t2 - t1) = max(|u|, |v|) = P and cos(t1 + t2) = sign(uv) min(|u|, |v|)
     = Q, so t1, t2 = (arccos Q -+ arccos P) / 2.  For a uniform 2-plane a and
     b are independent uniform points of S^2, so by Archimedes u and v are
-    independent Uniform[-1, 1]: two uniforms give both angles.  Returns
-    (t1, t2) with 0 <= t1 <= t2 <= pi/2, shape (2, ...); ``out``, which may
-    be ``heights`` itself, receives them in place of a new array.
+    independent Uniform[-1, 1]: two uniforms give both angles.  Q takes the
+    sign bit of the product uv by copysign: an IEEE product's sign bit is
+    the XOR of its factors', for signed zeros and underflow too, so no
+    masked write is needed.  Returns (t1, t2) with 0 <= t1 <= t2 <= pi/2,
+    shape (2, ...); ``out``, which may be ``heights`` itself, receives them
+    in place of a new array, and the map allocates two rows besides.
     """
     h = np.asarray(heights, dtype=float)
     if h.shape[:1] != (2,):
         raise ValueError("heights must have shape (2, ...)")
-    flip = np.signbit(h[0]) != np.signbit(h[1])  # uv < 0, up to signed zeros
+    sign = np.multiply(h[0], h[1])  # read before ``out`` overwrites h
     angles = np.abs(h, out=out)
     q, high = angles[0, ...], angles[1, ...]  # views, 0-d ones included
     p = np.maximum(q, high, out=np.empty_like(q))
     np.minimum(q, high, out=q)
-    np.negative(q, out=q, where=flip)
+    np.copysign(q, sign, out=q)
     np.arccos(p, out=p)
     np.arccos(q, out=q)
     np.add(q, p, out=high)

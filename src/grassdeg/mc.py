@@ -146,9 +146,9 @@ def _pool(threads):
 # every chunk compute in their thread's buffer instead.
 _WORKSPACES = threading.local()
 # the largest chunk need, the transversal kernel's 31 rows of CHUNK
-# (incidence._MIRROR_ROWS; the polar kernel takes 18, the torus 12 rows of
-# at most 1.5 CHUNK); larger requests get a new array, so no thread keeps
-# more than 3.9 MiB
+# (incidence._MIRROR_ROWS; the polar kernel takes 18 rows of CHUNK, a torus
+# chunk 12 rows of at most 2 CHUNK points, so at most 24 CHUNK); larger
+# requests get a new array, so no thread keeps more than 3.9 MiB
 _WORKSPACE_DOUBLES = 31 * CHUNK
 
 
@@ -283,9 +283,10 @@ def run_kernel(kernel, rng, samples, workers=1, method="mc"):
 # directions (zonoid.vol_C_vitale_mc).
 # ---------------------------------------------------------------------------
 
-# Working memory of one sub-batch of a rank-one determinant chunk above
-# km = 4; see _vitale_rows.  Each worker thread holds one.
-_VITALE_BATCH_BYTES = 8 * 2**20
+# Working memory of one sub-batch of a chunk that draws Gaussian matrices:
+# rank-one determinants above km = 4 (_vitale_rows), vitale_check and the
+# frames of _frame_angles.  Each worker thread holds one.
+_BATCH_BYTES = 8 * 2**20
 
 
 def _vitale_rows(k, m, itemsize=8):
@@ -299,7 +300,7 @@ def _vitale_rows(k, m, itemsize=8):
     same for every worker count.
     """
     n = k * m
-    return max(1, _VITALE_BATCH_BYTES // (itemsize * (n * (k + m) + n * n + 8)))
+    return max(1, _BATCH_BYTES // (itemsize * (n * (k + m) + n * n + 8)))
 
 
 def _polar_det(sin, cos, work):
@@ -367,7 +368,7 @@ def _rank_one_det_kernel(k, m, complex_=False):
     (``_polar_kernel``).  Otherwise, up to km = 4 the determinant is a
     cofactor expansion; above that it is taken in log magnitude so large km
     cannot overflow, in sub-batches of ``_vitale_rows`` draws, so a chunk's
-    memory stays near ``_VITALE_BATCH_BYTES`` for any km.  There a draw's
+    memory stays near ``_BATCH_BYTES`` for any km.  There a draw's
     Gaussians come off the generator as one samples-major row (x_i then y_i
     for each i), so the sub-batches read the same numbers as one draw of the
     whole chunk.  A complex number is two consecutive Gaussians, its real
@@ -612,18 +613,43 @@ def _lattice_plan(samples):
     return n, a, -(-samples // n)
 
 
+# The most points of one torus chunk.  The lattice rule draws no substream
+# per chunk and folds its per-shift sums in chunk order, so unlike CHUNK its
+# chunk size is free.  At CHUNK points the ~70 array operations of a chunk
+# each ran too briefly outside the GIL for a second thread to gain.
+_LATTICE_CHUNK_POINTS = 2 * CHUNK
+
+
 @lru_cache(maxsize=4)
 def _lattice_sin_cos(n, a):
-    """sin and cos of the unshifted points 2 pi frac(k z / N), k < min(N, CHUNK).
+    """sin and cos of the unshifted points 2 pi frac(k z / N), k < min(N, 2 CHUNK).
 
-    Shape (2, 4, min(N, CHUNK)), read-only: at most 8 x CHUNK doubles, 1 MiB.
+    Shape (2, 4, min(N, 2 CHUNK)), read-only: at most 16 x CHUNK doubles,
+    2 MiB.
     """
     z = np.array([pow(a, d, n) for d in range(4)], dtype=np.int64)
-    k = np.arange(min(n, CHUNK), dtype=np.int64)
+    k = np.arange(min(n, _LATTICE_CHUNK_POINTS), dtype=np.int64)
     angles = (k * z[:, None] % n) * (2.0 * math.pi / n)
     block = np.stack([np.sin(angles), np.cos(angles)])
     block.flags.writeable = False
     return block
+
+
+def _lattice_chunks(n, shifts):
+    """The chunks of ``shifts`` shifts of an N-point lattice, in fold order.
+
+    Entry (i0, i1, k0, count) covers points k0 .. k0 + count - 1 of shifts
+    i0 .. i1 - 1.  A chunk holds at most 2 CHUNK points: the whole shifts
+    that fit while N <= 2 CHUNK, else one of ceil(N / 2 CHUNK) equal slices
+    of one shift.
+    """
+    if n <= _LATTICE_CHUNK_POINTS:
+        per = _LATTICE_CHUNK_POINTS // n
+        return [(i, min(i + per, shifts), 0, n) for i in range(0, shifts, per)]
+    slices = -(-n // _LATTICE_CHUNK_POINTS)
+    cuts = [j * n // slices for j in range(slices + 1)]
+    return [(i, i + 1, k0, k1 - k0)
+            for i in range(shifts) for k0, k1 in zip(cuts, cuts[1:])]
 
 
 def _lattice_means(n, a, delta, workers=1):
@@ -636,22 +662,13 @@ def _lattice_means(n, a, delta, workers=1):
     and turns them into its rows by angle addition: sin(theta + phi) =
     S cos phi + C sin phi and cos(theta + phi) = C cos phi - S sin phi.
 
-    When N <= CHUNK a chunk holds the whole shifts nearest CHUNK points in
-    number (at most 1.5 CHUNK points), else one of ceil(N / CHUNK) equal
-    slices of one shift, so the fixed cost of a chunk's array operations is
-    spread over near CHUNK points.  Chunk sums are folded in chunk order,
-    so the means do not depend on ``workers``.  A chunk computes in its
-    thread's workspace.
+    The chunks are those of ``_lattice_chunks``, at most 2 CHUNK points
+    each (``_LATTICE_CHUNK_POINTS`` says why).  Chunk sums are folded in
+    chunk order, so the means do not depend on ``workers``.  A chunk
+    computes in its thread's workspace, 12 rows of its points.
     """
     shifts = len(delta)
-    if n <= CHUNK:
-        per = max(1, round(CHUNK / n))
-        plan = [(i, min(i + per, shifts), 0, n) for i in range(0, shifts, per)]
-    else:
-        slices = -(-n // CHUNK)
-        cuts = [j * n // slices for j in range(slices + 1)]
-        plan = [(i, i + 1, k0, k1 - k0)
-                for i in range(shifts) for k0, k1 in zip(cuts, cuts[1:])]
+    plan = _lattice_chunks(n, shifts)
 
     def chunk_sums(index):
         i0, i1, k0, count = plan[index]
@@ -740,6 +757,27 @@ def _g24_angles(gen, count):
     return g24_angles_from_heights(h, out=h)
 
 
+def _frame_angles(gen, count, n, k, j):
+    """The smallest principal angles of ``count`` Gaussian n x k frames.
+
+    Angles against span(e_1, ..., e_j), ascending, at most two per frame:
+    shape (count, min(k, j, 2)), from ``principal_cos2``.  The frames are
+    drawn and reduced in sub-batches of at most ``_BATCH_BYTES`` of working
+    memory, modelled as 4nk + 8 numbers a frame (tracemalloc reads 1.0nk
+    to 4.3nk from k = 1 to 40), so a chunk's memory does not grow with n
+    and k.  The draws are
+    samples-major, so the sub-batches read the same Gaussians as one draw
+    of the whole chunk.
+    """
+    batch = max(1, _BATCH_BYTES // (8 * (4 * n * k + 8)))
+    angles = np.empty((count, min(k, j, 2)))
+    for start in range(0, count, batch):
+        stop = min(start + batch, count)
+        cos2 = principal_cos2(gen.standard_normal((stop - start, n, k)), j)
+        angles[start:stop] = np.arccos(np.sqrt(cos2[:, :2]))
+    return angles
+
+
 def schubert_ratio_mc(k, n, eps, delta, rng, samples, workers=1):
     """Tube-volume estimate of the Schubert ratio.
 
@@ -748,7 +786,7 @@ def schubert_ratio_mc(k, n, eps, delta, rng, samples, workers=1):
     tube width 2*eps.  Requires 0 < eps <= delta < pi/2.  At (k, n) = (2, 4)
     a sample is two uniforms, its angles from ``g24_angles_from_heights``;
     elsewhere it is a Gaussian n x min(k, n-k) frame, its angles from
-    ``principal_cos2``.
+    ``_frame_angles`` in sub-batches of bounded memory.
     """
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
@@ -760,8 +798,7 @@ def schubert_ratio_mc(k, n, eps, delta, rng, samples, workers=1):
         if (k, n) == (2, 4):
             t1, t2 = _g24_angles(gen, count)
             return ((t1 <= eps) & (t2 >= delta)).astype(float) / (2.0 * eps), 0
-        g = gen.standard_normal((count, n, k))
-        angles = np.arccos(np.sqrt(principal_cos2(g, j)[:, :2]))  # ascending
+        angles = _frame_angles(gen, count, n, k, j)
         hit = angles[:, 0] <= eps
         if k >= 2:
             hit &= angles[:, 1] >= delta
@@ -928,7 +965,8 @@ def density_gof(k, l, n, rng, samples, bins=30, workers=1):
     with per-bin quadrature of the density (``_gof_expected``, cached).
     Supports k <= 2.  At (k, l, n) = (2, 2, 4) a sample is two uniforms,
     its angles from ``g24_angles_from_heights``; elsewhere it is a Gaussian
-    n x k frame, its angles from ``principal_cos2``.
+    n x k frame, its angles from ``_frame_angles`` in sub-batches of
+    bounded memory.
     """
     _check_density_dims(k, l, n)
     if k > 2:
@@ -939,8 +977,7 @@ def density_gof(k, l, n, rng, samples, bins=30, workers=1):
         if (k, l, n) == (2, 2, 4):
             angles = _g24_angles(gen, count)  # (2, count), ascending
         else:
-            g = gen.standard_normal((count, n, k))
-            angles = np.arccos(np.sqrt(principal_cos2(g, l))).T  # ascending
+            angles = _frame_angles(gen, count, n, k, l).T
         angles /= width
         idx = np.minimum(angles.astype(np.int64), bins - 1)
         flat = idx[0] if k == 1 else idx[0] * bins + idx[1]
@@ -971,13 +1008,13 @@ def vitale_check(d, rng, samples, workers=1):
     """Monte Carlo estimate of E|det G| for a d x d Gaussian matrix, d <= 12.
 
     A chunk draws and reduces its matrices in sub-batches of at most
-    ``_VITALE_BATCH_BYTES`` of Gaussians, one samples-major row per draw, so
+    ``_BATCH_BYTES`` of Gaussians, one samples-major row per draw, so
     the sub-batches read the same numbers as one draw of the whole chunk.
     A draw is degenerate when its determinant is exactly 0.
     """
     if not 1 <= d <= 12:
         raise ValueError("d must be in [1, 12]")
-    batch = max(1, _VITALE_BATCH_BYTES // (8 * d * d))
+    batch = max(1, _BATCH_BYTES // (8 * d * d))
 
     def kernel(gen, count):
         det = np.empty(count)

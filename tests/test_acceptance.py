@@ -14,7 +14,6 @@ from grassdeg import edeg, incidence, mc, specfun, zonoid
 from grassdeg.geomlin import RngStream
 
 SEED = 20250817
-EDEG24 = 1.726231248998883
 
 
 def _verdict(log, num, ok, budget_s, elapsed, detail):

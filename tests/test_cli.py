@@ -13,6 +13,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grassdeg import mc
 from grassdeg.cli import _HANDLERS, DEFAULT_SEED, SCHEMA_VERSION, run
 from grassdeg.mc import Estimate
 from grassdeg.zonoid import default_profile, vol_C_quadrature_log
@@ -62,7 +63,7 @@ def test_edeg_quadrature_record(capsys):
     check_record(rec)
     assert rec["quantity"] == "edeg"
     assert rec["seed"] == DEFAULT_SEED
-    assert math.isclose(rec["value"], 1.726231248998883, rel_tol=1e-9)
+    assert math.isclose(rec["value"], 1.7262312489219025, rel_tol=1e-13)
     assert rec["method"] == "quadrature"
 
 
@@ -129,7 +130,7 @@ def test_rig_multiplier_in_params(capsys):
 def test_zonoid_volume_quadrature(capsys):
     rec = invoke_json(capsys, "zonoid-volume", "--k", "2", "--m", "2")
     check_record(rec)
-    assert math.isclose(rec["value"], 0.05830126446298619, rel_tol=1e-8)
+    assert math.isclose(rec["value"], 0.05830126446038604, rel_tol=1e-13)
     # the panel-doubling error, absolute on the direct value
     assert 0.0 < rec["stderr"] < 1e-8 * rec["value"]
 
@@ -370,6 +371,24 @@ def test_vitale_route_above_the_km_cap_exits_1(capsys):
         assert out == ""
         assert err.startswith("grassdeg: ") and "km > 36" in err, err
         assert "Traceback" not in err
+
+
+def test_schubert_frames_far_above_a_chunk_of_memory(capsys, monkeypatch):
+    # one whole chunk of (400, 200) Gaussian frames would take 9.8 GiB; the
+    # sub-batches keep it to megabytes
+    rec = invoke_json(capsys, "schubert-ratio", "--k", "200", "--n", "400",
+                      "--mc", "--samples", "64")
+    check_record(rec)
+    assert rec["n_samples"] == 64 and math.isfinite(rec["value"])
+    # and an allocation that fails anyway is reported, not a traceback
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 9.77 GiB for an array")
+
+    monkeypatch.setattr(mc, "schubert_ratio_mc", out_of_memory)
+    code, out, err = invoke(capsys, "schubert-ratio", "--k", "200", "--n",
+                            "400", "--mc", "--samples", "20000")
+    assert code == 1 and out == ""
+    assert err == "grassdeg: Unable to allocate 9.77 GiB for an array\n"
 
 
 def test_quad_points_out_of_range_exit_1(capsys):

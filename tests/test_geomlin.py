@@ -326,6 +326,40 @@ def test_g24_edge_heights_give_finite_ordered_angles():
         g24_angles_from_heights(np.zeros((3, 4)))
 
 
+def masked_g24_angles(heights):
+    """The angle map with sign(uv) applied by a masked negation, as before
+    the map took it from the sign bit of the product."""
+    h = np.asarray(heights, dtype=float)
+    flip = np.signbit(h[0]) != np.signbit(h[1])
+    angles = np.abs(h)
+    q, high = angles[0, ...], angles[1, ...]
+    p = np.maximum(q, high)
+    np.minimum(q, high, out=q)
+    np.negative(q, out=q, where=flip)
+    np.arccos(p, out=p)
+    np.arccos(q, out=q)
+    np.add(q, p, out=high)
+    np.subtract(q, p, out=q)
+    angles *= 0.5
+    return angles
+
+
+def test_g24_sign_by_copysign_is_bit_identical_to_the_masked_map():
+    heights = 2.0 * RngStream(10, 424).generator.random((2, 2**20)) - 1.0
+    edges = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5,
+             1e-160, -1e-160, 1e-200, -1e-200, 5e-324, -5e-324]
+    u, v = np.meshgrid(edges, edges)  # every pair: signed zeros, +-1, and
+    edge = np.stack([u.ravel(), v.ravel()])  # products that underflow to +-0
+    assert (edge[0] * edge[1] == 0.0).sum() > 4 * len(edges)
+    for h in (heights, edge):
+        want = masked_g24_angles(h)
+        got = g24_angles_from_heights(h)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        inplace = h.copy()
+        g24_angles_from_heights(inplace, out=inplace)
+        assert np.array_equal(inplace.view(np.int64), want.view(np.int64))
+
+
 def test_principal_cos2_three_columns_is_the_qr_svd_path():
     g = RngStream(9, 0).standard_normal((500, 6, 3))
     q, _ = np.linalg.qr(g)

@@ -18,6 +18,7 @@ from grassdeg.geomlin import (
     det3,
     g24_angles_from_heights,
     half_angle_sin_cos,
+    principal_cos2,
     small_det,
 )
 from grassdeg.mc import (
@@ -39,7 +40,7 @@ from grassdeg.mc import (
 )
 from grassdeg.zonoid import vol_C_vitale_mc
 
-EDEG24 = 1.726231248998883  # pinned by the n=3 quadrature, used as a loose anchor
+EDEG24 = 1.7262312489219025  # the k = 2 quadrature's value, used as a loose anchor
 
 
 # -------------------------------------------------------- streaming stats
@@ -255,9 +256,9 @@ def test_pool_threads_keep_their_own_workspace(monkeypatch):
     both = threading.Barrier(2, timeout=30)
 
     def take(_):
-        # the largest need of a torus or polar chunk, so no kernel below
-        # grows the buffer
-        with mc._workspace(18 * CHUNK) as buf:
+        # the largest need of a torus or polar chunk (12 rows of at most
+        # 2 CHUNK lattice points), so no kernel below grows the buffer
+        with mc._workspace(24 * CHUNK) as buf:
             both.wait()  # both threads hold a buffer at once
             return threading.get_ident(), _data_pointer(buf)
 
@@ -370,9 +371,9 @@ def test_integral_mode_validation():
 
 
 def test_integral_mc_agrees_and_is_deterministic():
-    # N = 6899 takes two whole shifts per chunk; N = 23173 > CHUNK two
-    # slices of each shift
-    for samples in (200_000, 640_000):
+    # N = 6899 takes four whole shifts per chunk, N = 23173 > CHUNK one,
+    # and N = 38971 > 2 CHUNK two slices of each shift
+    for samples in (200_000, 640_000, 1_100_000):
         a = edeg24_integral(mode="mc", rng=RngStream(43, 0), samples=samples)
         b = edeg24_integral(mode="mc", rng=RngStream(43, 0), samples=samples,
                             workers=8)
@@ -412,7 +413,7 @@ def test_korobov_table_entry_recomputes():
 def _chunk_rows(n, a, delta, monkeypatch):
     """The (sin, cos) rows that ``_lattice_means`` hands the integrand.
 
-    Each is (4, shifts, n); above CHUNK ``delta`` holds one shift, whose
+    Each is (4, shifts, n); above 2 CHUNK ``delta`` holds one shift, whose
     slices are joined along the points.
     """
     seen = []
@@ -424,7 +425,7 @@ def _chunk_rows(n, a, delta, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(mc, "_torus_third_pair_mean", record)
         mc._lattice_means(n, a, delta)
-    axis = 1 if n <= CHUNK else 2
+    axis = 1 if n <= 2 * CHUNK else 2
     return (np.concatenate([sin for sin, _ in seen], axis=axis),
             np.concatenate([cos for _, cos in seen], axis=axis))
 
@@ -448,7 +449,8 @@ def test_lattice_integrates_fourier_modes_exactly(monkeypatch):
     # integral, unless h.z = 0 mod N, where it gives exp(2 pi i h.delta);
     # exp(i h.theta) is the product of (cos + i sin)^h_d of the chunk rows.
     # The sliced lattice exercises the offset of a chunk that starts at k0 > 0.
-    for n, a, _ in (mc._KOROBOV[0], mc._KOROBOV[38]):
+    for n, a, _ in (mc._KOROBOV[0], mc._KOROBOV[40]):
+        assert n in (37, 32771)
         z = np.array([pow(a, d, n) for d in range(4)])
         span = shifts = 3 if n <= CHUNK else 1
         delta = np.random.default_rng(8).random((shifts, 4))
@@ -473,13 +475,73 @@ def test_lattice_integrates_fourier_modes_exactly(monkeypatch):
 
 def test_angle_addition_chunks_match_half_angle_chunks():
     # the same lattice points and shifts through explicit angles: N = 8209
-    # holds two shifts per chunk, N = 23173 slices each shift in two
-    for n, a, _ in (mc._KOROBOV[32], mc._KOROBOV[38]):
-        assert n in (8209, 23173)
+    # holds three shifts per chunk, N = 23173 one, and N = 32771 slices each
+    # shift in two
+    for n, a, _ in (mc._KOROBOV[32], mc._KOROBOV[38], mc._KOROBOV[40]):
+        assert n in (8209, 23173, 32771)
         delta = np.random.default_rng(n).random((4, 4))
         got = mc._lattice_means(n, a, delta)
         want = _half_angle_lattice_means(n, a, delta)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_lattice_chunks_cover_every_point_once_within_two_chunks():
+    for n, _, _ in mc._KOROBOV:
+        for shifts in (1, 4, 32, 33):
+            plan = mc._lattice_chunks(n, shifts)
+            # in fold order, each shift's points once, from 0 to N
+            reached = [0] * shifts
+            for i0, i1, k0, count in plan:
+                assert 0 < (i1 - i0) * count <= 2 * CHUNK, (n, shifts)
+                for i in range(i0, i1):
+                    assert reached[i] == k0 and not any(reached[i + 1:])
+                    reached[i] = k0 + count
+            assert reached == [n] * shifts, (n, shifts)
+            if n <= 2 * CHUNK:  # whole shifts, as many as fit
+                assert all(k0 == 0 and count == n for _, _, k0, count in plan)
+                assert plan[0][1] == min(shifts, 2 * CHUNK // n)
+            else:  # equal slices of one shift
+                counts = {count for _, _, _, count in plan}
+                assert max(counts) - min(counts) <= 1
+    assert mc._lattice_chunks(8209, 32)[0] == (0, 3, 0, 8209)
+    # a torus chunk's 12 rows fit the workspace
+    assert 12 * 2 * CHUNK <= mc._WORKSPACE_DOUBLES
+
+
+def _one_shift_means(n, a, delta):
+    """Shift means one shift at a time, in slices of at most CHUNK points,
+    by the same angle addition as the chunks of ``_lattice_means``."""
+    z = [pow(a, d, n) for d in range(4)]
+    block_sin, block_cos = mc._lattice_sin_cos(n, a)
+    means = []
+    for shift in delta:
+        total = 0.0
+        for k0 in range(0, n, CHUNK):
+            count = min(CHUNK, n - k0)
+            k0z = np.array([k0 * zd % n for zd in z])
+            phase = ((shift + k0z / n) % 1.0 * (2.0 * math.pi))[:, None]
+            s, c = np.sin(phase), np.cos(phase)
+            sin = block_sin[:, :count] * c + block_cos[:, :count] * s
+            cos = block_cos[:, :count] * c - block_sin[:, :count] * s
+            total += mc._torus_third_pair_mean(sin, cos).sum()
+        means.append(total / n)
+    return np.array(means)
+
+
+def test_lattice_means_match_one_shift_at_a_time():
+    # up to N = CHUNK the oracle's slices are whole shifts, so only the
+    # batching of shifts into chunks differs and the means agree bit for
+    # bit; above it both sum the same points in other orders
+    for index in (0, 32, 33, 38, 40, 41):
+        n, a, _ = mc._KOROBOV[index]
+        delta = np.random.default_rng(index).random((7, 4))
+        for workers in (1, 2):
+            got = mc._lattice_means(n, a, delta, workers)
+            want = _one_shift_means(n, a, delta)
+            if n <= CHUNK:
+                assert np.array_equal(got, want), n
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 def test_torus_integral_value_is_pinned():
@@ -617,6 +679,44 @@ def test_schubert_mc_duality_is_exact():
     b = schubert_ratio_mc(3, 5, eps=0.03, delta=0.03, rng=RngStream(44, 0),
                           samples=40_000)
     assert a == b
+
+
+def whole_chunk_frame_angles(gen, count, n, k, j):
+    """``mc._frame_angles`` without sub-batches: every frame of a chunk at once."""
+    g = gen.standard_normal((count, n, k))
+    return np.arccos(np.sqrt(principal_cos2(g, j)[:, :2]))
+
+
+def test_frame_sub_batches_read_the_whole_chunk_draws(monkeypatch):
+    # the Schubert ratio away from (2, 4) and the goodness of fit away from
+    # (2, 2, 4), on a full and a partial chunk, with the default budget and
+    # with one of 1000 draws at (k, n) = (3, 7), against whole-chunk frames
+    samples = CHUNK + 3000
+
+    def both():
+        return (schubert_ratio_mc(3, 7, 0.3, 0.5, RngStream(64, 0), samples),
+                schubert_ratio_mc(1, 4, 0.3, 0.3, RngStream(64, 1), samples),
+                density_gof(2, 3, 6, RngStream(64, 2), samples),
+                density_gof(1, 2, 5, RngStream(64, 3), samples))
+
+    default = both()
+    monkeypatch.setattr(mc, "_BATCH_BYTES", 1000 * 8 * (4 * 7 * 3 + 8))
+    assert both() == default
+    monkeypatch.setattr(mc, "_frame_angles", whole_chunk_frame_angles)
+    assert both() == default
+
+
+def test_frame_chunk_memory_is_bounded():
+    # one chunk of 4096 draws at (k, n) = (30, 60): its whole (4096, 60, 30)
+    # Gaussians would take 56 MiB, a full chunk's 225 MiB
+    tracemalloc.start()
+    try:
+        est = schubert_ratio_mc(30, 60, 0.3, 0.5, RngStream(65, 0), 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.n_samples == 4096
+    assert peak < 1.25 * mc._BATCH_BYTES, peak
 
 
 def _g24_chunk_angles(rng, index, count):
@@ -850,7 +950,7 @@ def test_vitale_sub_batches_read_the_whole_chunk_draws(monkeypatch):
     assert vitale_check(12, RngStream(62, 0), samples) == whole_chunk_vitale_check(
         12, RngStream(62, 0), samples)
     default = vitale_check(5, RngStream(62, 1), samples)
-    monkeypatch.setattr(mc, "_VITALE_BATCH_BYTES", 1000 * 8 * 5 * 5)  # 1000 draws
+    monkeypatch.setattr(mc, "_BATCH_BYTES", 1000 * 8 * 5 * 5)  # 1000 draws
     small = vitale_check(5, RngStream(62, 1), samples)
     assert small == default == whole_chunk_vitale_check(5, RngStream(62, 1), samples)
 
@@ -864,7 +964,7 @@ def test_vitale_chunk_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert est.n_samples == CHUNK
-    assert peak < 1.25 * mc._VITALE_BATCH_BYTES, peak
+    assert peak < 1.25 * mc._BATCH_BYTES, peak
 
 
 # ------------------------------------------- invariant-integration formula

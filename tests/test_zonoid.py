@@ -602,7 +602,7 @@ def test_vitale_volume_sub_batches_read_the_whole_chunk_draws(monkeypatch):
     # 1000 draws of the model's n(k + m) + n^2 + 8 doubles at (3, 3)
     default = [route(3, 3, RngStream(33, 0), CHUNK + 5000)
                for route in (vol_C_vitale_mc, alpha_complex_mc)]
-    monkeypatch.setattr(mc, "_VITALE_BATCH_BYTES", 1000 * 8 * (9 * 6 + 81 + 8))
+    monkeypatch.setattr(mc, "_BATCH_BYTES", 1000 * 8 * (9 * 6 + 81 + 8))
     assert mc._vitale_rows(3, 3) == 1000  # uneven sub-batches in both chunks
     assert mc._vitale_rows(3, 3, itemsize=16) == 500
     assert [route(3, 3, RngStream(33, 0), CHUNK + 5000)
@@ -621,7 +621,7 @@ def test_vitale_volume_chunk_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert est.n_samples == CHUNK
-        assert peak < 1.25 * mc._VITALE_BATCH_BYTES, (route.__name__, peak)
+        assert peak < 1.25 * mc._BATCH_BYTES, (route.__name__, peak)
 
 
 def test_vitale_volume_input_limits():
