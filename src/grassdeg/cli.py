@@ -256,7 +256,7 @@ def _cmd_density_check(args):
         l1 = mc.density_gof(args.k, args.l, args.n, RngStream(args.seed, 1),
                             args.samples, workers=args.workers)
         records.append(("density-gof",
-                        dict(dims, samples=args.samples, bins=30),
+                        dict(dims, samples=args.samples, bins=mc._GOF_BINS),
                         _exact(l1, "binned-l1", stderr=None,
                                n_samples=args.samples)))
     return records

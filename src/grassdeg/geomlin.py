@@ -5,14 +5,15 @@ representing points of G(k,n), the principal angles between two subspaces,
 and an RNG wrapper (SFC64 keyed by a SeedSequence) that makes every Monte
 Carlo run reproducible from (seed, stream_id).
 
-The batched helpers at the end (``small_det``, ``principal_cos2``) serve
-the Monte Carlo kernels, which hold one tiny matrix per draw: up to 4x4 and
-for two-column frames they are elementwise closed forms, because
-per-matrix LAPACK calls cost more than the arithmetic.  Above that size
-they call ``np.linalg``, which is also their test oracle.
-``half_angle_sin_cos`` gives the kernels sin and cos from one tangent.
-``g24_angles_from_heights`` gives the principal angles of a uniform 2-plane
-of R^4 from two uniforms, with no frame at all.
+The batched helpers at the end serve the Monte Carlo kernels, which hold
+one tiny matrix per draw.  ``small_det`` expands determinants up to 4x4
+elementwise, because per-matrix LAPACK calls cost more than the
+arithmetic; above that size it calls ``np.linalg``, which is also its test
+oracle.  ``half_angle_sin_cos`` gives the kernels sin and cos from one
+tangent.  ``g24_angles_from_heights`` gives the principal angles of a
+uniform 2-plane of R^4 from two uniforms, with no frame at all; at every
+other size the samplers draw principal angles from the Jacobi matrix model
+(``mc._jacobi_angles``), with no frame either.
 """
 
 import math
@@ -29,7 +30,6 @@ __all__ = [
     "half_angle_sin_cos",
     "det3",
     "small_det",
-    "principal_cos2",
     "g24_angles_from_heights",
 ]
 
@@ -206,66 +206,6 @@ def small_det(mats):
         bottom = e(2, c) * e(3, d) - e(3, c) * e(2, d)
         total = total + sign * top * bottom
     return total
-
-
-def _squared_minors(u, v):
-    """(r, s, (u_r v_s - u_s v_r)^2) for every pair r < s of entries of u, v."""
-    n = u.shape[-1]
-    for r in range(n):
-        for s in range(r + 1, n):
-            m = u[..., r] * v[..., s] - u[..., s] * v[..., r]
-            yield r, s, m * m
-
-
-def _roots_descending(det_a, mixed, det_b, disc):
-    """Roots of det_a lam^2 - mixed lam + det_b = 0, larger first.
-
-    ``disc`` is mixed^2 - 4 det_a det_b, computed by the caller in whatever
-    form it has.  The larger root adds two nonnegative terms; the smaller is
-    det_b over det_a times the larger (0 when both vanish), so neither
-    cancels.
-    """
-    big = (mixed + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * det_a)
-    denom = det_a * big
-    small = np.divide(det_b, denom, out=np.zeros_like(big), where=denom > 0.0)
-    return np.stack([big, small], axis=-1)
-
-
-def principal_cos2(g, j):
-    """Squared cosines of the principal angles between span(g) and span(e_1..e_j).
-
-    ``g`` is a stack of n x k matrices of full column rank; the result has
-    min(k, j) values per matrix, descending (the angles ascending), in
-    [0, 1].  For k <= 2 they are the roots of det(B - lam A) = 0, with
-    A = g^T g and B the same product over the first j rows of g.  det A and
-    det B are sums of squared 2x2 minors (Cauchy-Binet), and so is the middle
-    coefficient, 2 det B plus the squared minors with one row in the top
-    block.  Only the discriminant subtracts: where the two cosines nearly
-    coincide they carry an error of order sqrt(eps), on a set of draws whose
-    density vanishes there.  For k >= 3 they are the squared singular values
-    of the top j rows of an orthonormal basis (QR, then SVD).
-    """
-    g = np.asarray(g, dtype=float)
-    n, k = g.shape[-2:]
-    if not (1 <= k <= n and 1 <= j <= n):
-        raise ValueError("need 1 <= k <= n and 1 <= j <= n")
-    if k == 1:
-        sq = g[..., 0] * g[..., 0]
-        c2 = (sq[..., :j].sum(axis=-1) / sq.sum(axis=-1))[..., None]
-    elif k == 2:
-        det_a = det_b = cross = 0.0
-        for r, s, m2 in _squared_minors(g[..., 0], g[..., 1]):
-            det_a = det_a + m2
-            if s < j:
-                det_b = det_b + m2
-            elif r < j:
-                cross = cross + m2
-        mixed = 2.0 * det_b + cross
-        c2 = _roots_descending(det_a, mixed, det_b, mixed * mixed - 4.0 * det_a * det_b)
-    else:
-        q, _ = np.linalg.qr(g)
-        c2 = np.linalg.svd(q[..., :j, :], compute_uv=False) ** 2
-    return np.clip(c2[..., : min(k, j)], 0.0, 1.0)
 
 
 def g24_angles_from_heights(heights, out=None):

@@ -29,7 +29,6 @@ from .geomlin import (
     RngStream,
     g24_angles_from_heights,
     half_angle_sin_cos,
-    principal_cos2,
     small_det,
 )
 from .specfun import (
@@ -283,9 +282,10 @@ def run_kernel(kernel, rng, samples, workers=1, method="mc"):
 # directions (zonoid.vol_C_vitale_mc).
 # ---------------------------------------------------------------------------
 
-# Working memory of one sub-batch of a chunk that draws Gaussian matrices:
-# rank-one determinants above km = 4 (_vitale_rows), vitale_check and the
-# frames of _frame_angles.  Each worker thread holds one.
+# Working memory of one sub-batch of a chunk whose draws grow with their
+# dimensions: rank-one determinants above km = 4 (_vitale_rows), the
+# Gaussian matrices of vitale_check and the Jacobi-model Betas of
+# _jacobi_angles.  Each worker thread holds one.
 _BATCH_BYTES = 8 * 2**20
 
 
@@ -744,38 +744,101 @@ def _check_schubert_window(eps, delta):
         raise ValueError("need 0 < eps <= delta < pi/2")
 
 
-def _g24_angles(gen, count):
-    """Principal angles of ``count`` uniform 2-planes of R^4 against a fixed one.
+_TINY = np.finfo(float).tiny
 
-    One (2, count) uniform draw, mapped in place to the heights u, v of
-    ``g24_angles_from_heights`` and then to the ascending angles, row 0 the
-    smaller.
+
+def _jacobi_angles(gen, count, n, k, j):
+    """The smallest principal angles of ``count`` uniform k-planes of R^n.
+
+    Angles against span(e_1, ..., e_j), k <= j <= n - k, ascending, at most
+    two per plane: shape (min(k, 2), count).  In lambda = cos^2 t their
+    density (``density_pdf``) is proportional to prod lambda_i^((a-1)/2)
+    (1 - lambda_i)^((b-1)/2) |Delta(lambda)|, a = j - k and b = n - j - k:
+    the real Jacobi ensemble.  By its matrix model (Killip and Nenciu 2004;
+    Edelman and Sutton, "The beta-Jacobi matrix model, the CS decomposition,
+    and generalized singular value problems", Found. Comput. Math. 2008)
+    lambda are the squared singular values of the k x k upper bidiagonal B
+    with diagonal d = (c_k, c_{k-1} s'_{k-1}, ..., c_1 s'_1) and
+    superdiagonal e = (-s_k c'_{k-1}, ..., -s_2 c'_1), from independent
+    c_i^2 ~ Beta((a + i)/2, (b + i)/2) and c'_i^2 ~ Beta(i/2, (a+b+1+i)/2)
+    with s^2 = 1 - c^2.  T = B^T B is tridiagonal with T_pp = d_p^2 +
+    e_{p-1}^2 and T_{p,p+1}^2 = d_p^2 e_p^2.  At k = 2 its eigenvalues are
+    the roots of lam^2 - (x + e + y) lam + xy, x, y, e = d_0^2, d_1^2, e_0^2;
+    the discriminant (x - y + e)^2 + 4ye and the smaller root xy over the
+    larger do not cancel.  Above, ``_sturm_top_two`` bisects them: O(k)
+    numbers and operations a draw, whatever n is.  A draw's 2k - 1 Betas
+    are one samples-major row, so sub-batches of at most ``_BATCH_BYTES``
+    (5k + 16 numbers a draw) read the same numbers as one whole-chunk draw.
+    At (k, n, j) = (2, 4, 2) one (2, count) uniform draw, mapped in place
+    to the heights u, v of ``g24_angles_from_heights``, gives the angles.
     """
-    h = gen.random((2, count))
-    h *= 2.0
-    h -= 1.0
-    return g24_angles_from_heights(h, out=h)
-
-
-def _frame_angles(gen, count, n, k, j):
-    """The smallest principal angles of ``count`` Gaussian n x k frames.
-
-    Angles against span(e_1, ..., e_j), ascending, at most two per frame:
-    shape (count, min(k, j, 2)), from ``principal_cos2``.  The frames are
-    drawn and reduced in sub-batches of at most ``_BATCH_BYTES`` of working
-    memory, modelled as 4nk + 8 numbers a frame (tracemalloc reads 1.0nk
-    to 4.3nk from k = 1 to 40), so a chunk's memory does not grow with n
-    and k.  The draws are
-    samples-major, so the sub-batches read the same Gaussians as one draw
-    of the whole chunk.
-    """
-    batch = max(1, _BATCH_BYTES // (8 * (4 * n * k + 8)))
-    angles = np.empty((count, min(k, j, 2)))
+    if (k, n, j) == (2, 4, 2):
+        h = gen.random((2, count))
+        h *= 2.0
+        h -= 1.0
+        return g24_angles_from_heights(h, out=h)
+    a, b = j - k, n - j - k
+    i, i1 = np.arange(k, 0, -1.0), np.arange(k - 1, 0, -1.0)
+    shape_c = np.concatenate([(a + i) / 2.0, i1 / 2.0])
+    shape_s = np.concatenate([(b + i) / 2.0, (a + b + 1.0 + i1) / 2.0])
+    batch = max(1, _BATCH_BYTES // (8 * (5 * k + 16)))
+    cos2 = np.empty((min(k, 2), count))
     for start in range(0, count, batch):
         stop = min(start + batch, count)
-        cos2 = principal_cos2(gen.standard_normal((stop - start, n, k)), j)
-        angles[start:stop] = np.arccos(np.sqrt(cos2[:, :2]))
-    return angles
+        cos2[:, start:stop] = _top_cos2(
+            gen.beta(shape_c, shape_s, size=(stop - start, 2 * k - 1)).T, k)
+    return np.arccos(np.sqrt(cos2, out=cos2), out=cos2)
+
+
+def _top_cos2(z, k):
+    """The top min(k, 2) eigenvalues of T from ``_jacobi_angles``' Betas ``z``,
+    (2k - 1, rows): c_k^2 .. c_1^2, then c'_{k-1}^2 .. c'_1^2, overwritten."""
+    c2, cp2 = z[:k], z[k:]
+    e2 = np.subtract(1.0, c2[:-1], out=np.empty(cp2.shape))
+    e2 *= cp2
+    d2 = c2.copy()
+    d2[1:] *= np.subtract(1.0, cp2, out=cp2)
+    if k == 1:
+        return d2
+    if k == 2:
+        x, y, e = d2[0], d2[1], e2[0]
+        big = 0.5 * (x + y + e + np.sqrt((x - y + e) ** 2 + 4.0 * y * e))
+        return np.minimum(big, 1.0), x * y / np.maximum(big, _TINY)  # big may pass 1
+    off2 = d2[:-1] * e2
+    d2[1:] += e2
+    return _sturm_top_two(d2, off2)
+
+
+@np.errstate(divide="ignore")
+def _sturm_top_two(diag, off2):
+    """The two largest eigenvalues in [0, 1] of symmetric tridiagonals, descending.
+
+    ``diag`` (k, rows) is the diagonal and ``off2`` (k - 1, rows) the squared
+    off-diagonal, raised in place to at least the smallest normal double, so
+    no pivot is 0 / 0.  The eigenvalues below x number the negative pivots
+    q_0 = T_00 - x, q_p = T_pp - x - T_{p-1,p}^2 / q_{p-1} (a zero pivot
+    makes the next one -inf).  Both eigenvalues bisect [0, 1] at once, 56
+    times, to below the spacing of doubles near 1; the intervals share one
+    width, so only their lower ends are stored.
+    """
+    k, rows = diag.shape
+    np.maximum(off2, _TINY, out=off2)
+    lo, x, q, t, below = np.zeros((5, 2, rows))
+    rank = np.array([[k - 1], [k - 2]])  # ascending indices of the top two
+    neg = np.empty((2, rows), dtype=bool)
+    for half in 0.5 ** np.arange(1.0, 57.0):
+        np.add(lo, half, out=x)
+        np.less(np.subtract(diag[0], x, out=q), 0.0, out=neg)
+        np.copyto(below, neg)
+        for p in range(1, k):
+            np.divide(off2[p - 1], q, out=t)
+            np.subtract(diag[p], x, out=q)
+            q -= t
+            below += np.less(q, 0.0, out=neg)
+        np.less_equal(below, rank, out=neg)  # eigenvalue ``rank`` is >= x
+        np.copyto(lo, x, where=neg)
+    lo += half
+    return lo
 
 
 def schubert_ratio_mc(k, n, eps, delta, rng, samples, workers=1):
@@ -783,25 +846,21 @@ def schubert_ratio_mc(k, n, eps, delta, rng, samples, workers=1):
 
     Counts uniform k-planes whose smallest principal angle to a fixed
     (n-k)-plane is <= eps while the second stays >= delta, scaled by the
-    tube width 2*eps.  Requires 0 < eps <= delta < pi/2.  At (k, n) = (2, 4)
-    a sample is two uniforms, its angles from ``g24_angles_from_heights``;
-    elsewhere it is a Gaussian n x min(k, n-k) frame, its angles from
-    ``_frame_angles`` in sub-batches of bounded memory.
+    tube width 2*eps.  Requires 0 < eps <= delta < pi/2.  The angles come
+    from ``_jacobi_angles``: two uniforms a sample at (k, n) = (2, 4), else
+    2 min(k, n-k) - 1 Betas.
     """
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     _check_schubert_window(eps, delta)
-    k = min(k, n - k)  # orthocomplement duality: same angles, smaller frame
+    k = min(k, n - k)  # orthocomplement duality: same angles, smaller matrix
     j = n - k  # fixed subspace spans the first n-k coordinates
 
     def kernel(gen, count):
-        if (k, n) == (2, 4):
-            t1, t2 = _g24_angles(gen, count)
-            return ((t1 <= eps) & (t2 >= delta)).astype(float) / (2.0 * eps), 0
-        angles = _frame_angles(gen, count, n, k, j)
-        hit = angles[:, 0] <= eps
+        angles = _jacobi_angles(gen, count, n, k, j)
+        hit = angles[0] <= eps
         if k >= 2:
-            hit &= angles[:, 1] >= delta
+            hit &= angles[1] >= delta
         return hit.astype(float) / (2.0 * eps), 0
 
     return run_kernel(
@@ -957,27 +1016,27 @@ def _gof_expected(k, l, n, bins):
     return prob
 
 
-def density_gof(k, l, n, rng, samples, bins=30, workers=1):
+# bins per angle of the goodness-of-fit histogram
+_GOF_BINS = 30
+
+
+def density_gof(k, l, n, rng, samples, workers=1):
     """L1 distance between sampled and exact binned angle distributions.
 
     Samples principal angles of uniform k-planes against a fixed l-plane,
-    histograms them over a bins^k grid on the ordered region, and compares
-    with per-bin quadrature of the density (``_gof_expected``, cached).
-    Supports k <= 2.  At (k, l, n) = (2, 2, 4) a sample is two uniforms,
-    its angles from ``g24_angles_from_heights``; elsewhere it is a Gaussian
-    n x k frame, its angles from ``_frame_angles`` in sub-batches of
-    bounded memory.
+    histograms them over a ``_GOF_BINS``^k grid on the ordered region, and
+    compares with per-bin quadrature of the density (``_gof_expected``,
+    cached).  Supports k <= 2.  The angles come from ``_jacobi_angles``:
+    two uniforms a sample at (k, l, n) = (2, 2, 4), else 2k - 1 Betas.
     """
     _check_density_dims(k, l, n)
     if k > 2:
         raise ValueError("goodness-of-fit check implemented for k <= 2 only")
+    bins = _GOF_BINS
     width = math.pi / 2.0 / bins
 
     def histogram(gen, count):
-        if (k, l, n) == (2, 2, 4):
-            angles = _g24_angles(gen, count)  # (2, count), ascending
-        else:
-            angles = _frame_angles(gen, count, n, k, l).T
+        angles = _jacobi_angles(gen, count, n, k, l)  # (k, count), ascending
         angles /= width
         idx = np.minimum(angles.astype(np.int64), bins - 1)
         flat = idx[0] if k == 1 else idx[0] * bins + idx[1]

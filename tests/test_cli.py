@@ -374,12 +374,13 @@ def test_vitale_route_above_the_km_cap_exits_1(capsys):
 
 
 def test_schubert_frames_far_above_a_chunk_of_memory(capsys, monkeypatch):
-    # one whole chunk of (400, 200) Gaussian frames would take 9.8 GiB; the
-    # sub-batches keep it to megabytes
+    # one whole chunk of (400, 200) Gaussian frames would take 9.8 GiB, and
+    # of the Jacobi model's 399 Betas a draw 50 MiB; the sub-batches keep it
+    # to megabytes, over a full and a partial chunk
     rec = invoke_json(capsys, "schubert-ratio", "--k", "200", "--n", "400",
-                      "--mc", "--samples", "64")
+                      "--mc", "--samples", "20000")
     check_record(rec)
-    assert rec["n_samples"] == 64 and math.isfinite(rec["value"])
+    assert rec["n_samples"] == 20000 and math.isfinite(rec["value"])
     # and an allocation that fails anyway is reported, not a traceback
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 9.77 GiB for an array")

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
+from grassdeg import mc
 from grassdeg.geomlin import (
     Frame,
     RngStream,
     g24_angles_from_heights,
     principal_angles,
-    principal_cos2,
     sample_uniform_subspace,
     small_det,
 )
@@ -222,34 +222,43 @@ def test_small_det_is_lapack_above_four_and_rejects_non_square():
         small_det(np.ones((3, 2)))
 
 
-def _cos2_oracle(g, j):
-    # the QR + SVD path the kernels used before the closed form
-    q, _ = np.linalg.qr(g)
-    sv = np.linalg.svd(np.swapaxes(q[:, :j, :], 1, 2), compute_uv=False)
-    return np.clip(sv, 0.0, 1.0)
+def _jacobi_svd_cos2(z, k):
+    # numpy's SVD of the Jacobi model's bidiagonal B, built entry by entry
+    # from the draws z = (c_k^2 .. c_1^2, c'_{k-1}^2 .. c'_1^2) of each row
+    c, s = np.sqrt(z[:, :k]), np.sqrt(1.0 - z[:, :k])
+    cp, sp = np.sqrt(z[:, k:]), np.sqrt(1.0 - z[:, k:])
+    b = np.zeros((len(z), k, k))
+    p = np.arange(k)
+    b[:, p, p] = c * np.concatenate([np.ones((len(z), 1)), sp], axis=1)
+    b[:, p[:-1], p[1:]] = -s[:, :-1] * cp
+    return np.clip(np.linalg.svd(b, compute_uv=False)[:, :2], 0.0, 1.0)
 
 
 @pytest.mark.parametrize("n, k, j", [(4, 2, 2), (3, 1, 2), (5, 2, 3), (6, 2, 2)])
 def test_principal_cos2_gives_the_kernels_qr_svd_flags_and_bins(n, k, j):
-    # schubert flags for eps = delta in {0.01, 0.03, 0.04} and the 30-bin gof
+    # the squared principal cosines as the kernels reduce the Jacobi model
+    # (mc._top_cos2), against numpy's SVD of the same bidiagonal: schubert
+    # flags for eps = delta in {0.01, 0.03, 0.04} and the 30-bin gof
     # histogram index, both from the same 2^20 draws through each path
-    draws = 2**20 if (n, j) in ((4, 2), (3, 2)) else 2**17
+    a, b = j - k, n - j - k
+    i, i1 = np.arange(k, 0, -1.0), np.arange(k - 1, 0, -1.0)
+    shapes = (np.concatenate([a + i, i1]) / 2.0,
+              np.concatenate([b + i, a + b + 1.0 + i1]) / 2.0)
     width = math.pi / 2.0 / 30
     stream = RngStream(8, n * 10 + k)
-    for chunk in range(draws // 2**16):
-        g = stream.substream(chunk).standard_normal((2**16, n, k))
-        fast = np.arccos(np.sqrt(principal_cos2(g, j)))
-        slow = np.arccos(_cos2_oracle(g, j))  # descending svd: ascending angles
+    for chunk in range(16):
+        z = stream.substream(chunk).generator.beta(*shapes, size=(2**16, 2 * k - 1))
+        slow = np.arccos(_jacobi_svd_cos2(z, k)).T  # descending: ascending angles
+        fast = np.arccos(np.sqrt(np.asarray(mc._top_cos2(z.T.copy(), k))))
         assert np.max(np.abs(fast - slow)) < 1e-6
         for eps in (0.01, 0.03, 0.04):
-            hit_fast, hit_slow = fast[:, 0] <= eps, slow[:, 0] <= eps
+            hit_fast, hit_slow = fast[0] <= eps, slow[0] <= eps
             if k == 2:
-                hit_fast &= fast[:, 1] >= eps
-                hit_slow &= slow[:, 1] >= eps
+                hit_fast &= fast[1] >= eps
+                hit_slow &= slow[1] >= eps
             assert np.array_equal(hit_fast, hit_slow)
-        bins_fast = np.minimum((fast / width).astype(np.int64), 29)
-        bins_slow = np.minimum((np.sort(slow, axis=1) / width).astype(np.int64), 29)
-        assert np.array_equal(bins_fast, bins_slow)
+        assert np.array_equal(np.minimum((fast / width).astype(np.int64), 29),
+                              np.minimum((slow / width).astype(np.int64), 29))
 
 
 def _g24_heights(g):
@@ -272,7 +281,8 @@ def test_g24_heights_give_the_principal_cos2_angles_flags_and_bins():
     for chunk in range(16):
         g = stream.substream(chunk).standard_normal((2**16, 4, 2))
         fast = g24_angles_from_heights(_g24_heights(g))
-        slow = np.arccos(np.sqrt(principal_cos2(g, 2))).T
+        sv = np.linalg.svd(np.linalg.qr(g)[0][:, :2, :], compute_uv=False)
+        slow = np.arccos(np.clip(sv, 0.0, 1.0)).T  # descending: ascending angles
         assert np.max(np.abs(fast - slow)) < 1e-8
         for eps in (0.01, 0.03, 0.04):
             assert np.array_equal((fast[0] <= eps) & (fast[1] >= eps),
@@ -358,34 +368,3 @@ def test_g24_sign_by_copysign_is_bit_identical_to_the_masked_map():
         inplace = h.copy()
         g24_angles_from_heights(inplace, out=inplace)
         assert np.array_equal(inplace.view(np.int64), want.view(np.int64))
-
-
-def test_principal_cos2_three_columns_is_the_qr_svd_path():
-    g = RngStream(9, 0).standard_normal((500, 6, 3))
-    q, _ = np.linalg.qr(g)
-    sv = np.linalg.svd(q[:, :3, :], compute_uv=False)
-    assert np.array_equal(principal_cos2(g, 3), np.clip(sv**2, 0.0, 1.0))
-
-
-def test_principal_cos2_degenerate_frames_stay_finite():
-    e = np.eye(4)
-    tilted = np.stack([e[0], (e[1] + e[2]) / math.sqrt(2.0)], axis=1)
-    cases = {
-        "contains e1": (np.stack([e[0], e[2]], axis=1), 2, [1.0, 0.0]),
-        "contains e1, tilted": (tilted, 2, [1.0, 0.5]),
-        "orthogonal to the top block": (np.stack([e[2], e[3]], axis=1), 2, [0.0, 0.0]),
-        "equal to the top block (j = k)": (np.stack([e[1], e[0]], axis=1), 2,
-                                           [1.0, 1.0]),
-        "line orthogonal to the top block": (e[:, 3:], 3, [0.0]),
-        "top block is the whole space": (np.stack([e[0], e[3]], axis=1), 4,
-                                         [1.0, 1.0]),
-        "fewer top rows than columns": (np.stack([e[0], e[3]], axis=1), 1, [1.0]),
-    }
-    for name, (g, j, expect) in cases.items():
-        got = principal_cos2(g, j)
-        assert np.all(np.isfinite(got)), name
-        assert np.allclose(got, expect, atol=1e-15), (name, got)
-    with pytest.raises(ValueError):
-        principal_cos2(e[:, :2], 0)
-    with pytest.raises(ValueError):
-        principal_cos2(np.ones((1, 2)), 1)  # two columns in R^1

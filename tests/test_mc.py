@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import dblquad
+from scipy.stats import ks_2samp
 
 from grassdeg import mc
 from grassdeg.geomlin import (
@@ -18,7 +19,6 @@ from grassdeg.geomlin import (
     det3,
     g24_angles_from_heights,
     half_angle_sin_cos,
-    principal_cos2,
     small_det,
 )
 from grassdeg.mc import (
@@ -332,6 +332,25 @@ def test_polar_kernel_worker_count_is_invisible():
     for route in (alpha_mc, vol_C_vitale_mc):
         one = route(2, 2, RngStream(42, 0), 3 * CHUNK + 17)
         assert route(2, 2, RngStream(42, 0), 3 * CHUNK + 17, workers=8) == one
+
+
+@pytest.mark.parametrize("k, m, draws", [
+    (1, 3, 200_000), (1, 4, 200_000), (2, 2, 400_000), (2, 3, 200_000),
+    (3, 3, 200_000), (4, 5, 100_000),
+])
+def test_rank_one_det_second_moment_is_exact(k, m, draws):
+    # the columns vec(x_i y_i^T) are independent with E c c^T = I / N, so
+    # E det(M)^2 = N! det(I / N) = N! / N^N, N = km: the 3x3 and 4x4
+    # cofactors, the polar (2, 2) kernel and slogdet above km = 4
+    kernel = mc._rank_one_det_kernel(k, m)
+
+    def squared(gen, count):
+        values, degenerate = kernel(gen, count)
+        return np.concatenate([values**2, np.zeros(degenerate)]), 0
+
+    est = run_kernel(squared, RngStream(73, 10 * k + m), draws)
+    n = k * m
+    assert abs(est.value - math.factorial(n) / n**n) < 4.0 * est.stderr
 
 
 def test_alpha_is_symmetric_in_distribution():
@@ -681,42 +700,122 @@ def test_schubert_mc_duality_is_exact():
     assert a == b
 
 
-def whole_chunk_frame_angles(gen, count, n, k, j):
-    """``mc._frame_angles`` without sub-batches: every frame of a chunk at once."""
-    g = gen.standard_normal((count, n, k))
-    return np.arccos(np.sqrt(principal_cos2(g, j)[:, :2]))
+def whole_chunk_jacobi_angles(gen, count, n, k, j):
+    """``mc._jacobi_angles`` without sub-batches, every draw of a chunk at
+    once: the bidiagonal B of the Jacobi matrix model built entry by entry,
+    and its singular values from numpy's SVD."""
+    a, b = j - k, n - j - k
+    i, i1 = np.arange(k, 0, -1.0), np.arange(k - 1, 0, -1.0)
+    z = gen.beta(np.concatenate([a + i, i1]) / 2.0,
+                 np.concatenate([b + i, a + b + 1.0 + i1]) / 2.0,
+                 size=(count, 2 * k - 1))
+    c, s = np.sqrt(z[:, :k]), np.sqrt(1.0 - z[:, :k])  # c_k .. c_1
+    cp, sp = np.sqrt(z[:, k:]), np.sqrt(1.0 - z[:, k:])  # c'_{k-1} .. c'_1
+    bmat = np.zeros((count, k, k))
+    p = np.arange(k)
+    bmat[:, p, p] = c * np.concatenate([np.ones((count, 1)), sp], axis=1)
+    bmat[:, p[:-1], p[1:]] = -s[:, :-1] * cp
+    sv = np.linalg.svd(bmat, compute_uv=False)[:, :2]
+    return np.arccos(np.clip(sv, 0.0, 1.0)).T  # descending: ascending angles
 
 
 def test_frame_sub_batches_read_the_whole_chunk_draws(monkeypatch):
     # the Schubert ratio away from (2, 4) and the goodness of fit away from
-    # (2, 2, 4), on a full and a partial chunk, with the default budget and
-    # with one of 1000 draws at (k, n) = (3, 7), against whole-chunk frames
+    # (2, 2, 4), on a full and a partial chunk: with the default budget at
+    # 1 and 8 workers, with one of 1000 draws at k = 3, and against
+    # whole-chunk draws reduced by numpy's SVD.  (3, 7) bisects, (2, 3, 6)
+    # takes the k = 2 roots and the other two read c_1^2 itself.
     samples = CHUNK + 3000
 
-    def both():
-        return (schubert_ratio_mc(3, 7, 0.3, 0.5, RngStream(64, 0), samples),
-                schubert_ratio_mc(1, 4, 0.3, 0.3, RngStream(64, 1), samples),
-                density_gof(2, 3, 6, RngStream(64, 2), samples),
-                density_gof(1, 2, 5, RngStream(64, 3), samples))
+    def both(workers=1):
+        return (schubert_ratio_mc(3, 7, 0.3, 0.5, RngStream(64, 0), samples,
+                                  workers=workers),
+                schubert_ratio_mc(1, 4, 0.3, 0.3, RngStream(64, 1), samples,
+                                  workers=workers),
+                density_gof(2, 3, 6, RngStream(64, 2), samples, workers=workers),
+                density_gof(1, 2, 5, RngStream(64, 3), samples, workers=workers))
 
     default = both()
-    monkeypatch.setattr(mc, "_BATCH_BYTES", 1000 * 8 * (4 * 7 * 3 + 8))
+    assert both(workers=8) == default
+    monkeypatch.setattr(mc, "_BATCH_BYTES", 1000 * 8 * (5 * 3 + 16))
     assert both() == default
-    monkeypatch.setattr(mc, "_frame_angles", whole_chunk_frame_angles)
+    monkeypatch.setattr(mc, "_jacobi_angles", whole_chunk_jacobi_angles)
     assert both() == default
 
 
 def test_frame_chunk_memory_is_bounded():
-    # one chunk of 4096 draws at (k, n) = (30, 60): its whole (4096, 60, 30)
-    # Gaussians would take 56 MiB, a full chunk's 225 MiB
+    # one chunk of 4096 draws at (k, n) = (200, 400): the whole chunk's 399
+    # Betas a draw and its tridiagonals would take 40 MiB, a full chunk's
+    # 160 MiB; sub-batches keep it near the budget
     tracemalloc.start()
     try:
-        est = schubert_ratio_mc(30, 60, 0.3, 0.5, RngStream(65, 0), 4096)
+        est = schubert_ratio_mc(200, 400, 0.3, 0.5, RngStream(65, 0), 4096)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert est.n_samples == 4096
     assert peak < 1.25 * mc._BATCH_BYTES, peak
+
+
+def qr_svd_frame_angles(gen, count, n, k, j):
+    # the two smallest principal angles of Gaussian n x k frames against
+    # span(e_1, ..., e_j), from numpy's QR and SVD: shape (2, count)
+    q, _ = np.linalg.qr(gen.standard_normal((count, n, k)))
+    sv = np.linalg.svd(q[:, :j, :], compute_uv=False)[:, :2]
+    return np.arccos(np.clip(sv, 0.0, 1.0)).T
+
+
+@pytest.mark.parametrize("k, n", [(3, 6), (3, 7), (5, 10), (10, 20)])
+def test_jacobi_angles_follow_the_frame_law(k, n):
+    # two-sample KS of each of the two smallest angles, Jacobi model against
+    # Gaussian frames, at the 1% critical value; the same test rejects the
+    # model drawn for R^(n+1)
+    draws, j = 50_000, n - k
+    critical = math.sqrt(-0.5 * math.log(0.005)) * math.sqrt(2.0 / draws)
+    frames = qr_svd_frame_angles(RngStream(66, n).generator, draws, n, k, j)
+    jacobi = mc._jacobi_angles(RngStream(67, n).generator, draws, n, k, j)
+    wrong = mc._jacobi_angles(RngStream(68, n).generator, draws, n + 1, k, j)
+    for r in range(2):
+        assert ks_2samp(jacobi[r], frames[r]).statistic < critical, r
+        assert ks_2samp(wrong[r], frames[r]).statistic > critical, r
+
+
+def test_jacobi_roots_agree_with_the_bisection():
+    # at k = 2 the closed-form roots and the Sturm bisection of the same T
+    z = RngStream(69, 0).generator.beta([2.0, 1.5, 0.5], [1.5, 1.0, 3.0],
+                                        size=(100_000, 3)).T
+    c2, cp2 = z[:2], z[2:]
+    e2 = (1.0 - c2[:1]) * cp2
+    d2 = c2 * np.stack([np.ones_like(cp2[0]), 1.0 - cp2[0]])
+    bisected = mc._sturm_top_two(d2 + np.vstack([np.zeros_like(e2), e2]), d2[:1] * e2)
+    roots = np.array(mc._top_cos2(z.copy(), 2))
+    assert np.max(np.abs(roots - bisected)) < 2e-13
+
+
+def test_sturm_bisection_matches_eigvalsh_on_edge_cases():
+    # diagonal matrices (zero off-diagonals, so exact zero pivots), repeated
+    # eigenvalues, the ends 0 and 1, and random tridiagonals of [0, 1]
+    diags = [[0.5, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0],
+             [0.0, 0.0, 0.0], [0.25, 0.75, 0.75], [0.5, 0.25, 0.5], [0.5, 0.25, 0.25]]
+    diag = np.array(diags + [[0.5, 0.5, 0.5]] * 200).T
+    off2 = np.zeros((2, diag.shape[1]))
+    off2[:, len(diags):] = RngStream(70, 0).generator.random((2, 200)) / 16.0
+    mats = np.zeros((diag.shape[1], 3, 3))
+    mats[:, [0, 1, 2], [0, 1, 2]] = diag.T
+    mats[:, [0, 1], [1, 2]] = mats[:, [1, 2], [0, 1]] = np.sqrt(off2.T)
+    want = np.linalg.eigvalsh(mats)[:, ::-1][:, :2].T
+    got = mc._sturm_top_two(diag, off2.copy())
+    assert np.all((0.0 <= got) & (got <= 1.0))
+    assert np.max(np.abs(got - want)) < 1e-15
+
+
+@pytest.mark.parametrize("l, n", [(3, 6), (200, 400)])
+def test_density_gof_off_g24_within_the_criterion_bound(l, n):
+    # criterion 4 bounds the L1 by 0.02 at 10^6 samples; its sampling part
+    # shrinks like 1/sqrt(samples)
+    samples = 200_000
+    l1 = density_gof(2, l, n, RngStream(71, n), samples)
+    assert 0.0 < l1 < 0.02 * math.sqrt(1e6 / samples)
 
 
 def _g24_chunk_angles(rng, index, count):
@@ -729,7 +828,7 @@ def _g24_chunk_angles(rng, index, count):
 def test_g24_chunk_leaves_the_stream_where_two_uniforms_do():
     count = 1000
     used, fresh = RngStream(47, 0).generator, RngStream(47, 0).generator
-    angles = mc._g24_angles(used, count)
+    angles = mc._jacobi_angles(used, count, 4, 2, 2)
     heights = 2.0 * fresh.random((2, count)) - 1.0
     # the same next raw 64-bit outputs: the same point of the stream
     assert np.array_equal(used.bit_generator.random_raw(4),
