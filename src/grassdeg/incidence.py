@@ -21,7 +21,11 @@ It catches four lines of one regulus (linearly dependent Pluecker vectors),
 a repeated line and tangency (the two transversals coincide), since each
 makes det M vanish.  A degenerate configuration gets count 0; the Monte
 Carlo estimators leave such a draw out of the mean and report it in
-``degenerate_count``.
+``degenerate_count``.  Pairings of unit vectors are at most 2 in size (1
+for unit Pluecker vectors, 2 for the unit halves below), so |x|, |y| and
+|z| are at most 4 up to rounding and the test can hold only where
+|det M| <= 16 tau (1 + eps); the count screens on that and takes the
+exact test on the few elements below the screen.
 
 This gives an enumerative ground truth for the expected-degree machinery:
 averaging the count over uniform 4-tuples of lines is an independent Monte
@@ -55,6 +59,15 @@ per-sample total has the law it has for independent uniform lines.  A
 sample of L lines takes 4L - 6 uniforms instead of 4L (10 instead of 16
 for the four lines of a transversal sample), and the pairings with lines
 0 and 1 take a_z - b_z and two-term sums instead of full dot products.
+
+The transversal estimator counts each draw with three sign images: the
+same lines with b negated on lines {2, 3}, on {1, 3} and on {1, 2}.  With
+the global flip, which keeps every pairing, these are the b-sign flips of
+the four lines.  Every image has the law of the draw.  Each b_i with
+i >= 2 is uniform on S^2 and independent of the rest, so -b_i is too.
+Negating b_1, which has zero azimuth, and then turning every b by pi about
+e_z gives the same pairings, keeps line 0 at (e_z, e_z) and leaves line 1
+at zero azimuth with its b-height negated, again uniform.
 """
 
 import itertools
@@ -80,6 +93,9 @@ __all__ = [
 _MINOR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _QUADRIC_TOL = 1e-10
 _DEGENERATE_TOL = 1e-12  # tau of the degeneracy test in the module docstring
+# a bound on |x|, |y|, |z| for pairings of unit halves, |m| <= 2 (1 + 1e-15),
+# so that _count_from_pairings screens at tau 4.125^2 < 17.02 tau
+_PRODUCT_BOUND = 4.125
 # Working memory of one sub-batch of a rig chunk; see _rig_rows.  Each worker
 # thread holds one, so this sets most of a multi-threaded run's peak memory.
 _RIG_BATCH_BYTES = 8 * 2**20
@@ -172,14 +188,24 @@ def meet_pairing(p, q):
     return float(_polar(_as_vector(p), _as_vector(q)))
 
 
-def _count_from_pairings(x, y, z, work=None):
+def _count_from_pairings(x, y, z, bound=None, work=None):
     """Transversal counts from x, y, z = m01 m23, m02 m13, m03 m12.
 
-    x, y, z share one shape and are overwritten: the arithmetic runs in
-    place, so beside the boolean results it allocates only two float arrays
-    of that shape, or none when ``work`` gives two such arrays instead.
-    Returns (counts, degenerate) of that shape, counts 0.0 or 2.0 in x;
-    degenerate configurations count 0.
+    x, y, z share one shape and are left as they are, so several counts can
+    share them.  Beside the boolean flags the count allocates two float
+    arrays of that shape, or none when ``work`` gives two such arrays
+    instead; the counts are returned in the second.  Returns (counts,
+    degenerate) of that shape, counts 0.0 or 2.0; degenerate configurations
+    count 0.
+
+    ``bound`` states the precondition |x|, |y|, |z| <= bound.  Pairings of
+    unit halves keep it with ``_PRODUCT_BOUND``: each |m| <= 2 (1 + 1e-15),
+    as the tests check for every pairing the line sampler makes.  The
+    degeneracy test |det M| <= tau max(|x|, |y|, |z|)^2 can then hold only
+    where |det M| <= tau bound^2, so it runs on those few elements alone;
+    without a bound it runs on every element.  Either way it rounds as
+    (tau max(|x|, |y|, |z|)) max(|x|, |y|, |z|), so flags and counts do not
+    depend on the bound as long as it holds.
     """
     det, rest = (None, None) if work is None else work
     # det M = (x - y)^2 + z (z - 2 (x + y)), in the rounding of that formula
@@ -190,15 +216,17 @@ def _count_from_pairings(x, y, z, work=None):
     rest += z
     rest *= z
     det += rest
-    # scale = max(|x|, |y|, |z|); rest becomes tau * scale * scale
-    scale = np.abs(x, out=x)
-    np.maximum(scale, np.abs(y, out=y), out=scale)
-    np.maximum(scale, np.abs(z, out=z), out=scale)
-    np.multiply(scale, _DEGENERATE_TOL, out=rest)
-    rest *= scale
-    degenerate = np.abs(det, out=z) <= rest
-    counts = np.multiply(det > 0.0, 2.0, out=x)
-    counts[degenerate] = 0.0
+    counts = np.greater(det, 0.0, out=rest)
+    counts *= 2.0
+    screen = math.inf if bound is None else _DEGENERATE_TOL * bound * bound
+    degenerate = np.abs(det, out=det) <= screen
+    if degenerate.any():
+        near = np.nonzero(degenerate)
+        scale = np.maximum(np.maximum(np.abs(x[near]), np.abs(y[near])),
+                           np.abs(z[near]))
+        flags = det[near] <= scale * _DEGENERATE_TOL * scale
+        degenerate[near] = flags
+        counts[near] = np.where(flags, 0.0, counts[near])
     return counts, degenerate
 
 
@@ -209,7 +237,7 @@ def _count_batch(pluckers):
         return _polar(pluckers[..., i, :], pluckers[..., j, :])
 
     return _count_from_pairings(m(0, 1) * m(2, 3), m(0, 2) * m(1, 3),
-                                m(0, 3) * m(1, 2))
+                                m(0, 3) * m(1, 2), _PRODUCT_BOUND)
 
 
 def transversals_of_four(l1, l2, l3, l4):
@@ -322,7 +350,7 @@ def _pick_counts(lines, r):
     x = b01[:, :, None, None] * b23[None, None, :, :]
     y = b02[:, None, :, None] * b13[None, :, None, :]
     z = b03[:, None, None, :] * b12[None, :, :, None]
-    return _count_from_pairings(x, y, z)
+    return _count_from_pairings(x, y, z, _PRODUCT_BOUND)
 
 
 def _rig_rows(r):
@@ -345,9 +373,10 @@ def _rig_rows(r):
 
 
 # Rows of CHUNK-sized arrays that one chunk of the transversal kernel takes
-# in mc._workspace (31 x 128 KiB = 3.9 MiB per thread): 16 for the lines, 8
-# per half, and 15 for the draws and then the pairings and the counts.
-_MIRROR_ROWS = 31
+# in mc._workspace (30 x 128 KiB = 3.75 MiB per thread): 16 for the lines, 8
+# per half, and 14 for the draws, which then hold the pairings, the six
+# products and the four counts.
+_IMAGE_ROWS = 30
 
 
 def _dot(pairs, out, tmp):
@@ -359,21 +388,22 @@ def _dot(pairs, out, tmp):
     return out
 
 
-def _mirror_counts(gen, count, buf):
-    """Counts of ``count`` four-line draws and of their mirror images.
+def _image_counts(gen, count, buf):
+    """Counts of ``count`` four-line draws and of their three sign images.
 
     Reads the rows of 10 uniforms that ``_random_lines(gen, count, 4)`` reads
-    and builds the same lines bit for bit, in ``buf`` of ``_MIRROR_ROWS *
+    and builds the same lines bit for bit, in ``buf`` of ``_IMAGE_ROWS *
     count`` doubles; the columns of the draw are read where they lie, not
-    copied out first.  The mirror image negates b of lines 2 and 3.  With
-    A_ij = a_i.a_j and B_ij = b_i.b_j the draw pairs as m_ij = A_ij - B_ij,
-    each A_ij and B_ij formed once, and the mirror as A_ij + B_ij for the
-    pairs (0, 2), (0, 3), (1, 2), (1, 3); m01 and m23, so x = m01 m23, are
-    the same for both.  Returns (counts, degenerate, mirror_counts,
-    mirror_degenerate) as ``_count_from_pairings`` does; the counts alias
-    ``buf``.
+    copied out first.  The images negate b of lines {2, 3}, {1, 3} and
+    {1, 2}.  With A_ij = a_i.a_j and B_ij = b_i.b_j, each formed once, a
+    pair whose two b are negated together or not at all pairs as m_ij =
+    A_ij - B_ij, any other pair as n_ij = A_ij + B_ij.  So the six products
+    x = m01 m23, y = m02 m13, z = m03 m12 and x', y', z' of the n_ij give
+    the triples (x, y, z), (x, y', z'), (x', y, z') and (x', y', z) of the
+    draw and the images.  Returns their four (counts, degenerate) in that
+    order, as ``_count_from_pairings`` does; the counts alias ``buf``.
     """
-    rows = buf[:_MIRROR_ROWS * count].reshape(_MIRROR_ROWS, count)
+    rows = buf[:_IMAGE_ROWS * count].reshape(_IMAGE_ROWS, count)
     lines, work = rows[:16].reshape(2, 8, count), rows[16:]
     # per half, rows z1 z2 z3, x1 x2 x3, y2 y3; line 0 is (e_z, e_z), and
     # line 1 has y = 0
@@ -392,55 +422,57 @@ def _mirror_counts(gen, count, buf):
         y *= rho[1:]
         x[1:] *= cos
 
-    tmp = work[0]
-    a12, b12, a13, b13, a23, b23 = work[1:7]
-    for (z, x, y), (p12, p13, p23) in zip(coords, ((a12, a13, a23), (b12, b13, b23))):
+    # the draws are spent: per half the pairings l1.l2, l1.l3, l2.l3
+    tmp, dots = work[0], work[1:7].reshape(2, 3, count)
+    for (z, x, y), (p12, p13, p23) in zip(coords, dots):
         _dot(((x[0], x[1]), (z[0], z[1])), p12, tmp)
         _dot(((x[0], x[2]), (z[0], z[2])), p13, tmp)
         _dot(((x[1], x[2]), (y[0], y[1]), (z[1], z[2])), p23, tmp)
+    # line 0 is (e_z, e_z), so A_0j = za_j and B_0j = zb_j; ``minus`` takes
+    # x, y, z, each m_0j times the m of the two other lines, and ``plus``
+    # x', y', z' of the n
     (za, _, _), (zb, _, _) = coords
-    x, y, z, x_m, y_m, z_m = work[7:13]
-    np.subtract(za[0], zb[0], out=x)
-    x *= np.subtract(a23, b23, out=a23)
-    x_m[...] = x
-    np.subtract(za[1], zb[1], out=y)
-    y *= np.subtract(a13, b13, out=tmp)
-    np.subtract(za[2], zb[2], out=z)
-    z *= np.subtract(a12, b12, out=tmp)
-    np.add(za[1], zb[1], out=y_m)
-    y_m *= np.add(a13, b13, out=tmp)
-    np.add(za[2], zb[2], out=z_m)
-    z_m *= np.add(a12, b12, out=tmp)
-    counts, degenerate = _count_from_pairings(x, y, z, work[13:15])
-    return (counts, degenerate) + _count_from_pairings(x_m, y_m, z_m, work[13:15])
+    minus, plus = work[7:10], work[10:13]
+    for j, (a_kl, b_kl) in enumerate(zip(dots[0, ::-1], dots[1, ::-1])):
+        np.subtract(za[j], zb[j], out=minus[j])
+        minus[j] *= np.subtract(a_kl, b_kl, out=tmp)
+        np.add(za[j], zb[j], out=plus[j])
+        plus[j] *= np.add(a_kl, b_kl, out=tmp)
+    (x, y, z), (xn, yn, zn) = minus, plus
+    images = ((x, y, z), (x, yn, zn), (xn, y, zn), (xn, yn, z))
+    # the pairings are spent too: their rows take the four counts
+    return [_count_from_pairings(*triple, _PRODUCT_BOUND, (tmp, out))
+            for triple, out in zip(images, dots.reshape(6, count))]
 
 
 def _transversal_kernel(gen, count):
-    """Pair means of ``_mirror_counts``, computed in the thread's workspace."""
-    with _workspace(_MIRROR_ROWS * count) as buf:
-        counts, degenerate, mirror, mirror_degenerate = _mirror_counts(gen, count, buf)
-        degenerate |= mirror_degenerate
-        counts += mirror
-        values = counts[~degenerate]
-    values *= 0.5
-    return values, int(degenerate.sum())
+    """Means of the four ``_image_counts``, computed in the thread's workspace."""
+    with _workspace(_IMAGE_ROWS * count) as buf:
+        (total, bad), *images = _image_counts(gen, count, buf)
+        for counts, degenerate in images:
+            total += counts
+            bad |= degenerate
+        values = total[~bad]
+    values *= 0.25
+    return values, int(bad.sum())
 
 
 def edeg24_transversal_mc(rng, samples, workers=1):
     """Mean transversal count over i.i.d. uniform 4-tuples of lines.
 
-    Each sample is the mean of two counts: the count for four lines drawn
-    in the canonical frame, and the count for their mirror image, the same
-    lines with the half b of lines 2 and 3 negated (``_mirror_counts``).
-    Each b_i is uniform on S^2 and independent of everything else, so -b_i
-    is too: the mirror image has exactly the law of the draw, and the mean
-    of the two counts is an unbiased estimate of edeg G(2, 4).  The two
-    counts are nearly uncorrelated, so the mean keeps about half of one
-    count's variance, for one more count from pairings already formed.
+    Each sample is the mean of four counts: the count for four lines drawn
+    in the canonical frame, and the counts for its three sign images, the
+    same lines with the half b negated on lines {2, 3}, on {1, 3} and on
+    {1, 2} (``_image_counts``).  These are the b-sign flips of the four
+    lines up to a global flip, which leaves every pairing as it is.  Every
+    image has exactly the law of the draw (module docstring), so the mean of
+    the four counts is an unbiased estimate of edeg G(2, 4).  It keeps about
+    0.27 of one count's variance, for three more counts from six products of
+    pairings already formed.
 
-    A sample is degenerate when either configuration is; it is left out of
-    the mean and counted in ``degenerate_count``.  ``stderr`` is the
-    standard error of the mean of the i.i.d. pair means.
+    A sample is degenerate when any of its four configurations is; it is
+    left out of the mean and counted in ``degenerate_count``.  ``stderr`` is
+    the standard error of the mean of the i.i.d. four-count means.
     """
     return run_kernel(_transversal_kernel, rng, samples, workers=workers,
                       method="transversal-mc")

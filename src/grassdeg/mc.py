@@ -144,11 +144,13 @@ def _pool(threads):
 # the polar rank-one chunks, the transversal chunks and the moments of
 # every chunk compute in their thread's buffer instead.
 _WORKSPACES = threading.local()
-# the largest chunk need, the transversal kernel's 31 rows of CHUNK
-# (incidence._MIRROR_ROWS; the polar kernel takes 18 rows of CHUNK, a torus
-# chunk 12 rows of at most 2 CHUNK points, so at most 24 CHUNK); larger
-# requests get a new array, so no thread keeps more than 3.9 MiB
-_WORKSPACE_DOUBLES = 31 * CHUNK
+# the largest chunk need, the transversal kernel's 30 rows of CHUNK
+# (incidence._IMAGE_ROWS: its four lines, then the draws' rows reused for
+# the pairings, the six products and the counts of its four sign images;
+# the polar kernel takes 18 rows of CHUNK, a torus chunk 12 rows of at most
+# 2 CHUNK points, so at most 24 CHUNK); larger requests get a new array, so
+# no thread keeps more than 3.75 MiB
+_WORKSPACE_DOUBLES = 30 * CHUNK
 
 
 @contextmanager

@@ -14,9 +14,9 @@ from grassdeg.incidence import (
     TransversalCount,
     _count_batch,
     _half_pairing,
-    _MIRROR_ROWS,
+    _image_counts,
+    _IMAGE_ROWS,
     _minors_of_basis,
-    _mirror_counts,
     _pairing_block,
     _pick_counts,
     _polar,
@@ -334,6 +334,70 @@ def plain_count_from_pairings(x, y, z):
     return counts, degenerate
 
 
+def in_place_count_from_pairings(x, y, z):
+    """The count that overwrote x, y, z, kept as the oracle of the screened one.
+
+    It takes the degeneracy test on every element, in the rounding that
+    ``incidence._count_from_pairings`` keeps.
+    """
+    det = np.subtract(x, y)
+    det *= det
+    rest = np.add(x, y)
+    rest *= -2.0
+    rest += z
+    rest *= z
+    det += rest
+    scale = np.abs(x, out=x)
+    np.maximum(scale, np.abs(y, out=y), out=scale)
+    np.maximum(scale, np.abs(z, out=z), out=scale)
+    np.multiply(scale, 1e-12, out=rest)
+    rest *= scale
+    degenerate = np.abs(det, out=z) <= rest
+    counts = np.multiply(det > 0.0, 2.0, out=x)
+    counts[degenerate] = 0.0
+    return counts, degenerate
+
+
+def assert_count_matches_the_oracle(x, y, z, bound=incidence._PRODUCT_BOUND):
+    """The screened count equals the in-place one, and leaves x, y, z alone."""
+    want = in_place_count_from_pairings(x.copy(), y.copy(), z.copy())
+    inputs = [v.copy() for v in (x, y, z)]
+    got = incidence._count_from_pairings(x, y, z, bound)
+    for v, before in zip((x, y, z), inputs):
+        assert np.array_equal(v.view(np.uint64), before.view(np.uint64))
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    return got
+
+
+SIGN_IMAGES = ((), (2, 3), (1, 3), (1, 2))  # the lines whose b each image negates
+
+
+def sign_image(lines, flip):
+    """Lines drawn as halves, (2, 3, L, n), with b negated on lines ``flip``."""
+    image = lines.copy()
+    for i in flip:
+        image[1, :, i] *= -1.0
+    return image
+
+
+def pick_triples(lines, r):
+    """x, y, z of every pick of a rig, as _pick_counts forms them."""
+    b01, b02, b03, b12, b13, b23 = (
+        _pairing_block(lines, g, h) for g, h in itertools.combinations(unions_of(r), 2)
+    )
+    return (b01[:, :, None, None] * b23[None, None, :, :],
+            b02[:, None, :, None] * b13[None, :, None, :],
+            b03[:, None, None, :] * b12[None, :, :, None])
+
+
+def sampler_batches():
+    """2^20 draws of four lines by _random_lines, in 16 batches."""
+    gen = RngStream(71, 0).generator
+    for _ in range(16):
+        yield _random_lines(gen, 2**16, 4)
+
+
 def test_in_place_count_matches_the_plain_formula():
     gen = RngStream(67, 0).generator
     x, y, z = gen.uniform(-1.0, 1.0, (3, 200_000))
@@ -345,10 +409,119 @@ def test_in_place_count_matches_the_plain_formula():
     e *= 10.0 ** gen.uniform(-15.0, -10.0, 100_000)
     z[near] = (np.sqrt(x[near]) + np.sqrt(y[near])) ** 2 * (1.0 + e)
     want_counts, want_degenerate = plain_count_from_pairings(x, y, z)
-    counts, degenerate = incidence._count_from_pairings(x.copy(), y.copy(), z.copy())
-    assert np.array_equal(counts, want_counts)
-    assert np.array_equal(degenerate, want_degenerate)
+    for bound in (None, incidence._PRODUCT_BOUND):
+        counts, degenerate = assert_count_matches_the_oracle(x, y, z, bound)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(degenerate, want_degenerate)
     assert 1000 < degenerate.sum() < 99_000  # both sides of the threshold
+
+
+def test_sampler_pairings_keep_the_bound_of_the_screen():
+    # the precondition of the screened count: every pairing of unit halves
+    # the sampler draws, of a draw and of its sign images, is at most
+    # 2 (1 + 1e-15); a line (a, b) and its image (-a, b) pair at -|a|^2 -
+    # |b|^2, the extreme, so these pairings test the bound where it is tight
+    limit = 2.0 * (1.0 + 1e-15)
+    for lines in sampler_batches():
+        for flip in SIGN_IMAGES:
+            image = sign_image(lines, flip)
+            for g, h in itertools.combinations(range(4), 2):
+                m = _pairing_block(image, range(g, g + 1), range(h, h + 1))
+                assert np.abs(m).max() <= limit, (flip, g, h)
+        antipodes = lines.copy()
+        antipodes[0] *= -1.0
+        extreme = np.abs(_half_pairing(lines, antipodes))
+        assert extreme.max() <= limit
+        assert extreme.min() >= 2.0 * (1.0 - 1e-15)
+    assert limit * limit < incidence._PRODUCT_BOUND
+
+
+def test_screened_count_matches_the_in_place_count_on_sampler_draws():
+    # the triples of 2^20 draws and of their three sign images
+    for lines in sampler_batches():
+        for flip in SIGN_IMAGES:
+            x, y, z = (v.reshape(-1) for v in pick_triples(sign_image(lines, flip),
+                                                           (1, 1, 1, 1)))
+            assert_count_matches_the_oracle(x, y, z)
+
+
+def test_screened_count_matches_the_in_place_count_on_a_rig_chunk():
+    r = (16, 4, 1, 1)
+    lines = _random_lines(RngStream(58, 0).substream(0).generator, CHUNK, sum(r))
+    x, y, z = pick_triples(lines, r)
+    counts, degenerate = assert_count_matches_the_oracle(x, y, z)
+    got = _pick_counts(lines, r)
+    assert np.array_equal(got[0], counts)
+    assert np.array_equal(got[1], degenerate)
+
+
+def det_in_the_count(x, y, z):
+    """det M of one triple of float64 scalars, rounded as the count rounds it."""
+    d = x - y
+    return d * d + ((x + y) * -2.0 + z) * z
+
+
+def z_for_det(s, target):
+    """z such that (s, s, z) has det M = z (z - 4 s) equal to ``target``.
+
+    None when no float z gives it: a step of z by one ulp moves det M by
+    |z - 4 s| ulp(z), which can be a little more than one ulp of det M.
+    """
+    z = np.float64(-target / (4.0 * s))
+    for _ in range(2):
+        z = target / ((s + s) * -2.0 + z)  # det M / (z - 4 s), to a few ulps
+    for _ in range(8):
+        det = det_in_the_count(s, s, z)
+        if det == target:
+            return z
+        # det M falls as z rises, near z = 0
+        z = np.nextafter(z, np.inf if det > target else -np.inf)
+    return None
+
+
+def threshold_triples(base):
+    """(s, s, z) at a scale s near ``base``, |det M| one ulp either side of tau s^2.
+
+    Rows with det M = -below, -above, below and above the threshold, as
+    the count rounds det M and the threshold.  s is the first float from
+    ``base`` up at which the count's (s tau) s differs from tau (s s), so
+    that the rows also see the order of that rounding, and at which every
+    row exists.
+    """
+    s = np.float64(base)
+    while True:
+        s = np.nextafter(s, np.inf)
+        threshold = s * 1e-12 * s
+        if threshold == 1e-12 * (s * s):
+            continue
+        below = np.nextafter(threshold, 0.0)
+        above = np.nextafter(threshold, np.inf)
+        z = [z_for_det(s, target) for target in (-below, -above, below, above)]
+        if None not in z:
+            return np.full(4, s), np.full(4, s), np.array(z)
+
+
+def test_count_at_one_ulp_either_side_of_the_threshold():
+    # (s, s, z) with |z| << s has scale s and det M = z (z - 4 s)
+    for base in (4.0, 1.0, 1e-3):
+        x, y, z = threshold_triples(base)
+        assert abs(x[0] / base - 1.0) < 1e-12
+        for bound in (None, incidence._PRODUCT_BOUND):
+            counts, degenerate = assert_count_matches_the_oracle(x, y, z, bound)
+            assert degenerate.tolist() == [True, False, True, False], base
+            assert counts.tolist() == [0, 0, 0, 2], base
+        # the same triples in every order; the rounding of det M changes
+        for order in itertools.permutations(range(3)):
+            triple = np.stack([x, y, z])[list(order)]
+            assert_count_matches_the_oracle(*triple.copy())
+
+
+def test_count_of_zeros_and_signed_zeros():
+    values = (0.0, -0.0, 1.0, -1.0)
+    x, y, z = np.array(list(itertools.product(values, repeat=3))).T.copy()
+    counts, degenerate = assert_count_matches_the_oracle(x, y, z)
+    zeros = (x == 0.0) & (y == 0.0) & (z == 0.0)
+    assert degenerate[zeros].all() and not counts[zeros].any()
 
 
 def test_degeneracy_threshold_is_scale_free():
@@ -402,17 +575,21 @@ def test_counts_match_svd_oracle_on_sampler_draws():
         assert np.array_equal(plucker_counts, want_counts)
         assert np.array_equal(plucker_degenerate, want_degenerate)
         # the transversal kernel reads the same uniforms: its draw counts as
-        # above, and its mirror image, b of lines 2 and 3 negated, as the
-        # SVD count of those lines
-        got = _mirror_counts(rng.substream(index).generator, CHUNK,
-                             np.empty(_MIRROR_ROWS * CHUNK))
-        assert np.array_equal(got[0], want_counts)
-        assert np.array_equal(got[1], want_degenerate)
-        lines[1, :, 2:] *= -1.0
-        mirror_counts, mirror_degenerate = svd_count_batch(unit_pluckers(lines))
-        assert np.array_equal(got[2], mirror_counts)
-        assert np.array_equal(got[3], mirror_degenerate)
-        assert not np.array_equal(mirror_counts, want_counts)
+        # above, and each sign image, b negated on lines {2, 3}, {1, 3} or
+        # {1, 2}, as the SVD count and the rig path count those lines
+        images = _image_counts(rng.substream(index).generator, CHUNK,
+                               np.empty(_IMAGE_ROWS * CHUNK))
+        assert len(images) == len(SIGN_IMAGES)
+        for (got_counts, got_degenerate), flip in zip(images, SIGN_IMAGES):
+            image = sign_image(lines, flip)
+            image_counts, image_degenerate = svd_count_batch(unit_pluckers(image))
+            assert np.array_equal(got_counts, image_counts), flip
+            assert np.array_equal(got_degenerate, image_degenerate), flip
+            pick = _pick_counts(image, (1, 1, 1, 1))
+            assert np.array_equal(pick[0].reshape(CHUNK), image_counts), flip
+            assert np.array_equal(pick[1].reshape(CHUNK), image_degenerate), flip
+            if flip:
+                assert not np.array_equal(image_counts, want_counts)
 
 
 def test_rig_pick_counts_match_svd_oracle():
@@ -550,18 +727,27 @@ def test_canonical_frame_keeps_pairings_counts_and_flags():
 def test_a_sample_is_degenerate_when_either_configuration_is():
     # rows of 10 uniforms, per half the heights of lines 1 to 3, then the
     # azimuths of lines 2 and 3: line 0 is (e_z, e_z), and line 2 is
-    # (-e_z, -e_z), the same line, in the first row; in the second it is
-    # (a_1, -b_1), whose mirror image is line 1; the third row is generic
+    # (-e_z, -e_z), the same line, in the first row and in the image that
+    # keeps b_2; in the second it is (a_1, -b_1), line 1 in the images that
+    # negate one of b_1, b_2; the third row is generic; in the fourth line 3
+    # is (a_2, -b_2), b-height 1 - u and b-azimuth turned by pi, which only
+    # the images that negate one of b_2, b_3 and not the other, {1, 3} and
+    # {1, 2}, turn into line 2
     draws = np.array([[0.3, 0.0, 0.6, 0.1, 0.7, 0.8, 0.0, 0.35, 0.2, 0.45],
                       [0.3, 0.3, 0.6, 0.0, 0.7, 0.75, 0.25, 0.35, 0.5, 0.45],
-                      [0.3, 0.9, 0.6, 0.1, 0.7, 0.8, 0.15, 0.35, 0.2, 0.45]])
-    counts, degenerate, mirror, mirror_degenerate = _mirror_counts(
-        _FixedUniforms(draws), 3, np.empty(_MIRROR_ROWS * 3))
-    assert degenerate.tolist() == [True, False, False]
-    assert mirror_degenerate.tolist() == [False, True, False]
-    values, bad = incidence._transversal_kernel(_FixedUniforms(draws), 3)
-    assert bad == 2
-    assert values.tolist() == [(counts[2] + mirror[2]) / 2.0]
+                      [0.3, 0.9, 0.6, 0.1, 0.7, 0.8, 0.15, 0.35, 0.2, 0.45],
+                      [0.3, 0.9, 0.9, 0.1, 0.1, 0.6, 0.25, 0.75, 0.2, 0.7]])
+    images = _image_counts(_FixedUniforms(draws), 4, np.empty(_IMAGE_ROWS * 4))
+    # per image: the draw, then b negated on {2, 3}, {1, 3} and {1, 2}
+    assert [degenerate.tolist() for _, degenerate in images] == [
+        [True, False, False, False],
+        [False, True, False, False],
+        [True, True, False, True],
+        [False, False, False, True],
+    ]
+    values, bad = incidence._transversal_kernel(_FixedUniforms(draws), 4)
+    assert bad == 3
+    assert values.tolist() == [sum(counts[2] for counts, _ in images) / 4.0]
 
 
 def test_transversal_mc_reproducible_and_anchored():
@@ -570,9 +756,9 @@ def test_transversal_mc_reproducible_and_anchored():
     assert a == b
     assert a.degenerate_count == 0
     assert abs(a.value - 1.726231248998883) < 4.0 * a.stderr
-    # the mean and standard error of the SVD count's pair means, drawn and
-    # mirrored, on these draws: 345333/200000
-    assert (a.value, a.stderr) == (1.726665, 0.0011030054269947451)
+    # the mean and standard error of the SVD count's means over the draw
+    # and its three sign images, on these draws: 345307/200000
+    assert (a.value, a.stderr) == (1.7265350000000002, 0.0008036869405673407)
 
 
 def test_transversal_stderr_is_calibrated():
@@ -585,7 +771,7 @@ def test_transversal_stderr_is_calibrated():
 
 
 def test_transversal_chunk_computes_in_its_workspace():
-    assert _MIRROR_ROWS * CHUNK <= mc._WORKSPACE_DOUBLES
+    assert _IMAGE_ROWS * CHUNK <= mc._WORKSPACE_DOUBLES
     edeg24_transversal_mc(RngStream(70, 0), CHUNK)  # the buffer grows here
     tracemalloc.start()
     try:
@@ -593,7 +779,7 @@ def test_transversal_chunk_computes_in_its_workspace():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the values and a few boolean rows, against 3.9 MiB of workspace
+    # the values and a few boolean rows, against 3.75 MiB of workspace
     assert peak < 0.5 * 2**20, peak
 
 
