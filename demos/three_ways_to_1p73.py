@@ -5,8 +5,9 @@ The average count of real lines meeting four random lines in projective
 no code path past the RNG:
 
   1. brute force -- draw four lines, count their common transversals, and
-     count them again for the mirror image of the draw (the second
-     point of lines 2 and 3 on S^2 negated), which has the same law;
+     count them again for three sign images of the draw (the second point
+     on S^2 negated on lines {2,3}, {1,3} and {1,2}), each with the law
+     of the draw;
   2. an integral over a flat torus (the kinematic route): the integrand's
      closed-form mean over one angle pair, averaged over the other four
      angles by a randomly shifted rank-1 lattice rule, whose shifts give

@@ -23,9 +23,10 @@ makes det M vanish.  A degenerate configuration gets count 0; the Monte
 Carlo estimators leave such a draw out of the mean and report it in
 ``degenerate_count``.  Pairings of unit vectors are at most 2 in size (1
 for unit Pluecker vectors, 2 for the unit halves below), so |x|, |y| and
-|z| are at most 4 up to rounding and the test can hold only where
-|det M| <= 16 tau (1 + eps); the count screens on that and takes the
-exact test on the few elements below the screen.
+|z| are at most 4 up to rounding.  The count screens a batch at tau s^2,
+s the largest |x|, |y|, |z| in it, which bounds the threshold of every
+configuration there, and takes the exact test on the few elements below
+that screen.
 
 This gives an enumerative ground truth for the expected-degree machinery:
 averaging the count over uniform 4-tuples of lines is an independent Monte
@@ -93,9 +94,6 @@ __all__ = [
 _MINOR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _QUADRIC_TOL = 1e-10
 _DEGENERATE_TOL = 1e-12  # tau of the degeneracy test in the module docstring
-# a bound on |x|, |y|, |z| for pairings of unit halves, |m| <= 2 (1 + 1e-15),
-# so that _count_from_pairings screens at tau 4.125^2 < 17.02 tau
-_PRODUCT_BOUND = 4.125
 # Working memory of one sub-batch of a rig chunk; see _rig_rows.  Each worker
 # thread holds one, so this sets most of a multi-threaded run's peak memory.
 _RIG_BATCH_BYTES = 8 * 2**20
@@ -188,7 +186,21 @@ def meet_pairing(p, q):
     return float(_polar(_as_vector(p), _as_vector(q)))
 
 
-def _count_from_pairings(x, y, z, bound=None, work=None):
+def _screen(*products):
+    """(s tau) s for s the largest |entry| of the arrays ``products``.
+
+    The degeneracy test rounds its threshold as (m tau) m, m = max(|x|, |y|,
+    |z|) of one configuration, and rounding keeps that at most (s tau) s for
+    every configuration whose x, y, z are entries of ``products``.
+    """
+    # fmax and fmin skip a NaN, which fails every comparison anyway, so it
+    # cannot make the screen NaN for the rest of the batch
+    s = max(max(np.fmax.reduce(v, axis=None, initial=0.0),
+                -np.fmin.reduce(v, axis=None, initial=0.0)) for v in products)
+    return s * _DEGENERATE_TOL * s
+
+
+def _count_from_pairings(x, y, z, work=None, screen=None):
     """Transversal counts from x, y, z = m01 m23, m02 m13, m03 m12.
 
     x, y, z share one shape and are left as they are, so several counts can
@@ -198,14 +210,14 @@ def _count_from_pairings(x, y, z, bound=None, work=None):
     degenerate) of that shape, counts 0.0 or 2.0; degenerate configurations
     count 0.
 
-    ``bound`` states the precondition |x|, |y|, |z| <= bound.  Pairings of
-    unit halves keep it with ``_PRODUCT_BOUND``: each |m| <= 2 (1 + 1e-15),
-    as the tests check for every pairing the line sampler makes.  The
-    degeneracy test |det M| <= tau max(|x|, |y|, |z|)^2 can then hold only
-    where |det M| <= tau bound^2, so it runs on those few elements alone;
-    without a bound it runs on every element.  Either way it rounds as
-    (tau max(|x|, |y|, |z|)) max(|x|, |y|, |z|), so flags and counts do not
-    depend on the bound as long as it holds.
+    The degeneracy test |det M| <= tau max(|x|, |y|, |z|)^2 runs only where
+    |det M| <= ``screen``, by default ``_screen(x, y, z)``.  A caller that
+    counts several triples made of the same arrays passes one screen of all
+    of them, which bounds every triple's own, and so reduces each array once
+    instead of once per count.  For pairings of unit halves, each |m| <= 2
+    (1 + 1e-15) as the tests check for every pairing the line sampler
+    makes, the screen is at most 16.01 tau and the exact test almost never
+    runs.
     """
     det, rest = (None, None) if work is None else work
     # det M = (x - y)^2 + z (z - 2 (x + y)), in the rounding of that formula
@@ -218,7 +230,8 @@ def _count_from_pairings(x, y, z, bound=None, work=None):
     det += rest
     counts = np.greater(det, 0.0, out=rest)
     counts *= 2.0
-    screen = math.inf if bound is None else _DEGENERATE_TOL * bound * bound
+    if screen is None:
+        screen = _screen(x, y, z)
     degenerate = np.abs(det, out=det) <= screen
     if degenerate.any():
         near = np.nonzero(degenerate)
@@ -237,7 +250,7 @@ def _count_batch(pluckers):
         return _polar(pluckers[..., i, :], pluckers[..., j, :])
 
     return _count_from_pairings(m(0, 1) * m(2, 3), m(0, 2) * m(1, 3),
-                                m(0, 3) * m(1, 2), _PRODUCT_BOUND)
+                                m(0, 3) * m(1, 2))
 
 
 def transversals_of_four(l1, l2, l3, l4):
@@ -350,7 +363,7 @@ def _pick_counts(lines, r):
     x = b01[:, :, None, None] * b23[None, None, :, :]
     y = b02[:, None, :, None] * b13[None, :, None, :]
     z = b03[:, None, None, :] * b12[None, :, :, None]
-    return _count_from_pairings(x, y, z, _PRODUCT_BOUND)
+    return _count_from_pairings(x, y, z)
 
 
 def _rig_rows(r):
@@ -401,7 +414,8 @@ def _image_counts(gen, count, buf):
     x = m01 m23, y = m02 m13, z = m03 m12 and x', y', z' of the n_ij give
     the triples (x, y, z), (x, y', z'), (x', y, z') and (x', y', z) of the
     draw and the images.  Returns their four (counts, degenerate) in that
-    order, as ``_count_from_pairings`` does; the counts alias ``buf``.
+    order, as ``_count_from_pairings`` does under one ``_screen`` of the six
+    products; the counts alias ``buf``.
     """
     rows = buf[:_IMAGE_ROWS * count].reshape(_IMAGE_ROWS, count)
     lines, work = rows[:16].reshape(2, 8, count), rows[16:]
@@ -440,8 +454,9 @@ def _image_counts(gen, count, buf):
         plus[j] *= np.add(a_kl, b_kl, out=tmp)
     (x, y, z), (xn, yn, zn) = minus, plus
     images = ((x, y, z), (x, yn, zn), (xn, y, zn), (xn, yn, z))
+    screen = _screen(work[7:13])
     # the pairings are spent too: their rows take the four counts
-    return [_count_from_pairings(*triple, _PRODUCT_BOUND, (tmp, out))
+    return [_count_from_pairings(*triple, work=(tmp, out), screen=screen)
             for triple, out in zip(images, dots.reshape(6, count))]
 
 

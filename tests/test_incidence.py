@@ -325,7 +325,7 @@ def test_tangent_line_is_degenerate_and_its_tilts_split():
 
 
 def plain_count_from_pairings(x, y, z):
-    """The out-of-place count, kept as the oracle of the in-place one."""
+    """The out-of-place count, kept as the oracle of the screened one."""
     det = (x - y) ** 2 + z * (z - 2.0 * (x + y))
     scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), np.abs(z))
     degenerate = np.abs(det) <= 1e-12 * scale * scale
@@ -334,35 +334,11 @@ def plain_count_from_pairings(x, y, z):
     return counts, degenerate
 
 
-def in_place_count_from_pairings(x, y, z):
-    """The count that overwrote x, y, z, kept as the oracle of the screened one.
-
-    It takes the degeneracy test on every element, in the rounding that
-    ``incidence._count_from_pairings`` keeps.
-    """
-    det = np.subtract(x, y)
-    det *= det
-    rest = np.add(x, y)
-    rest *= -2.0
-    rest += z
-    rest *= z
-    det += rest
-    scale = np.abs(x, out=x)
-    np.maximum(scale, np.abs(y, out=y), out=scale)
-    np.maximum(scale, np.abs(z, out=z), out=scale)
-    np.multiply(scale, 1e-12, out=rest)
-    rest *= scale
-    degenerate = np.abs(det, out=z) <= rest
-    counts = np.multiply(det > 0.0, 2.0, out=x)
-    counts[degenerate] = 0.0
-    return counts, degenerate
-
-
-def assert_count_matches_the_oracle(x, y, z, bound=incidence._PRODUCT_BOUND):
-    """The screened count equals the in-place one, and leaves x, y, z alone."""
-    want = in_place_count_from_pairings(x.copy(), y.copy(), z.copy())
+def assert_count_matches_the_oracle(x, y, z):
+    """The screened count equals the plain one, and leaves x, y, z alone."""
+    want = plain_count_from_pairings(x, y, z)
     inputs = [v.copy() for v in (x, y, z)]
-    got = incidence._count_from_pairings(x, y, z, bound)
+    got = incidence._count_from_pairings(x, y, z)
     for v, before in zip((x, y, z), inputs):
         assert np.array_equal(v.view(np.uint64), before.view(np.uint64))
     assert np.array_equal(got[0], want[0])
@@ -408,19 +384,16 @@ def test_in_place_count_matches_the_plain_formula():
     e = np.sign(gen.uniform(-1.0, 1.0, 100_000))
     e *= 10.0 ** gen.uniform(-15.0, -10.0, 100_000)
     z[near] = (np.sqrt(x[near]) + np.sqrt(y[near])) ** 2 * (1.0 + e)
-    want_counts, want_degenerate = plain_count_from_pairings(x, y, z)
-    for bound in (None, incidence._PRODUCT_BOUND):
-        counts, degenerate = assert_count_matches_the_oracle(x, y, z, bound)
-        assert np.array_equal(counts, want_counts)
-        assert np.array_equal(degenerate, want_degenerate)
+    counts, degenerate = assert_count_matches_the_oracle(x, y, z)
     assert 1000 < degenerate.sum() < 99_000  # both sides of the threshold
 
 
 def test_sampler_pairings_keep_the_bound_of_the_screen():
-    # the precondition of the screened count: every pairing of unit halves
-    # the sampler draws, of a draw and of its sign images, is at most
-    # 2 (1 + 1e-15); a line (a, b) and its image (-a, b) pair at -|a|^2 -
-    # |b|^2, the extreme, so these pairings test the bound where it is tight
+    # what keeps the count's screen at most 16.01 tau, so that it passes few
+    # elements: every pairing of unit halves the sampler draws, of a draw and
+    # of its sign images, is at most 2 (1 + 1e-15); a line (a, b) and its
+    # image (-a, b) pair at -|a|^2 - |b|^2, the extreme, so these pairings
+    # test the bound where it is tight
     limit = 2.0 * (1.0 + 1e-15)
     for lines in sampler_batches():
         for flip in SIGN_IMAGES:
@@ -433,10 +406,9 @@ def test_sampler_pairings_keep_the_bound_of_the_screen():
         extreme = np.abs(_half_pairing(lines, antipodes))
         assert extreme.max() <= limit
         assert extreme.min() >= 2.0 * (1.0 - 1e-15)
-    assert limit * limit < incidence._PRODUCT_BOUND
 
 
-def test_screened_count_matches_the_in_place_count_on_sampler_draws():
+def test_screened_count_matches_the_plain_count_on_sampler_draws():
     # the triples of 2^20 draws and of their three sign images
     for lines in sampler_batches():
         for flip in SIGN_IMAGES:
@@ -445,7 +417,7 @@ def test_screened_count_matches_the_in_place_count_on_sampler_draws():
             assert_count_matches_the_oracle(x, y, z)
 
 
-def test_screened_count_matches_the_in_place_count_on_a_rig_chunk():
+def test_screened_count_matches_the_plain_count_on_a_rig_chunk():
     r = (16, 4, 1, 1)
     lines = _random_lines(RngStream(58, 0).substream(0).generator, CHUNK, sum(r))
     x, y, z = pick_triples(lines, r)
@@ -501,23 +473,42 @@ def threshold_triples(base):
             return np.full(4, s), np.full(4, s), np.array(z)
 
 
+def test_image_counts_share_the_screen_of_all_four_images(monkeypatch):
+    # one screen of the six products serves the four counts; it is the
+    # largest of the four images' own screens
+    seen = []
+    count = incidence._count_from_pairings
+
+    def spy(x, y, z, work=None, screen=None):
+        seen.append((incidence._screen(x, y, z), screen))
+        return count(x, y, z, work, screen)
+
+    monkeypatch.setattr(incidence, "_count_from_pairings", spy)
+    gen = RngStream(59, 0).generator
+    incidence._image_counts(gen, 4096, np.empty(incidence._IMAGE_ROWS * 4096))
+    assert len(seen) == 4
+    assert len({shared for _, shared in seen}) == 1
+    assert max(own for own, _ in seen) == seen[0][1]
+
+
 def test_count_at_one_ulp_either_side_of_the_threshold():
     # (s, s, z) with |z| << s has scale s and det M = z (z - 4 s)
     for base in (4.0, 1.0, 1e-3):
         x, y, z = threshold_triples(base)
         assert abs(x[0] / base - 1.0) < 1e-12
-        for bound in (None, incidence._PRODUCT_BOUND):
-            counts, degenerate = assert_count_matches_the_oracle(x, y, z, bound)
-            assert degenerate.tolist() == [True, False, True, False], base
-            assert counts.tolist() == [0, 0, 0, 2], base
+        counts, degenerate = assert_count_matches_the_oracle(x, y, z)
+        assert degenerate.tolist() == [True, False, True, False], base
+        assert counts.tolist() == [0, 0, 0, 2], base
         # the same triples in every order; the rounding of det M changes
         for order in itertools.permutations(range(3)):
             triple = np.stack([x, y, z])[list(order)]
             assert_count_matches_the_oracle(*triple.copy())
 
 
-def test_count_of_zeros_and_signed_zeros():
-    values = (0.0, -0.0, 1.0, -1.0)
+def test_count_of_zeros_signed_zeros_and_nan():
+    # a NaN configuration counts 0 and is not degenerate, and leaves the
+    # screen of the rest of its batch as it is
+    values = (0.0, -0.0, 1.0, -1.0, math.nan)
     x, y, z = np.array(list(itertools.product(values, repeat=3))).T.copy()
     counts, degenerate = assert_count_matches_the_oracle(x, y, z)
     zeros = (x == 0.0) & (y == 0.0) & (z == 0.0)
@@ -529,15 +520,22 @@ def test_degeneracy_threshold_is_scale_free():
     # against tau s^2 with tau = 1e-12, at every scale s; with s the
     # largest, ((1 + eps) s/4, (1 + eps) s/4, s) has det M = -eps s^2;
     # (s, 0, 0) has det M = s^2 > 0
-    for s in (1e-3, 1.0, 1e3):
+    # the count screens a batch by its largest entry, so the three scales
+    # are also counted in one batch
+    scales = (1e-3, 1.0, 1e3)
+    cases = []
+    for s in scales:
         a = 0.25 * s * (1.0 + 1e-13)
-        cases = np.array([[s, s, 1e-13 * s], [s, s, 1e-12 * s], [a, a, s],
-                          [s, 0.0, 0.0]])
-        for order in itertools.permutations(range(3)):
-            x, y, z = cases[:, order].T.copy()
+        cases.append([[s, s, 1e-13 * s], [s, s, 1e-12 * s], [a, a, s],
+                      [s, 0.0, 0.0]])
+    cases = np.array(cases)
+    for order in itertools.permutations(range(3)):
+        for s, case in zip(scales + ("all",), list(cases) + [cases.reshape(-1, 3)]):
+            x, y, z = case[:, order].T.copy()
             counts, degenerate = incidence._count_from_pairings(x, y, z)
-            assert degenerate.tolist() == [True, False, True, False], (s, order)
-            assert counts.tolist() == [0, 0, 0, 2], (s, order)
+            rows = len(x) // 4
+            assert degenerate.tolist() == [True, False, True, False] * rows, (s, order)
+            assert counts.tolist() == [0, 0, 0, 2] * rows, (s, order)
 
 
 def test_counts_are_rigid_motion_and_relabeling_invariant():
