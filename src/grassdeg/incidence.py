@@ -69,6 +69,13 @@ i >= 2 is uniform on S^2 and independent of the rest, so -b_i is too.
 Negating b_1, which has zero azimuth, and then turning every b by pi about
 e_z gives the same pairings, keeps line 0 at (e_z, e_z) and leaves line 1
 at zero azimuth with its b-height negated, again uniform.
+
+The rig estimator counts each draw with its mirror: the same lines with b
+negated on every line of unions 2 and 3.  The mirror has the law of the
+draw.  Lines 0 and 1 are the first two of the draw, so union 0 or 1 holds
+them and unions 2 and 3 never do; every b the mirror negates is uniform on
+S^2 and independent of the rest, and no turn of the frame is needed.  At
+r = (1, 1, 1, 1) the mirror is the transversal estimator's image {2, 3}.
 """
 
 import itertools
@@ -263,7 +270,7 @@ def transversals_of_four(l1, l2, l3, l4):
     return TransversalCount(count=int(counts[0]), degenerate=bool(degenerate[0]))
 
 
-def _random_lines(gen, samples, per_sample):
+def _random_lines(gen, samples, per_sample, buf=None):
     """``per_sample`` >= 2 uniform random lines per sample, in the canonical frame.
 
     Returns an array (2, 3, per_sample, samples): [0] holds a and [1] holds
@@ -277,33 +284,36 @@ def _random_lines(gen, samples, per_sample):
     slices of samples thus reads the same numbers.  Samples run along the
     last axis, which keeps the counting arithmetic contiguous.
 
-    The draws are copied into one block beside the output and the arithmetic
-    runs in place there.  A sub-batch then frees no temporary larger than
-    that block, so the allocator keeps the memory for the next sub-batch
-    instead of returning it to the system and faulting it back in.
+    The lines take the first 6 * per_sample * samples doubles of one block,
+    ``buf`` when given, and the draw the next (6 * per_sample - 10) *
+    samples: the uniforms as ``gen`` writes them, then two scratch rows
+    per azimuth.  Each uniform is read once from its row, by the first step
+    that uses it, so the draw allocates nothing beside the block, and a
+    caller may reuse the part after the lines once they are built.
     """
     heights = per_sample - 1
     width = 2 * heights - 1  # uniforms per half
     size = 6 * per_sample * samples
-    work = np.empty(size + 2 * width * samples)
-    lines = work[:size].reshape(2, 3, per_sample, samples)
-    draws = work[size:].reshape(2 * width, samples)
-    draws[...] = gen.random((samples, 2 * width)).T
+    step = 2 * width * samples
+    spare = 2 * (per_sample - 2) * samples
+    if buf is None:
+        buf = np.empty(size + step + spare)
+    lines = buf[:size].reshape(2, 3, per_sample, samples)
+    draws = gen.random(out=buf[size:size + step].reshape(samples, 2 * width))
+    cos, inv = buf[size + step:size + step + spare].reshape(2, per_sample - 2, samples)
     lines[:, :2, 0] = 0.0
     lines[:, 2, 0] = 1.0
-    for half, (x, y, z) in zip(draws.reshape(2, width, samples), lines):
-        u, v = half[:heights], half[heights:]
-        np.multiply(u, 2.0, out=z[1:])
+    for half, (x, y, z) in zip((draws[:, :width].T, draws[:, width:].T), lines):
+        np.multiply(half[:heights], 2.0, out=z[1:])
         z[1:] -= 1.0
-        rho = np.multiply(z[1:], z[1:], out=u)
+        rho = np.multiply(z[1:], z[1:], out=x[1:])
         np.subtract(1.0, rho, out=rho)
-        np.sqrt(rho, out=rho)
-        x[1] = rho[0]
+        np.sqrt(rho, out=rho)  # x1; rho of lines 2 on until scaled below
         y[1] = 0.0
-        v *= math.pi
-        half_angle_sin_cos(v, out=(y[2:], x[2:]))
-        x[2:] *= rho[1:]
+        np.multiply(half[heights:], math.pi, out=y[2:])
+        half_angle_sin_cos(y[2:], out=(y[2:], cos), work=inv)
         y[2:] *= rho[1:]
+        x[2:] *= cos
     return lines
 
 
@@ -318,80 +328,6 @@ def _half_pairing(p, q):
             - (b[0] * d[0] + b[1] * d[1] + b[2] * d[2]))
 
 
-def _pairing_block(lines, rows, cols):
-    """Pairings of the lines ``rows`` with the lines ``cols``, two ranges.
-
-    lines: (2, 3, L, n) as _random_lines draws them, every row line before
-    every column line.  Returns (len(rows), len(cols), n).  The canonical
-    lines 0 = (e_z, e_z) and 1 = ((x, 0, z), (x', 0, z')) pair with (a, b)
-    as a_z - b_z and as x a_x + z a_z - (x' b_x + z' b_z); their rows take
-    these forms, the rows of later lines the full _half_pairing.
-    """
-    col = lines[:, :, cols.start:cols.stop]
-    first = max(rows.start, 2)
-    if first == rows.start:
-        return _half_pairing(lines[:, :, first:rows.stop, None], col[:, :, None])
-    (ax, _, az), (bx, _, bz) = col
-    out = np.empty((len(rows),) + az.shape)
-    if rows.start == 0:
-        np.subtract(az, bz, out=out[0])
-    if 1 in rows:
-        (x, _, z), (xb, _, zb) = lines[:, :, 1, None]
-        out[1 - rows.start] = x * ax + z * az - (xb * bx + zb * bz)
-    if first < rows.stop:
-        out[first - rows.start:] = _half_pairing(lines[:, :, first:rows.stop, None],
-                                                 col[:, :, None])
-    return out
-
-
-def _pick_counts(lines, r):
-    """Counts of every pick of one line from each of four unions.
-
-    lines: (2, 3, sum(r), n) halves as _random_lines draws them, union g
-    from line sum(r[:g]) onward.  Returns (counts, degenerate), each of
-    shape (r_0, r_1, r_2, r_3, n).  The pairings between two unions are
-    computed once as a block B_gh of shape (r_g, r_h, n), so each pick
-    costs only products of these numbers.
-    """
-    ends = np.cumsum((0,) + tuple(r))
-    unions = [range(ends[g], ends[g + 1]) for g in range(4)]
-    b01, b02, b03, b12, b13, b23 = (
-        _pairing_block(lines, unions[g], unions[h])
-        for g, h in itertools.combinations(range(4), 2)
-    )
-    # pick axes: (i0, i1, i2, i3, n)
-    x = b01[:, :, None, None] * b23[None, None, :, :]
-    y = b02[:, None, :, None] * b13[None, :, None, :]
-    z = b03[:, None, None, :] * b12[None, :, :, None]
-    return _count_from_pairings(x, y, z)
-
-
-def _rig_rows(r):
-    """Rows of a rig chunk drawn and counted together in _RIG_BATCH_BYTES.
-
-    By tracemalloc, a row of L lines peaks at 14L - 12 doubles while its
-    lines are drawn (4L - 6 uniforms, then the block of 10L - 6 of
-    ``_random_lines``), and at those 10L - 6 plus the B = sum of r_g r_h
-    pairings between unions plus 5.3 to 6.6 per pick while its picks are
-    counted (the most at r = (1, 1, 1, 1), whose per-row arrays weigh on
-    one pick).  The model takes max(14L, 10L + B + 6 per pick), 3 to 20%
-    above the measured peak for every r from (1, 1, 1, 1) to (1000, 1, 1, 1)
-    and (10, 10, 10, 1).  Depends on r only, so the draws are the same for
-    every worker count.
-    """
-    lines, picks = sum(r), math.prod(r)
-    pairings = sum(a * b for a, b in itertools.combinations(r, 2))
-    row_bytes = 8 * max(14 * lines, 10 * lines + pairings + 6 * picks)
-    return max(1, _RIG_BATCH_BYTES // row_bytes)
-
-
-# Rows of CHUNK-sized arrays that one chunk of the transversal kernel takes
-# in mc._workspace (30 x 128 KiB = 3.75 MiB per thread): 16 for the lines, 8
-# per half, and 14 for the draws, which then hold the pairings, the six
-# products and the four counts.
-_IMAGE_ROWS = 30
-
-
 def _dot(pairs, out, tmp):
     """p0 q0 + p1 q1 + ... over ``pairs`` into ``out``, rounded left to right."""
     (p, q), *rest = pairs
@@ -399,6 +335,155 @@ def _dot(pairs, out, tmp):
     for p, q in rest:
         out += np.multiply(p, q, out=tmp)
     return out
+
+
+def _pairing_block(lines, rows, cols, out=None, plus=None, work=None):
+    """Pairings m = A - B of the lines ``rows`` with the lines ``cols``.
+
+    lines: (2, 3, L, n) as _random_lines draws them, every row line before
+    every column line; A = a.a' and B = b.b' for a row line (a, b) and a
+    column line (a', b').  Writes m into ``out`` and returns it, of shape
+    (len(rows), len(cols), n).  ``plus``, when given, of shape (len(rows),
+    K, n), receives n = A + B with the last K column lines: their pairings
+    once b of those lines is negated.  ``work`` holds two arrays of the
+    shape of ``out``.  The canonical lines 0 = (e_z, e_z) and 1 = ((x, 0,
+    z), (x', 0, z')) have A = a_z, B = b_z and A = x a_x + z a_z, B = x'
+    b_x + z' b_z; their rows take these forms, the rows of later lines the
+    full dot products, each rounded as _half_pairing rounds it.
+    """
+    shape = (len(rows), len(cols), lines.shape[-1])
+    out = np.empty(shape) if out is None else out
+    b_dot, tmp = np.empty((2,) + shape) if work is None else work
+    col = lines[:, :, cols.start:cols.stop]
+    (ax, _, az), (bx, _, bz) = col
+    mirrored = len(cols) - (0 if plus is None else plus.shape[1])
+    # the rows from ``top`` on hold A in ``out`` and B in ``b_dot`` first
+    top = 0
+    if rows.start == 0:
+        np.subtract(az, bz, out=out[0])
+        if plus is not None:
+            np.add(az[mirrored:], bz[mirrored:], out=plus[0])
+        top = 1
+    if rows.start <= 1 < rows.stop:
+        (x, _, z), (xb, _, zb) = lines[:, :, 1, None]
+        i = 1 - rows.start
+        _dot(((x, ax), (z, az)), out[i], tmp[i])
+        _dot(((xb, bx), (zb, bz)), b_dot[i], tmp[i])
+    first = max(rows.start, 2)
+    if first < rows.stop:
+        i = first - rows.start
+        a, b = lines[:, :, first:rows.stop, None]
+        _dot(zip(a, col[0]), out[i:], tmp[i:])
+        _dot(zip(b, col[1]), b_dot[i:], tmp[i:])
+    if plus is not None:
+        np.add(out[top:, mirrored:], b_dot[top:, mirrored:], out=plus[top:])
+    out[top:] -= b_dot[top:]
+    return out
+
+
+def _count_doubles(r):
+    """Doubles per sample of the block ``_pick_counts`` works in."""
+    picks = math.prod(r)
+    pairings = sum(a * b for a, b in itertools.combinations(r, 2))
+    mirrored = (r[0] + r[1]) * (r[2] + r[3])
+    return pairings + mirrored + 7 * picks
+
+
+def _pick_counts(lines, r, buf=None):
+    """Counts of every pick of one line from each union, in the draw and its mirror.
+
+    lines: (2, 3, sum(r), n) halves as _random_lines draws them, union g
+    from line sum(r[:g]) onward.  The mirror is the same lines with b
+    negated on every line of unions 2 and 3.  Returns ((counts,
+    degenerate), (mirror counts, mirror degenerate)), each of shape (r_0,
+    r_1, r_2, r_3, n).
+
+    The pairings between two unions are computed once as a block m_gh of
+    shape (r_g, r_h, n), so each pick costs only products of these numbers.
+    With A = a.a' and B = b.b', a line of unions 0 or 1 and a line of
+    unions 2 or 3 pair as n = A + B in the mirror, any other two lines as m
+    = A - B in both (``_pairing_block`` forms n beside m).  So the mirror
+    keeps x = m01 m23 and has y' = n02 n13 and z' = n03 n12, and both counts
+    take one ``_screen`` of x, y, z, y', z'.  Everything lives in ``buf``,
+    ``_count_doubles(r) * n`` doubles when given: the m and n blocks, the
+    five pick arrays (the blocks' scratch before them) and the two rows of
+    the draw's count; the mirror's count takes the spent rows of y and z.
+    """
+    n = lines.shape[-1]
+    if buf is None:
+        buf = np.empty(_count_doubles(r) * n)
+    total = sum(r)
+    ends = list(itertools.accumulate(r, initial=0))
+    pos = 0
+
+    def take(*shape):
+        nonlocal pos
+        size = math.prod(shape) * n
+        pos += size
+        return buf[pos - size:pos].reshape(shape + (n,))
+
+    # per union g its pairings m with the later unions, and per union 0 and
+    # 1 the n with unions 2 and 3; then the pick arrays, which are the
+    # blocks' scratch until the picks are formed
+    m_blocks = [take(r[g], total - ends[g + 1]) for g in range(3)]
+    n_blocks = [take(r[g], total - ends[2]) for g in range(2)]
+    spare = buf[pos:pos + 7 * math.prod(r) * n]
+    picks = take(5, *r)
+    work = take(2, *r)
+    for g, block in enumerate(m_blocks):
+        _pairing_block(lines, range(ends[g], ends[g + 1]), range(ends[g + 1], total),
+                       out=block, plus=n_blocks[g] if g < 2 else None,
+                       work=spare[:2 * block.size].reshape((2,) + block.shape))
+    m = {(g, h): m_blocks[g][:, ends[h] - ends[g + 1]:ends[h + 1] - ends[g + 1]]
+         for g, h in itertools.combinations(range(4), 2)}
+    p = {(g, h): n_blocks[g][:, ends[h] - ends[2]:ends[h + 1] - ends[2]]
+         for g in (0, 1) for h in (2, 3)}
+    # pick axes: (i0, i1, i2, i3, n)
+    x, y, z, y_mirror, z_mirror = picks
+    np.multiply(m[0, 1][:, :, None, None], m[2, 3][None, None, :, :], out=x)
+    np.multiply(m[0, 2][:, None, :, None], m[1, 3][None, :, None, :], out=y)
+    np.multiply(m[0, 3][:, None, None, :], m[1, 2][None, :, :, None], out=z)
+    np.multiply(p[0, 2][:, None, :, None], p[1, 3][None, :, None, :], out=y_mirror)
+    np.multiply(p[0, 3][:, None, None, :], p[1, 2][None, :, :, None], out=z_mirror)
+    screen = _screen(picks)
+    draw = _count_from_pairings(x, y, z, work=work, screen=screen)
+    # the draw's y and z are spent: the mirror's count works in them
+    return draw, _count_from_pairings(x, y_mirror, z_mirror, work=(y, z),
+                                      screen=screen)
+
+
+def _rig_row_doubles(r):
+    """Doubles that one row of a rig sub-batch works in.
+
+    A row of L lines takes 6L doubles for its lines, and after them the 6L
+    - 10 of its draw (``_random_lines``) or, once the lines are built, the
+    ``_count_doubles(r)`` = B + C + 7P of ``_pick_counts``: the B = sum of
+    r_g r_h pairings between unions, the C = (r_0 + r_1)(r_2 + r_3)
+    pairings of the mirror, and 7 per pick.
+    """
+    lines = sum(r)
+    return 6 * lines + max(6 * lines - 10, _count_doubles(r))
+
+
+def _rig_rows(r):
+    """Most rows of a rig chunk drawn and counted together in _RIG_BATCH_BYTES.
+
+    A sub-batch works in one block of ``_rig_row_doubles(r)`` doubles per
+    row.  Beside it only the degeneracy flags of the two counts, 2 bytes
+    per pick and row, and per-chunk arrays of 9 bytes per sample are
+    allocated; by tracemalloc a chunk peaks 5 to 9% above the block for
+    every r from (1, 1, 1, 1) to (1000, 1, 1, 1) and (10, 10, 10, 1).
+    Draws come off the generator in sequence and every sample is counted
+    on its own, so the estimate does not depend on the sub-batch size.
+    """
+    return max(1, _RIG_BATCH_BYTES // (8 * _rig_row_doubles(r)))
+
+
+# Rows of CHUNK-sized arrays that one chunk of the transversal kernel takes
+# in mc._workspace (30 x 128 KiB = 3.75 MiB per thread): 16 for the lines, 8
+# per half, and 14 for the draws, which then hold the pairings, the six
+# products and the four counts.
+_IMAGE_ROWS = 30
 
 
 def _image_counts(gen, count, buf):
@@ -498,12 +583,18 @@ def rig_union_of_lines_mc(r, rng, samples, workers=1):
 
     Per sample draws r_1 + r_2 + r_3 + r_4 independent uniform lines and sums
     the transversal counts over all r_1 r_2 r_3 r_4 ways of picking one line
-    from each union.  A degenerate pick marks the whole sample degenerate.
+    from each union, for the draw and for its mirror, the same lines with b
+    negated on every line of unions 2 and 3 (``_pick_counts``).  The sample
+    is the mean of the two sums.  The mirror has exactly the law of the
+    draw (module docstring), so the mean is unbiased; it keeps about 0.53
+    of one sum's variance at r = (2, 2, 1, 1) and 0.65 at (16, 4, 1, 1),
+    for two more products and one more count per pick.  A degenerate pick
+    of either configuration marks the whole sample degenerate.
 
-    A chunk is drawn and counted in sub-batches of ``_rig_rows(r)`` rows, so
-    its memory stays near ``_RIG_BATCH_BYTES`` for any r.  Uniform draws come
-    off the generator in sequence, so the sub-batches see the same numbers
-    as one draw of the whole chunk.
+    A chunk is drawn and counted in sub-batches of at most ``_rig_rows(r)``
+    rows, so its memory stays near ``_RIG_BATCH_BYTES`` for any r.  Uniform
+    draws come off the generator in sequence, so the sub-batches see the
+    same numbers as one draw of the whole chunk.
     """
     r = tuple(_integer(x, "r") for x in r)
     if len(r) != 4 or any(x < 1 for x in r):
@@ -516,11 +607,22 @@ def rig_union_of_lines_mc(r, rng, samples, workers=1):
     def kernel(gen, count):
         totals = np.empty(count, dtype=float)
         bad = np.empty(count, dtype=bool)
-        for start in range(0, count, rows):
-            n = min(rows, count - start)
-            counts, degenerate = _pick_counts(_random_lines(gen, n, total_lines), r)
-            totals[start:start + n] = counts.reshape(-1, n).sum(axis=0)
-            bad[start:start + n] = degenerate.reshape(-1, n).any(axis=0)
-        return totals[~bad], int(bad.sum())
+        # as few sub-batches as fit, of even size: a short last one costs
+        # as many numpy calls as a full one
+        batches = -(-count // rows)
+        step = -(-count // batches)
+        buf = np.empty(step * _rig_row_doubles(r))
+        for start in range(0, count, step):
+            n = min(step, count - start)
+            lines = _random_lines(gen, n, total_lines, buf)
+            (counts, degenerate), (mirror, mirror_degenerate) = _pick_counts(
+                lines, r, buf[lines.size:])
+            counts += mirror
+            degenerate |= mirror_degenerate
+            counts.reshape(-1, n).sum(axis=0, out=totals[start:start + n])
+            degenerate.reshape(-1, n).any(axis=0, out=bad[start:start + n])
+        values = totals[~bad]
+        values *= 0.5
+        return values, int(bad.sum())
 
     return run_kernel(kernel, rng, samples, workers=workers, method="rig-mc")

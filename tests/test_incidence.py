@@ -357,6 +357,11 @@ def sign_image(lines, flip):
     return image
 
 
+def mirror_image(lines, r):
+    """The rig's mirror of lines drawn as halves: b negated on unions 2 and 3."""
+    return sign_image(lines, range(sum(r[:2]), sum(r)))
+
+
 def pick_triples(lines, r):
     """x, y, z of every pick of a rig, as _pick_counts forms them."""
     b01, b02, b03, b12, b13, b23 = (
@@ -420,11 +425,11 @@ def test_screened_count_matches_the_plain_count_on_sampler_draws():
 def test_screened_count_matches_the_plain_count_on_a_rig_chunk():
     r = (16, 4, 1, 1)
     lines = _random_lines(RngStream(58, 0).substream(0).generator, CHUNK, sum(r))
-    x, y, z = pick_triples(lines, r)
-    counts, degenerate = assert_count_matches_the_oracle(x, y, z)
-    got = _pick_counts(lines, r)
-    assert np.array_equal(got[0], counts)
-    assert np.array_equal(got[1], degenerate)
+    for got, image in zip(_pick_counts(lines, r), (lines, mirror_image(lines, r))):
+        x, y, z = pick_triples(image, r)
+        counts, degenerate = assert_count_matches_the_oracle(x, y, z)
+        assert np.array_equal(got[0], counts)
+        assert np.array_equal(got[1], degenerate)
 
 
 def det_in_the_count(x, y, z):
@@ -475,7 +480,8 @@ def threshold_triples(base):
 
 def test_image_counts_share_the_screen_of_all_four_images(monkeypatch):
     # one screen of the six products serves the four counts; it is the
-    # largest of the four images' own screens
+    # largest of the four images' own screens; so for the rig's draw and
+    # mirror and the five products of their picks
     seen = []
     count = incidence._count_from_pairings
 
@@ -486,9 +492,11 @@ def test_image_counts_share_the_screen_of_all_four_images(monkeypatch):
     monkeypatch.setattr(incidence, "_count_from_pairings", spy)
     gen = RngStream(59, 0).generator
     incidence._image_counts(gen, 4096, np.empty(incidence._IMAGE_ROWS * 4096))
-    assert len(seen) == 4
-    assert len({shared for _, shared in seen}) == 1
-    assert max(own for own, _ in seen) == seen[0][1]
+    _pick_counts(_random_lines(gen, 4096, 6), (2, 2, 1, 1))
+    assert len(seen) == 6
+    for shared in (seen[:4], seen[4:]):
+        assert len({screen for _, screen in shared}) == 1
+        assert max(own for own, _ in shared) == shared[0][1]
 
 
 def test_count_at_one_ulp_either_side_of_the_threshold():
@@ -563,7 +571,7 @@ def test_counts_match_svd_oracle_on_sampler_draws():
         lines = _random_lines(rng.substream(index).generator, CHUNK, 4)
         pl = unit_pluckers(lines)
         assert pl.shape == (CHUNK, 4, 6)
-        counts, degenerate = _pick_counts(lines, (1, 1, 1, 1))
+        (counts, degenerate), _ = _pick_counts(lines, (1, 1, 1, 1))
         counts, degenerate = counts.reshape(CHUNK), degenerate.reshape(CHUNK)
         want_counts, want_degenerate = svd_count_batch(pl)
         assert np.array_equal(counts, want_counts)
@@ -583,7 +591,7 @@ def test_counts_match_svd_oracle_on_sampler_draws():
             image_counts, image_degenerate = svd_count_batch(unit_pluckers(image))
             assert np.array_equal(got_counts, image_counts), flip
             assert np.array_equal(got_degenerate, image_degenerate), flip
-            pick = _pick_counts(image, (1, 1, 1, 1))
+            pick, _ = _pick_counts(image, (1, 1, 1, 1))
             assert np.array_equal(pick[0].reshape(CHUNK), image_counts), flip
             assert np.array_equal(pick[1].reshape(CHUNK), image_degenerate), flip
             if flip:
@@ -596,7 +604,7 @@ def test_rig_pick_counts_match_svd_oracle():
     lines = _random_lines(RngStream(58, 0).substream(0).generator, CHUNK, sum(r))
     pl = unit_pluckers(lines)
     assert pl.shape == (CHUNK, sum(r), 6)
-    counts, degenerate = _pick_counts(lines, r)
+    (counts, degenerate), _ = _pick_counts(lines, r)
     assert counts.shape == degenerate.shape == r + (CHUNK,)
     starts = np.cumsum((0,) + r[:-1])
     for pick in np.ndindex(*r):
@@ -604,6 +612,34 @@ def test_rig_pick_counts_match_svd_oracle():
         want_counts, want_degenerate = svd_count_batch(pl[:, idx, :])
         assert np.array_equal(counts[pick], want_counts), pick
         assert np.array_equal(degenerate[pick], want_degenerate), pick
+
+
+def rig_sub_batch(r, stream):
+    """The lines of the first sub-batch of a chunk of rig_union_of_lines_mc."""
+    rows = incidence._rig_rows(r)
+    step = -(-CHUNK // -(-CHUNK // rows))
+    return _random_lines(RngStream(stream, 0).substream(0).generator, step, sum(r))
+
+
+@pytest.mark.parametrize("r", [(2, 2, 1, 1), (16, 4, 1, 1)])
+def test_rig_mirror_counts_match_svd_oracle(r):
+    # every pick of the mirror, b negated on unions 2 and 3, as the SVD
+    # count counts the flipped lines; the draw's picks too at (2, 2, 1, 1)
+    lines = rig_sub_batch(r, 73)
+    draw, mirror = _pick_counts(lines, r)
+    checks = [(mirror, mirror_image(lines, r))]
+    if r == (2, 2, 1, 1):
+        checks.append((draw, lines))
+    starts = np.cumsum((0,) + r[:-1])
+    for (counts, degenerate), image in checks:
+        pl = unit_pluckers(image)
+        for pick in np.ndindex(*r):
+            idx = [int(s + i) for s, i in zip(starts, pick)]
+            want_counts, want_degenerate = svd_count_batch(pl[:, idx, :])
+            assert np.array_equal(counts[pick], want_counts), pick
+            assert np.array_equal(degenerate[pick], want_degenerate), pick
+    # the mirror changes some counts
+    assert not np.array_equal(draw[0], mirror[0])
 
 
 # ------------------------------------------------------ the line sampler
@@ -708,7 +744,7 @@ def test_canonical_frame_keeps_pairings_counts_and_flags():
             gap = _pairing_block(canon, unions[g], unions[h]) - full_block(
                 full, unions[g], unions[h])
             assert np.abs(gap).max() < 1e-14, (r, g, h)
-        counts, degenerate = _pick_counts(canon, r)
+        (counts, degenerate), _ = _pick_counts(canon, r)
         pl = unit_pluckers(full)
         starts = [u.start for u in unions]
         for pick in np.ndindex(*r):
@@ -816,24 +852,79 @@ def test_rig_doubling_one_union_doubles_the_mean():
 
 def test_rig_matches_the_svd_count_estimate():
     est = rig_union_of_lines_mc((2, 2, 1, 1), RngStream(61, 0), 50_000)
-    # what the per-pick SVD count gave on these draws
-    assert (est.value, est.stderr) == (6.90916, 0.00649767699136589)
+    # the mean and standard error of the per-pick SVD count's totals over
+    # the draw and its mirror, halved, on these draws: 345423/50000
+    assert (est.value, est.stderr) == (6.908460000000001, 0.004733757148094391)
     assert est.degenerate_count == 0
+
+
+def rig_kernel(monkeypatch, r):
+    """The chunk kernel that rig_union_of_lines_mc(r, ...) runs."""
+    with monkeypatch.context() as patch:
+        patch.setattr(incidence, "run_kernel", lambda kernel, *args, **kwargs: kernel)
+        return rig_union_of_lines_mc(r, RngStream(0, 0), 1)
+
+
+def test_rig_sample_is_the_mean_of_the_draw_and_its_mirror(monkeypatch):
+    # at r = (1, 1, 1, 1) the mirror negates b of lines 2 and 3, the
+    # transversal kernel's first sign image, and both read the same uniforms
+    values, bad = rig_kernel(monkeypatch, (1, 1, 1, 1))(RngStream(74, 0).generator, CHUNK)
+    (draw, draw_bad), (image, image_bad), *_ = _image_counts(
+        RngStream(74, 0).generator, CHUNK, np.empty(_IMAGE_ROWS * CHUNK))
+    keep = ~(draw_bad | image_bad)
+    assert bad == CHUNK - keep.sum()
+    assert np.array_equal(values, (draw[keep] + image[keep]) / 2.0)
+    assert set(np.unique(values)) == {0.0, 1.0, 2.0}
+
+
+def test_rig_sample_is_degenerate_when_its_mirror_is(monkeypatch):
+    # r = (2, 1, 1, 1): lines 0 and 1 in union 0, then lines 2, 3 and 4;
+    # rows of 14 uniforms, per half the heights of lines 1 to 4, then the
+    # azimuths of lines 2 to 4.  In the first row line 3 is (a_2, -b_2),
+    # b-height 1 - u and b-azimuth turned by pi, which the mirror, b
+    # negated on lines 3 and 4, turns into line 2; the second is generic
+    r = (2, 1, 1, 1)
+    draws = np.array([[0.3, 0.9, 0.9, 0.6, 0.1, 0.1, 0.7,
+                       0.8, 0.25, 0.75, 0.35, 0.2, 0.7, 0.45],
+                      [0.3, 0.9, 0.4, 0.6, 0.1, 0.3, 0.7,
+                       0.8, 0.25, 0.55, 0.35, 0.2, 0.9, 0.45]])
+    (counts, degenerate), (mirror, mirror_degenerate) = _pick_counts(
+        _random_lines(_FixedUniforms(draws), 2, sum(r)), r)
+    assert not degenerate.any()
+    assert mirror_degenerate[..., 0].all() and not mirror_degenerate[..., 1].any()
+    values, bad = rig_kernel(monkeypatch, r)(_FixedUniforms(draws), 2)
+    assert bad == 1
+    assert values.tolist() == [(counts[..., 1].sum() + mirror[..., 1].sum()) / 2.0]
+
+
+def test_rig_stderr_is_calibrated():
+    # the spread of the estimates over seeds is what their stderr says
+    exact = 4.0 * 1.726231248998883
+    z = np.array([(est.value - exact) / est.stderr
+                  for est in (rig_union_of_lines_mc((2, 2, 1, 1), RngStream(75, i), 20_000)
+                              for i in range(100))])
+    assert 0.8 <= np.std(z, ddof=1) <= 1.2
+    assert abs(z.mean()) < 0.3  # 3 sd of the mean of 100 z
 
 
 def test_rig_sub_batches_do_not_change_the_estimate(monkeypatch):
     for r, samples, rows in (
-        ((2, 2, 1, 1), CHUNK + 5000, 1000),  # uneven sub-batches in both chunks
-        # a 1024-sample chunk, one sub-batch by default, split 888 + 136
+        # sub-batches of 964 and 960 in the first chunk, 1000 in the second
+        ((2, 2, 1, 1), CHUNK + 5000, 1000),
+        # a 1024-sample chunk, one sub-batch by default, split 512 + 512
         ((16, 4, 1, 1), 1024, 888),
     ):
         monkeypatch.undo()
         default = rig_union_of_lines_mc(r, RngStream(59, 0), samples)
-        # ``rows`` rows of the count's 10 doubles per line, one per pairing
-        # between unions and 6 per pick
+        # ``rows`` rows of 6 doubles per line for the lines, then the larger
+        # of the draw's 6 per line - 10 and the count's block: one per
+        # pairing between unions, one per pairing the mirror negates and 7
+        # per pick
+        lines, picks = sum(r), math.prod(r)
         pairings = sum(a * b for a, b in itertools.combinations(r, 2))
-        monkeypatch.setattr(incidence, "_RIG_BATCH_BYTES",
-                            rows * 8 * (10 * sum(r) + pairings + 6 * math.prod(r)))
+        mirrored = (r[0] + r[1]) * (r[2] + r[3])
+        row = 6 * lines + max(6 * lines - 10, pairings + mirrored + 7 * picks)
+        monkeypatch.setattr(incidence, "_RIG_BATCH_BYTES", rows * 8 * row)
         assert incidence._rig_rows(r) == rows
         small = rig_union_of_lines_mc(r, RngStream(59, 0), samples)
         assert small == default, r
