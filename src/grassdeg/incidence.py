@@ -605,13 +605,16 @@ def rig_union_of_lines_mc(r, rng, samples, workers=1):
     rows = _rig_rows(r)
 
     def kernel(gen, count):
-        totals = np.empty(count, dtype=float)
-        bad = np.empty(count, dtype=bool)
         # as few sub-batches as fit, of even size: a short last one costs
         # as many numpy calls as a full one
         batches = -(-count // rows)
         step = -(-count // batches)
+        # the block before the per-chunk arrays, so that it takes the space
+        # the last chunk's block freed before they can split it: the other
+        # order made the heap grow by a second block
         buf = np.empty(step * _rig_row_doubles(r))
+        totals = np.empty(count, dtype=float)
+        bad = np.empty(count, dtype=bool)
         for start in range(0, count, step):
             n = min(step, count - start)
             lines = _random_lines(gen, n, total_lines, buf)
