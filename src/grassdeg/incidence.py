@@ -409,25 +409,25 @@ def _pick_counts(lines, r, buf=None):
     five pick arrays (the blocks' scratch before them) and the two rows of
     the draw's count; the mirror's count takes the spent rows of y and z.
     """
-    n = lines.shape[-1]
+    count = lines.shape[-1]
     if buf is None:
-        buf = np.empty(_count_doubles(r) * n)
+        buf = np.empty(_count_doubles(r) * count)
     total = sum(r)
     ends = list(itertools.accumulate(r, initial=0))
     pos = 0
 
     def take(*shape):
         nonlocal pos
-        size = math.prod(shape) * n
+        size = math.prod(shape) * count
         pos += size
-        return buf[pos - size:pos].reshape(shape + (n,))
+        return buf[pos - size:pos].reshape(shape + (count,))
 
     # per union g its pairings m with the later unions, and per union 0 and
     # 1 the n with unions 2 and 3; then the pick arrays, which are the
     # blocks' scratch until the picks are formed
     m_blocks = [take(r[g], total - ends[g + 1]) for g in range(3)]
     n_blocks = [take(r[g], total - ends[2]) for g in range(2)]
-    spare = buf[pos:pos + 7 * math.prod(r) * n]
+    spare = buf[pos:pos + 7 * math.prod(r) * count]
     picks = take(5, *r)
     work = take(2, *r)
     for g, block in enumerate(m_blocks):
@@ -436,15 +436,15 @@ def _pick_counts(lines, r, buf=None):
                        work=spare[:2 * block.size].reshape((2,) + block.shape))
     m = {(g, h): m_blocks[g][:, ends[h] - ends[g + 1]:ends[h + 1] - ends[g + 1]]
          for g, h in itertools.combinations(range(4), 2)}
-    p = {(g, h): n_blocks[g][:, ends[h] - ends[2]:ends[h + 1] - ends[2]]
+    n = {(g, h): n_blocks[g][:, ends[h] - ends[2]:ends[h + 1] - ends[2]]
          for g in (0, 1) for h in (2, 3)}
     # pick axes: (i0, i1, i2, i3, n)
     x, y, z, y_mirror, z_mirror = picks
     np.multiply(m[0, 1][:, :, None, None], m[2, 3][None, None, :, :], out=x)
     np.multiply(m[0, 2][:, None, :, None], m[1, 3][None, :, None, :], out=y)
     np.multiply(m[0, 3][:, None, None, :], m[1, 2][None, :, :, None], out=z)
-    np.multiply(p[0, 2][:, None, :, None], p[1, 3][None, :, None, :], out=y_mirror)
-    np.multiply(p[0, 3][:, None, None, :], p[1, 2][None, :, :, None], out=z_mirror)
+    np.multiply(n[0, 2][:, None, :, None], n[1, 3][None, :, None, :], out=y_mirror)
+    np.multiply(n[0, 3][:, None, None, :], n[1, 2][None, :, :, None], out=z_mirror)
     screen = _screen(picks)
     draw = _count_from_pairings(x, y, z, work=work, screen=screen)
     # the draw's y and z are spent: the mirror's count works in them
