@@ -143,7 +143,8 @@ def _parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mc", action="store_true")
-    p.add_argument("--eps", type=float, default=0.01)
+    p.add_argument("--eps", type=float, default=None,
+                   help="window half-width; defaults to min(0.01, 0.02/sqrt(n))")
     p.add_argument("--delta", type=float, default=None,
                    help="window half-width; defaults to eps")
     p.add_argument("--samples", type=int, default=1_000_000)
@@ -262,6 +263,19 @@ def _cmd_density_check(args):
     return records
 
 
+def _schubert_window(args):
+    """(eps, delta) of the tube window, as given or by default.
+
+    The window's estimate is biased by about n eps^2 / 2 relative, so the
+    default eps = min(0.01, 0.02 / sqrt(n)) keeps that near 2e-4 at any n;
+    delta defaults to eps.
+    """
+    eps = args.eps
+    if eps is None:
+        eps = min(0.01, 0.02 / math.sqrt(max(args.n, 1)))
+    return eps, eps if args.delta is None else args.delta
+
+
 def _cmd_schubert_ratio(args):
     from . import mc
     from .geomlin import RngStream
@@ -270,12 +284,12 @@ def _cmd_schubert_ratio(args):
     if not args.mc:
         return [("schubert-ratio", {"k": args.k, "n": args.n},
                  _exact(exact, "closed-form"))]
-    delta = args.eps if args.delta is None else args.delta
-    est = mc.schubert_ratio_mc(args.k, args.n, args.eps, delta,
+    eps, delta = _schubert_window(args)
+    est = mc.schubert_ratio_mc(args.k, args.n, eps, delta,
                                RngStream(args.seed, 0), args.samples,
                                workers=args.workers)
     return [("schubert-ratio",
-             {"k": args.k, "n": args.n, "eps": args.eps, "delta": delta,
+             {"k": args.k, "n": args.n, "eps": eps, "delta": delta,
               "samples": args.samples, "exact": exact}, est)]
 
 
@@ -361,8 +375,7 @@ def _check_mc_options(args):
     if args.command == "schubert-ratio":
         from . import mc
 
-        mc._check_schubert_window(
-            args.eps, args.eps if args.delta is None else args.delta)
+        mc._check_schubert_window(*_schubert_window(args))
 
 
 def run(argv):

@@ -148,7 +148,7 @@ _WORKSPACES = threading.local()
 # (incidence._IMAGE_ROWS: its four lines, then the draws' rows reused for
 # the pairings, the six products and the counts of its four sign images;
 # the polar kernel takes 18 rows of CHUNK, a torus chunk 12 rows of at most
-# 2 CHUNK points, so at most 24 CHUNK); larger requests get a new array, so
+# 2.5 CHUNK points, so also 30 CHUNK); larger requests get a new array, so
 # no thread keeps more than 3.75 MiB
 _WORKSPACE_DOUBLES = 30 * CHUNK
 
@@ -531,103 +531,112 @@ def _torus_third_pair_mean(sin, cos, work=None):
 
 # Randomly shifted rank-1 Korobov lattices: point k of shift i is
 # frac(k z / N + delta_i) with z = (1, a, a^2, a^3) mod N.  N is the first
-# prime >= 2^(j/4), j = 20..80, and a the best multiplier of a seeded search
-# under the P2 figure of merit; tools/korobov_table.py writes the table and
-# its --check recomputes every P2.
-_KOROBOV = (  # (N, a, P2), written by tools/korobov_table.py
-    (37, 5, 7.282978869207852),
-    (41, 5, 6.368092238415221),
-    (47, 20, 5.556572538808417),
-    (59, 5, 4.104857436206291),
-    (67, 8, 3.4783942501469047),
-    (79, 27, 2.8087069462790852),
-    (97, 47, 2.1340378574933774),
-    (109, 37, 1.8224585264701907),
-    (131, 43, 1.4417442007663248),
-    (157, 53, 1.1591773368004614),
-    (191, 17, 0.8613766324545429),
-    (223, 51, 0.6746642545907604),
-    (257, 91, 0.6328743036828552),
-    (307, 32, 0.4574080386099455),
-    (367, 138, 0.36608986167885926),
-    (431, 172, 0.2836295912409017),
-    (521, 237, 0.2117637685242797),
-    (613, 86, 0.18475610374769924),
-    (727, 231, 0.13849245480302153),
-    (863, 100, 0.10753640608389392),
-    (1031, 149, 0.08760727491515574),
-    (1223, 184, 0.0683529322576093),
-    (1451, 681, 0.04897012738082762),
-    (1723, 261, 0.03744626728818168),
-    (2053, 849, 0.030254560083303073),
-    (2437, 1015, 0.02261216564687185),
-    (2897, 680, 0.017953156371701695),
-    (3449, 1565, 0.014939626282871155),
-    (4099, 573, 0.01035563670669859),
-    (4871, 1036, 0.007897676394773345),
-    (5801, 926, 0.006501094547198383),
-    (6899, 1307, 0.005347577249205093),
-    (8209, 1265, 0.003753336103952565),
-    (9743, 4701, 0.003167743775249532),
-    (11587, 5654, 0.0020933802709253158),
-    (13781, 2845, 0.0017731558490323707),
-    (16411, 6927, 0.0013324238976351044),
-    (19489, 323, 0.001115873886253116),
-    (23173, 7867, 0.0007582022037686542),
-    (27581, 13331, 0.0005781451030490992),
-    (32771, 2293, 0.0005064898852069621),
-    (38971, 6647, 0.0003761148383416568),
-    (46349, 1670, 0.0002884642221641087),
-    (55109, 10889, 0.0002122239348933963),
-    (65537, 26270, 0.00016515763138214012),
-    (77951, 20214, 0.0001257698035783683),
-    (92683, 24236, 9.227374115461373e-05),
-    (110221, 45990, 6.847516210228832e-05),
-    (131101, 16230, 4.876466181369388e-05),
-    (155887, 69113, 3.504974935442107e-05),
-    (185369, 9412, 3.302172108243795e-05),
-    (220447, 96849, 2.2460276129399048e-05),
-    (262147, 53293, 1.9324526215447335e-05),
-    (311747, 7644, 1.1128466883336685e-05),
-    (370759, 54485, 9.539195449326243e-06),
-    (440893, 36379, 8.086015047092943e-06),
-    (524309, 62682, 5.481634045345629e-06),
-    (623521, 245153, 5.043651357672374e-06),
-    (741457, 61999, 2.5608079654571014e-06),
-    (881779, 171579, 2.516354252968256e-06),
-    (1048583, 326288, 2.0476586173323597e-06),
+# prime >= 2^(j/4), j = 20..80.  Of a seeded set of multipliers, the best
+# two dozen by the P2 figure of merit are kept, and a is the one whose
+# shift means of the torus integrand itself vary least: P2 weighs smooth
+# periodic functions, and among near-equal P2 this kinked integrand's
+# error still varies by up to 30x.  tools/korobov_table.py writes the
+# table and its --check recomputes every P2 and every variance.
+_KOROBOV = (  # (N, a, P2, shift variance), written by tools/korobov_table.py
+    (37, 13, 8.484798748686579, 8.756925471521097e-05),
+    (41, 4, 6.8370823194509684, 0.00010058967535059272),
+    (47, 3, 5.618189515976444, 8.69802065138108e-05),
+    (59, 13, 5.38631561175745, 2.696446141940803e-05),
+    (67, 21, 3.8128831786025854, 1.8968861812916328e-05),
+    (79, 15, 3.0537186269789522, 1.1669257748650514e-05),
+    (97, 6, 2.2243534354984282, 8.464375578441217e-06),
+    (109, 8, 2.107158510398725, 1.0173164688615407e-05),
+    (131, 10, 1.7565642228298373, 6.553339454422718e-06),
+    (157, 50, 1.2787773936105933, 4.169653139814967e-06),
+    (191, 25, 1.0875043647281002, 2.9077856027223277e-06),
+    (223, 97, 0.7433546371487063, 1.5344512626398179e-06),
+    (257, 9, 0.7014370344012413, 1.2644945763750375e-06),
+    (307, 125, 0.49162970810212836, 9.898176750968437e-07),
+    (367, 112, 0.4237419083117637, 7.159513005840895e-07),
+    (431, 148, 0.3306227559139394, 2.921308194054153e-07),
+    (521, 237, 0.2117637685242797, 1.6337056142821693e-07),
+    (613, 85, 0.20488742633423374, 2.817145052645022e-07),
+    (727, 284, 0.14387437807585224, 1.6040294410759282e-07),
+    (863, 403, 0.11731732720735089, 9.077567468191283e-08),
+    (1031, 452, 0.09799554039488734, 3.9659435616363715e-08),
+    (1223, 46, 0.0715530069727015, 3.898282746488239e-08),
+    (1451, 95, 0.05005763229204696, 2.159088155888228e-08),
+    (1723, 371, 0.04709769641135142, 1.2049034617625533e-08),
+    (2053, 795, 0.034323117125586444, 6.590536668603541e-09),
+    (2437, 663, 0.02540917848903801, 6.858110943469869e-09),
+    (2897, 349, 0.021523519275213454, 6.6869976038809625e-09),
+    (3449, 459, 0.016803303375875656, 2.241056488227166e-09),
+    (4099, 105, 0.012975821157804823, 2.5625405080232453e-09),
+    (4871, 1414, 0.008034765524528531, 9.117813965891205e-10),
+    (5801, 1031, 0.007505931662099341, 6.873550822295109e-10),
+    (6899, 647, 0.0064535173828565995, 5.089879724542056e-10),
+    (8209, 1571, 0.004643203577154198, 5.515742140939615e-10),
+    (9743, 4701, 0.003167743775249532, 1.7009213457655813e-10),
+    (11587, 4380, 0.0028899293270414628, 2.1026321318890974e-10),
+    (13781, 5985, 0.0021607924866455797, 1.1104724567492423e-10),
+    (16411, 6122, 0.001403450011848717, 6.81478034450011e-11),
+    (19489, 4222, 0.0012250473353232483, 3.4009260286855806e-11),
+    (23173, 7867, 0.0007582022037686542, 3.3469535923688574e-11),
+    (27581, 4330, 0.0008110437249955194, 3.5539039668886705e-11),
+    (32771, 8347, 0.0005574181646565979, 1.081564563032836e-11),
+    (38971, 15019, 0.0004289082212325379, 5.45995436516447e-12),
+    (46349, 7696, 0.00031733246219722844, 1.556005932362527e-11),
+    (55109, 1847, 0.0002844602991880496, 3.178700169572135e-12),
+    (65537, 27040, 0.00021426866376428322, 1.5541566200603007e-12),
+    (77951, 11307, 0.00015525754072354125, 1.4025298892096927e-12),
+    (92683, 28411, 0.00012375335074810145, 1.3863328930214668e-12),
+    (110221, 14867, 8.743020707013827e-05, 7.532725121969951e-13),
+    (131101, 63448, 5.954541872177366e-05, 2.4482970755947216e-13),
+    (155887, 51373, 5.646844780526905e-05, 2.9488866577804533e-13),
+    (185369, 59044, 3.651371647550583e-05, 1.8233761534009012e-13),
+    (220447, 30213, 2.9433645470255954e-05, 1.151588579071551e-13),
+    (262147, 1412, 2.1488472220942967e-05, 8.774978103034453e-14),
+    (311747, 138482, 1.684183560146657e-05, 5.106618422272108e-14),
+    (370759, 106796, 1.3989813631321013e-05, 1.543730012178245e-14),
+    (440893, 36305, 9.520066634127744e-06, 1.9353033352906295e-14),
+    (524309, 92872, 6.0452161450008646e-06, 1.4692021481154836e-14),
+    (623521, 35386, 6.317499460228859e-06, 1.0605447516808595e-14),
+    (741457, 255858, 4.457240622590675e-06, 1.208643186128677e-14),
+    (881779, 204313, 3.8134593756122825e-06, 4.218458758731442e-15),
+    (1048583, 193982, 2.207763658557127e-06, 1.8430546164504847e-15),
 )  # end of the table written by tools/korobov_table.py
-_LATTICE_SHIFTS = 32
+# At a fixed budget of shifts x N evaluations the stderr falls like
+# 1/sqrt(shifts N^2), because one shift's error falls like 1/N on this
+# integrand: the budget buys points rather than shifts.  16 shifts still
+# give the standard error 15 degrees of freedom.
+_LATTICE_SHIFTS = 16
 
 
 def _lattice_plan(samples):
     """(N, a, shifts) of the rule: at least ``samples`` evaluations.
 
-    N is the smallest table entry with 32 shifts of it covering
+    N is the smallest table entry with 16 shifts of it covering
     ``samples``; above the table, the largest N with as many shifts as
     ``samples`` needs.
     """
     need = -(-samples // _LATTICE_SHIFTS)
-    for n, a, _ in _KOROBOV:
+    for n, a, *_ in _KOROBOV:
         if n >= need:
             return n, a, _LATTICE_SHIFTS
-    n, a, _ = _KOROBOV[-1]
+    n, a, *_ = _KOROBOV[-1]
     return n, a, -(-samples // n)
 
 
 # The most points of one torus chunk.  The lattice rule draws no substream
 # per chunk and folds its per-shift sums in chunk order, so unlike CHUNK its
 # chunk size is free.  At CHUNK points the ~70 array operations of a chunk
-# each ran too briefly outside the GIL for a second thread to gain.
-_LATTICE_CHUNK_POINTS = 2 * CHUNK
+# each ran too briefly outside the GIL for a second thread to gain; at
+# 2.5 CHUNK two shifts of N = 16411 share a chunk, and its 12 rows are
+# exactly the workspace's 30 CHUNK doubles.
+_LATTICE_CHUNK_POINTS = 5 * CHUNK // 2
 
 
 @lru_cache(maxsize=4)
 def _lattice_sin_cos(n, a):
-    """sin and cos of the unshifted points 2 pi frac(k z / N), k < min(N, 2 CHUNK).
+    """sin and cos of the unshifted points 2 pi frac(k z / N), k < min(N, 2.5 CHUNK).
 
-    Shape (2, 4, min(N, 2 CHUNK)), read-only: at most 16 x CHUNK doubles,
-    2 MiB.
+    Shape (2, 4, min(N, 2.5 CHUNK)), read-only: at most 20 x CHUNK doubles,
+    2.5 MiB.
     """
     z = np.array([pow(a, d, n) for d in range(4)], dtype=np.int64)
     k = np.arange(min(n, _LATTICE_CHUNK_POINTS), dtype=np.int64)
@@ -641,9 +650,10 @@ def _lattice_chunks(n, shifts):
     """The chunks of ``shifts`` shifts of an N-point lattice, in fold order.
 
     Entry (i0, i1, k0, count) covers points k0 .. k0 + count - 1 of shifts
-    i0 .. i1 - 1.  A chunk holds at most 2 CHUNK points: the whole shifts
-    that fit while N <= 2 CHUNK, else one of ceil(N / 2 CHUNK) equal slices
-    of one shift.
+    i0 .. i1 - 1.  A chunk holds at most ``_LATTICE_CHUNK_POINTS`` (2.5
+    CHUNK) points: as many whole shifts as fit while N is at most that
+    (two at N = 16411, so 16 shifts make 8 chunks), else one of
+    ceil(N / 2.5 CHUNK) equal slices of one shift.
     """
     if n <= _LATTICE_CHUNK_POINTS:
         per = _LATTICE_CHUNK_POINTS // n
@@ -664,7 +674,7 @@ def _lattice_means(n, a, delta, workers=1):
     and turns them into its rows by angle addition: sin(theta + phi) =
     S cos phi + C sin phi and cos(theta + phi) = C cos phi - S sin phi.
 
-    The chunks are those of ``_lattice_chunks``, at most 2 CHUNK points
+    The chunks are those of ``_lattice_chunks``, at most 2.5 CHUNK points
     each (``_LATTICE_CHUNK_POINTS`` says why).  Chunk sums are folded in
     chunk order, so the means do not depend on ``workers``.  A chunk
     computes in its thread's workspace, 12 rows of its points.
@@ -698,13 +708,15 @@ def edeg24_integral(mode="mc", rng=None, samples=None, workers=1):
 
     Averages, over the first two angle pairs on [0, 2*pi)^4, the
     integrand's closed-form mean over the third pair, by a randomly shifted
-    rank-1 Korobov lattice rule (``_lattice_plan``): 32 shifts of N points
+    rank-1 Korobov lattice rule (``_lattice_plan``): 16 shifts of N points
     (more shifts above the table's largest N), at least ``samples``
-    evaluations in all.  The shifts are one (shifts, 4) uniform draw from
-    ``rng.substream(0)``.  Each shift's mean is an unbiased estimate, so
-    ``value`` is the mean of the shift means and ``stderr`` their standard
-    error; ``n_samples`` counts the evaluations, shifts x N.  ``mode`` takes
-    only "mc".
+    evaluations in all, on the multiplier of the table that gave this
+    integrand the least shift variance.  A chunk holds whole shifts up to
+    2.5 CHUNK points (``_lattice_chunks``).  The shifts are one (shifts, 4)
+    uniform draw from ``rng.substream(0)``.  Each shift's mean is an
+    unbiased estimate, so ``value`` is the mean of the shift means and
+    ``stderr`` their standard error; ``n_samples`` counts the evaluations,
+    shifts x N.  ``mode`` takes only "mc".
     """
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")

@@ -261,6 +261,23 @@ def test_schubert_mc_carries_exact_reference(capsys):
     assert math.isclose(rec["params"]["exact"], math.pi / 4.0, rel_tol=1e-10)
 
 
+def test_schubert_default_window_shrinks_with_n(capsys):
+    # the window's bias is about n eps^2 / 2 relative: at eps = 0.01 the
+    # (2, 400) record read 12.238 +- 0.021 against 12.494, 12 sigma off
+    rec = invoke_json(capsys, "schubert-ratio", "--k", "2", "--n", "400", "--mc")
+    check_record(rec)
+    params = rec["params"]
+    assert params["eps"] == params["delta"] == 0.001
+    assert abs(rec["value"] - params["exact"]) <= 5.0 * rec["stderr"]
+    # n = 4 keeps 0.01, and explicit windows stay as given
+    rec = invoke_json(capsys, "schubert-ratio", "--k", "2", "--n", "4", "--mc",
+                      "--samples", "20000")
+    assert rec["params"]["eps"] == rec["params"]["delta"] == 0.01
+    rec = invoke_json(capsys, "schubert-ratio", "--k", "2", "--n", "400", "--mc",
+                      "--eps", "0.01", "--samples", "20000")
+    assert rec["params"]["eps"] == rec["params"]["delta"] == 0.01
+
+
 def test_laplace_demo_error_columns_shrink(capsys):
     recs = invoke_json(capsys, "laplace-demo")
     gauss = [r for r in recs if r["params"]["problem"] == "gaussian-endpoint"]

@@ -1,7 +1,9 @@
 import contextlib
+import importlib.util
 import itertools
 import math
 import os
+import pathlib
 import threading
 import tracemalloc
 from concurrent.futures import Future
@@ -41,6 +43,7 @@ from grassdeg.mc import (
 from grassdeg.zonoid import vol_C_vitale_mc
 
 EDEG24 = 1.7262312489219025  # the k = 2 quadrature's value, used as a loose anchor
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 # -------------------------------------------------------- streaming stats
@@ -256,9 +259,9 @@ def test_pool_threads_keep_their_own_workspace(monkeypatch):
     both = threading.Barrier(2, timeout=30)
 
     def take(_):
-        # the largest need of a torus or polar chunk (12 rows of at most
-        # 2 CHUNK lattice points), so no kernel below grows the buffer
-        with mc._workspace(24 * CHUNK) as buf:
+        # the largest need of a torus chunk (12 rows of at most 2.5 CHUNK
+        # lattice points), so no kernel below grows the buffer
+        with mc._workspace(30 * CHUNK) as buf:
             both.wait()  # both threads hold a buffer at once
             return threading.get_ident(), _data_pointer(buf)
 
@@ -390,9 +393,9 @@ def test_integral_mode_validation():
 
 
 def test_integral_mc_agrees_and_is_deterministic():
-    # N = 6899 takes four whole shifts per chunk, N = 23173 > CHUNK one,
-    # and N = 38971 > 2 CHUNK two slices of each shift
-    for samples in (200_000, 640_000, 1_100_000):
+    # N = 13781 takes two whole shifts per chunk, N = 27581 > CHUNK one,
+    # and N = 77951 > 2.5 CHUNK two slices of each shift
+    for samples in (200_000, 400_000, 1_100_000):
         a = edeg24_integral(mode="mc", rng=RngStream(43, 0), samples=samples)
         b = edeg24_integral(mode="mc", rng=RngStream(43, 0), samples=samples,
                             workers=8)
@@ -402,37 +405,63 @@ def test_integral_mc_agrees_and_is_deterministic():
 
 
 def test_lattice_plan_covers_the_samples():
-    sizes = [n for n, _, _ in mc._KOROBOV]
+    sizes = [n for n, *_ in mc._KOROBOV]
     top = sizes[-1]
-    for samples in (1, 32 * 37, 32 * 37 + 1, 262_144, 10_000_000, 32 * top,
-                    32 * top + 1, 10**9):
+    for samples in (1, 16 * 37, 16 * 37 + 1, 262_144, 10_000_000, 16 * top,
+                    16 * top + 1, 10**9):
         n, _, shifts = mc._lattice_plan(samples)
-        if samples <= 32 * top:
-            assert shifts == 32
-            assert n == min(m for m in sizes if 32 * m >= samples), samples
+        if samples <= 16 * top:
+            assert shifts == 16
+            assert n == min(m for m in sizes if 16 * m >= samples), samples
         else:  # above the table: its largest lattice, more shifts
             assert n == top and shifts == -(-samples // top), samples
-    assert mc._lattice_plan(262_144)[0] == 8209
+    assert mc._lattice_plan(262_144)[:2] == (16411, 6122)
     est = edeg24_integral(mode="mc", rng=RngStream(46, 0), samples=50_000)
-    assert est.n_samples == 32 * mc._lattice_plan(50_000)[0] >= 50_000
+    assert est.n_samples == 16 * mc._lattice_plan(50_000)[0] >= 50_000
 
 
 def test_korobov_table_entry_recomputes():
     # the benchmark's lattice; tools/korobov_table.py --check does them all
-    n, a, stored = next(entry for entry in mc._KOROBOV if entry[0] == 8209)
+    n, a, stored, _ = next(entry for entry in mc._KOROBOV if entry[0] == 16411)
     z = np.array([pow(a, d, n) for d in range(4)])
     x = np.outer(np.arange(n), z) % n / n
     p2 = np.prod(1.0 + 2.0 * math.pi**2 * (x * x - x + 1.0 / 6.0), axis=1).mean() - 1.0
     assert abs(p2 - stored) <= 1e-12
-    sizes = [n for n, _, _ in mc._KOROBOV]
+    sizes = [n for n, *_ in mc._KOROBOV]
     assert len(sizes) == 61 and sizes == sorted(sizes)
     assert sizes[0] == 37 and sizes[-1] == 1_048_583
+
+
+def _korobov_tool():
+    spec = importlib.util.spec_from_file_location(
+        "korobov_table", ROOT / "tools" / "korobov_table.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_korobov_table_variances_recompute_and_stay_near_one_scale():
+    # the stored shift variance V of every lattice up to 2^16 points, on
+    # the tool's own shifts (the tool's --check does them all)
+    tool = _korobov_tool()
+    for j, (n, a, _, score) in zip(tool.J_RANGE, mc._KOROBOV):
+        if n <= 2**16:
+            assert math.isclose(tool.shift_variance(j, n, a), score,
+                                rel_tol=tool.SCORE_RTOL), n
+    # sqrt(V) N drifts from ~0.35 at N = 37 to ~0.05 at 2^20, so no entry
+    # is judged against the whole table: none exceeds twice the median of
+    # the entries within four rows of it.  P2's choices did at eleven N,
+    # by up to 4x at N = 1031.
+    scaled = [math.sqrt(score) * n for n, _, _, score in mc._KOROBOV]
+    for i, value in enumerate(scaled):
+        near = scaled[max(0, i - 4):i + 5]
+        assert value <= 2.0 * float(np.median(near)), mc._KOROBOV[i][0]
 
 
 def _chunk_rows(n, a, delta, monkeypatch):
     """The (sin, cos) rows that ``_lattice_means`` hands the integrand.
 
-    Each is (4, shifts, n); above 2 CHUNK ``delta`` holds one shift, whose
+    Each is (4, shifts, n); above 2.5 CHUNK ``delta`` holds one shift, whose
     slices are joined along the points.
     """
     seen = []
@@ -444,7 +473,7 @@ def _chunk_rows(n, a, delta, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(mc, "_torus_third_pair_mean", record)
         mc._lattice_means(n, a, delta)
-    axis = 1 if n <= 2 * CHUNK else 2
+    axis = 1 if n <= mc._LATTICE_CHUNK_POINTS else 2
     return (np.concatenate([sin for sin, _ in seen], axis=axis),
             np.concatenate([cos for _, cos in seen], axis=axis))
 
@@ -468,8 +497,8 @@ def test_lattice_integrates_fourier_modes_exactly(monkeypatch):
     # integral, unless h.z = 0 mod N, where it gives exp(2 pi i h.delta);
     # exp(i h.theta) is the product of (cos + i sin)^h_d of the chunk rows.
     # The sliced lattice exercises the offset of a chunk that starts at k0 > 0.
-    for n, a, _ in (mc._KOROBOV[0], mc._KOROBOV[40]):
-        assert n in (37, 32771)
+    for n, a, *_ in (mc._KOROBOV[0], mc._KOROBOV[42]):
+        assert n in (37, 46349)
         z = np.array([pow(a, d, n) for d in range(4)])
         span = shifts = 3 if n <= CHUNK else 1
         delta = np.random.default_rng(8).random((shifts, 4))
@@ -494,10 +523,10 @@ def test_lattice_integrates_fourier_modes_exactly(monkeypatch):
 
 def test_angle_addition_chunks_match_half_angle_chunks():
     # the same lattice points and shifts through explicit angles: N = 8209
-    # holds three shifts per chunk, N = 23173 one, and N = 32771 slices each
+    # holds four shifts per chunk, N = 23173 one, and N = 46349 slices each
     # shift in two
-    for n, a, _ in (mc._KOROBOV[32], mc._KOROBOV[38], mc._KOROBOV[40]):
-        assert n in (8209, 23173, 32771)
+    for n, a, *_ in (mc._KOROBOV[32], mc._KOROBOV[38], mc._KOROBOV[42]):
+        assert n in (8209, 23173, 46349)
         delta = np.random.default_rng(n).random((4, 4))
         got = mc._lattice_means(n, a, delta)
         want = _half_angle_lattice_means(n, a, delta)
@@ -505,26 +534,29 @@ def test_angle_addition_chunks_match_half_angle_chunks():
 
 
 def test_lattice_chunks_cover_every_point_once_within_two_chunks():
-    for n, _, _ in mc._KOROBOV:
-        for shifts in (1, 4, 32, 33):
+    most = mc._LATTICE_CHUNK_POINTS
+    for n, *_ in mc._KOROBOV:
+        for shifts in (1, 4, 16, 17):
             plan = mc._lattice_chunks(n, shifts)
             # in fold order, each shift's points once, from 0 to N
             reached = [0] * shifts
             for i0, i1, k0, count in plan:
-                assert 0 < (i1 - i0) * count <= 2 * CHUNK, (n, shifts)
+                assert 0 < (i1 - i0) * count <= most, (n, shifts)
                 for i in range(i0, i1):
                     assert reached[i] == k0 and not any(reached[i + 1:])
                     reached[i] = k0 + count
             assert reached == [n] * shifts, (n, shifts)
-            if n <= 2 * CHUNK:  # whole shifts, as many as fit
+            if n <= most:  # whole shifts, as many as fit
                 assert all(k0 == 0 and count == n for _, _, k0, count in plan)
-                assert plan[0][1] == min(shifts, 2 * CHUNK // n)
+                assert plan[0][1] == min(shifts, most // n)
             else:  # equal slices of one shift
                 counts = {count for _, _, _, count in plan}
                 assert max(counts) - min(counts) <= 1
-    assert mc._lattice_chunks(8209, 32)[0] == (0, 3, 0, 8209)
+    # the benchmark's 16 shifts of N = 16411: 8 chunks of two shifts
+    plan = mc._lattice_chunks(16411, 16)
+    assert len(plan) == 8 and plan[0] == (0, 2, 0, 16411)
     # a torus chunk's 12 rows fit the workspace
-    assert 12 * 2 * CHUNK <= mc._WORKSPACE_DOUBLES
+    assert 12 * most <= mc._WORKSPACE_DOUBLES
 
 
 def _one_shift_means(n, a, delta):
@@ -551,8 +583,8 @@ def test_lattice_means_match_one_shift_at_a_time():
     # up to N = CHUNK the oracle's slices are whole shifts, so only the
     # batching of shifts into chunks differs and the means agree bit for
     # bit; above it both sum the same points in other orders
-    for index in (0, 32, 33, 38, 40, 41):
-        n, a, _ = mc._KOROBOV[index]
+    for index in (0, 32, 33, 38, 40, 41, 42):
+        n, a, *_ = mc._KOROBOV[index]
         delta = np.random.default_rng(index).random((7, 4))
         for workers in (1, 2):
             got = mc._lattice_means(n, a, delta, workers)
@@ -564,9 +596,24 @@ def test_lattice_means_match_one_shift_at_a_time():
 
 
 def test_torus_integral_value_is_pinned():
-    # the value the half-angle path with the AGM's E gave on this stream
+    # the one-shift-at-a-time oracle on the call's own 16 shifts of
+    # N = 16411, whose slices of CHUNK points sum each shift in another order
     est = edeg24_integral(rng=RngStream(5, 1), samples=262_144)
-    assert math.isclose(est.value, 1.7262276046835674, rel_tol=1e-14)
+    n, a, shifts = mc._lattice_plan(262_144)
+    delta = RngStream(5, 1).substream(0).generator.random((shifts, 4))
+    oracle = _one_shift_means(n, a, delta).mean()
+    assert math.isclose(est.value, oracle, rel_tol=1e-14)
+    assert math.isclose(est.value, 1.726229592280538, rel_tol=1e-14)
+
+
+def test_torus_stderr_is_calibrated():
+    # z against the exact value over 200 streams of the benchmark's size:
+    # with 16 shifts z is Student's t on 15 degrees of freedom, sd 1.07
+    z = np.array([(est.value - EDEG24) / est.stderr for est in (
+        edeg24_integral(rng=RngStream(50, stream), samples=262_144, workers=2)
+        for stream in range(200))])
+    assert 0.8 <= z.std() <= 1.2, z.std()
+    assert abs(z.mean()) <= 3.0 * z.std() / math.sqrt(len(z)), z.mean()
 
 
 def plain_conditional_mc(rng, samples):
@@ -582,7 +629,7 @@ def plain_conditional_mc(rng, samples):
 def test_lattice_shift_means_match_plain_draws():
     # random shifts make each shift's mean unbiased: many shifts of a small
     # lattice, whose own error is large, average to the integral
-    n, a, _ = mc._KOROBOV[8]
+    n, a, *_ = mc._KOROBOV[8]
     shifts = 4096
     means = mc._lattice_means(n, a, RngStream(45, 0).generator.random((shifts, 4)))
     lattice = StreamingStats.from_values(means)

@@ -2,18 +2,24 @@
 
 ``grassdeg.mc`` averages the torus integrand over randomly shifted rank-1
 Korobov lattices: point k of N is frac(k z / N) with z = (1, a, a^2, a^3)
-mod N.  The table there holds one (N, a, P2) per j = 20, ..., 80:
+mod N.  The table there holds one (N, a, P2, V) per j = 20, ..., 80:
 
 * N is the first prime >= 2^(j/4), so N runs from 37 to 1 048 583;
-* a minimises P2 = mean_k prod_d (1 + 2 pi^2 B2(x_kd)) - 1, with
-  B2(x) = x^2 - x + 1/6, over CANDIDATES multipliers drawn from a fixed seed
-  (every multiplier when there are fewer).  P2 is the squared worst-case
-  error of the rule over periodic functions whose Fourier coefficients
-  decay as prod_d 1/max(1, |h_d|)^2.
+* CANDIDATES multipliers are drawn from a fixed seed (every multiplier
+  when there are fewer), and the SHORTLIST of them with the least
+  P2 = mean_k prod_d (1 + 2 pi^2 B2(x_kd)) - 1, B2(x) = x^2 - x + 1/6, are
+  kept.  P2 is the squared worst-case error of the rule over periodic
+  functions whose Fourier coefficients decay as prod_d 1/max(1, |h_d|)^2;
+* a is the one of those with the least V, the sample variance of the
+  torus integrand's means (``mc._lattice_means``) over SCORE_SHIFTS random
+  shifts drawn from SCORE_SEED and j.  The integrand has kinks, so P2
+  ranks its lattices poorly: at N = 8209, sqrt(V) N of the 24 best by P2
+  spans 0.19 to 5.5.
 
 a and N - a give the same P2 (B2(1 - x) = B2(x)), so only a <= (N - 1)/2
-is searched.  The search takes a few minutes on two cores; the check takes
-about a second and needs numpy only.
+is searched.  The search takes about eight minutes on two cores; the check
+recomputes every P2 and every V in about 15 s.  Both run the torus
+integrand of this checkout's ``src``; besides that they need numpy only.
 
     python tools/korobov_table.py           # search; rewrite the table in mc.py
     python tools/korobov_table.py --check   # verify the table in mc.py
@@ -22,17 +28,30 @@ about a second and needs numpy only.
 import argparse
 import ast
 import math
+import os
 import pathlib
 import sys
 
 import numpy as np
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from grassdeg import mc  # noqa: E402
+
 J_RANGE = range(20, 81)
 CANDIDATES = 512
 SEED = 20250817
+SHORTLIST = 24
+SCORE_SHIFTS = 64
+SCORE_SEED = 7_364_911
 P2_TOL = 1e-12
-MC_PATH = pathlib.Path(__file__).resolve().parent.parent / "src" / "grassdeg" / "mc.py"
-BEGIN = "_KOROBOV = (  # (N, a, P2), written by tools/korobov_table.py\n"
+# V recomputes bit for bit on one machine; sin and log may round otherwise
+# on another CPU
+SCORE_RTOL = 1e-9
+WORKERS = os.cpu_count() or 1
+MC_PATH = SRC / "grassdeg" / "mc.py"
+BEGIN = "_KOROBOV = (  # (N, a, P2, shift variance), written by tools/korobov_table.py\n"
 END = ")  # end of the table written by tools/korobov_table.py\n"
 
 
@@ -64,8 +83,16 @@ def p2(n, a):
     return float(prod.mean()) - 1.0
 
 
+def shift_variance(j, n, a):
+    """V of the lattice (n, a) of entry j: the sample variance of the torus
+    integrand's shift means, over the shifts of entry j."""
+    delta = np.random.default_rng([SCORE_SEED, j]).random((SCORE_SHIFTS, 4))
+    return float(np.var(mc._lattice_means(n, a, delta, WORKERS), ddof=1))
+
+
 def search(j):
-    """(N, a, P2) of entry j: the best of the candidate multipliers."""
+    """(N, a, P2, V) of entry j: of the SHORTLIST best candidates by P2,
+    the one with the least V."""
     n = lattice_size(j)
     half = (n - 1) // 2
     if half - 1 <= CANDIDATES:
@@ -74,12 +101,14 @@ def search(j):
         gen = np.random.default_rng([SEED, j])
         candidates = np.sort(gen.choice(np.arange(2, half + 1), CANDIDATES,
                                         replace=False))
-    best = min((p2(n, int(a)), int(a)) for a in candidates)
-    return n, best[1], best[0]
+    shortlist = sorted((p2(n, int(a)), int(a)) for a in candidates)[:SHORTLIST]
+    score, a, value = min((shift_variance(j, n, a), a, value)
+                          for value, a in shortlist)
+    return n, a, value, score
 
 
 def read():
-    """The table as it stands in mc.py; the package need not be importable."""
+    """The table as it stands in mc.py, read as text."""
     text = MC_PATH.read_text()
     start, stop = text.index(BEGIN), text.index(END)
     return ast.literal_eval("(" + text[start + len(BEGIN):stop] + ")")
@@ -88,7 +117,8 @@ def read():
 def write(entries):
     text = MC_PATH.read_text()
     start, stop = text.index(BEGIN), text.index(END)
-    rows = "".join(f"    ({n}, {a}, {value!r}),\n" for n, a, value in entries)
+    rows = "".join(f"    ({n}, {a}, {value!r}, {score!r}),\n"
+                   for n, a, value, score in entries)
     MC_PATH.write_text(text[:start] + BEGIN + rows + text[stop:])
 
 
@@ -97,14 +127,18 @@ def check(table):
     failures = []
     if len(table) != len(J_RANGE):
         failures.append(f"{len(table)} entries, expected {len(J_RANGE)}")
-    for j, (n, a, stored) in zip(J_RANGE, table):
+    for j, (n, a, stored, score) in zip(J_RANGE, table):
         if n != lattice_size(j):
             failures.append(f"j = {j}: N = {n}, expected {lattice_size(j)}")
         if math.gcd(a, n) != 1 or not 1 < a < n:
             failures.append(f"N = {n}: a = {a} is not a unit other than 1")
+            continue
         recomputed = p2(n, a)
         if abs(recomputed - stored) > P2_TOL:
             failures.append(f"N = {n}, a = {a}: P2 {recomputed!r}, stored {stored!r}")
+        recomputed = shift_variance(j, n, a)
+        if not math.isclose(recomputed, score, rel_tol=SCORE_RTOL):
+            failures.append(f"N = {n}, a = {a}: V {recomputed!r}, stored {score!r}")
     return failures
 
 
@@ -123,8 +157,9 @@ def main(argv=None):
     entries = []
     for j in J_RANGE:
         entries.append(search(j))
-        n, a, value = entries[-1]
-        print(f"j = {j}: N = {n}, a = {a}, P2 = {value:.6g}", flush=True)
+        n, a, value, score = entries[-1]
+        print(f"j = {j}: N = {n}, a = {a}, P2 = {value:.6g}, "
+              f"sqrt(V) N = {math.sqrt(score) * n:.4g}", flush=True)
     write(entries)
     return 0
 
