@@ -5,8 +5,8 @@ independent uniformly random (n-k)-planes in R^n, by three independent
 routes -- a one-dimensional quadrature through the radial function of the
 singular-value zonoid, Monte Carlo estimation of zonoid volumes and scaling
 factors, and direct enumerative counting of real transversal lines in RP^3 --
-together with the closed-form bounds and Laplace-method asymptotics that
-tie them together.
+together with the closed-form bounds and the paper's large-n asymptotics
+that tie them together.
 """
 
 __version__ = "0.1.0"

@@ -7,8 +7,6 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from . import __version__, edeg, zonoid
 from .estimate import Estimate
 from .specfun import LogValue
@@ -155,7 +153,7 @@ def _parser():
     p.add_argument("--samples", type=int, required=True)
 
     sub.add_parser("laplace-demo", parents=[common],
-                   help="Laplace leading term vs quadrature on two problems")
+                   help="edeg G(2,n+1) by quadrature vs the paper's leading term")
 
     p = sub.add_parser("bounds", parents=[common],
                        help="upper bound and asymptotic exponents for (k,n)")
@@ -305,35 +303,18 @@ def _cmd_vitale(args):
 
 
 def _cmd_laplace_demo(args):
-    gauss = edeg.LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0)
-    gauss_rows = edeg.laplace_validate(
-        lambda t: t * t, np.ones_like, 0.0, 1.0, gauss, [10.0, 100.0, 1000.0])
-
-    lines = edeg.LaplaceProblem(
-        a_at_min=4.0 * math.log(2.0), a0=3.0, mu=2.0, b0=8.0, nu=2.0)
-    profile = zonoid.default_profile()
-
-    def a_fn(t):
-        c, s = np.cos(t), np.sin(t)
-        return -np.log(profile.radius(t) ** 2 * c * s)
-
-    def b_fn(t):
-        c, s = np.cos(t), np.sin(t)
-        return (c * c - s * s) / (c * s) ** 2
-
-    line_rows = edeg.laplace_validate(
-        a_fn, b_fn, 0.0, math.pi / 4.0, lines, [4.0, 16.0, 64.0])
-
-    # rel_error is the gap to the Laplace leading term; stderr is the
-    # quadrature's own panel-doubling error
-    return [("laplace-demo",
-             {"problem": name, "lam": row["lam"], "leading": row["leading"],
-              "rel_error": row["rel_error"]},
-             _exact(row["integral"], "laplace-vs-quadrature",
-                    stderr=row["error"]))
-            for name, rows in (("gaussian-endpoint", gauss_rows),
-                               ("lines-radial", line_rows))
-            for row in rows]
+    # the radial quadrature of edeg G(2, n+1), with its own error as stderr,
+    # against the paper's leading term; n log(1 + rel_gap) tends to 17/24
+    records = []
+    for n in (4, 16, 64, 256, 4096):
+        est = edeg.edeg_lines_quadrature(n)
+        log_quad = (est.value.log_magnitude if isinstance(est.value, LogValue)
+                    else math.log(est.value))
+        log_leading = edeg.log_edeg_lines_asymptotic(n)
+        records.append(("laplace-demo",
+                         {"n": n, "log_leading": log_leading,
+                          "rel_gap": math.expm1(log_quad - log_leading)}, est))
+    return records
 
 
 def _cmd_bounds(args):

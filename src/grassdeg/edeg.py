@@ -4,17 +4,14 @@ The expected degree edeg G(k,n) is the average number of real k-planes
 meeting k(n-k) independent uniformly random (n-k)-planes.  This module
 assembles it from the volume machinery (specfun, zonoid): one radial
 quadrature serves k = 2 and k = n-2, Grassmannians of lines G(2, n+1)
-included.  It also provides the closed-form upper bound and asymptotic
-exponent, and a small Laplace-method evaluator used to validate the
-asymptotics at finite n.
+included.  It also provides the closed-form upper bound, the asymptotic
+exponent, and the paper's leading term of edeg G(2, n+1), which the
+quadrature checks at finite n.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-import numpy as np
-
-from ._quad import composite_gl_log
 from .specfun import (
     LogValue,
     log_gamma,
@@ -25,15 +22,12 @@ from .specfun import (
 from .zonoid import default_profile, vol_C_quadrature_log, vol_C_vitale_mc
 
 __all__ = [
-    "LaplaceProblem",
     "edeg_lines_quadrature",
     "edeg_general",
     "edeg_upper_bound_log",
     "epsilon_k",
     "log_edeg_leading",
     "log_edeg_lines_asymptotic",
-    "laplace_leading",
-    "laplace_validate",
 ]
 
 _LOG_ONLY_ABOVE = 30  # k(n-k) beyond this: direct floats refused, LogValue returned
@@ -184,91 +178,3 @@ def log_edeg_leading(k, n):
         + log_gamma((k + 1) / 2.0)
         - log_gamma(k / 2.0)
     )
-
-
-# ---------------------------------------------------------------------------
-# Laplace method at an interior-free minimum on an interval endpoint
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LaplaceProblem:
-    """Expansion data of exp(-lambda a(t)) b(t) dt near the minimum of a.
-
-    a(t) ~ a_at_min + a0 |t - t*|^mu and b(t) ~ b0 |t - t*|^(nu - 1) as t
-    approaches the minimizer t*, an endpoint of the integration interval.
-    """
-
-    a_at_min: float
-    a0: float
-    mu: float
-    b0: float
-    nu: float
-
-    def __post_init__(self):
-        if self.a0 == 0.0:
-            raise ValueError("a0 must be nonzero")
-        if self.mu <= 0.0:
-            raise ValueError("mu must be positive")
-        if self.b0 == 0.0:
-            raise ValueError("b0 must be nonzero")
-        if self.nu < 1.0:
-            raise ValueError("nu must be >= 1")
-
-
-def laplace_leading(problem, lam):
-    """Leading asymptotic term of the one-sided Laplace integral."""
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
-    p = problem
-    ratio = p.nu / p.mu
-    return (
-        math.exp(-lam * p.a_at_min)
-        * lam ** (-ratio)
-        * p.b0
-        * math.exp(log_gamma(ratio))
-        / (p.a0**ratio * p.mu)
-    )
-
-
-def laplace_validate(a, b, t1, t2, problem, lambda_grid):
-    """Compare laplace_leading against a fixed quadrature on a lambda grid.
-
-    ``a`` and ``b`` map arrays of t to arrays (or scalars), with b >= 0 on
-    [t1, t2].  The integral of exp(-lam (a - a_at_min)) b takes the 32-point
-    composite Gauss-Legendre rule in log scale on 32 panels; ``error`` is
-    its difference from the same rule on 16 panels.  Returns a list of rows
-    {lam, integral, error, leading, rel_error}; the shared exp(-lam a_at_min)
-    factor is handled analytically so huge lambdas cannot underflow the
-    comparison.
-    """
-    rows = []
-    amin = problem.a_at_min
-    for lam in lambda_grid:
-        if lam <= 0.0:
-            raise ValueError("lambda grid must be positive")
-
-        def log_f(t):
-            with np.errstate(divide="ignore"):  # b = 0 at a node gives -inf
-                return -lam * (a(t) - amin) + np.log(b(t))
-
-        scaled_integral, coarse = (
-            math.exp(composite_gl_log(log_f, t1, t2, points=32, panels=panels))
-            for panels in (32, 16)
-        )
-        scaled_leading = laplace_leading(problem, lam) * math.exp(lam * amin)
-        rel_error = abs(scaled_integral - scaled_leading) / abs(scaled_integral)
-        try:
-            damp = math.exp(-lam * amin)
-        except OverflowError:
-            damp = math.inf
-        rows.append(
-            {
-                "lam": float(lam),
-                "integral": scaled_integral * damp,
-                "error": abs(scaled_integral - coarse) * damp,
-                "leading": scaled_leading * damp,
-                "rel_error": rel_error,
-            }
-        )
-    return rows

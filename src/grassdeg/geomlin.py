@@ -1,11 +1,9 @@
-"""Frames, principal angles, and invariant random sampling.
+"""Reproducible random streams and batched closed forms for the kernels.
 
-Small dense linear algebra for subspace geometry: orthonormal frames
-representing points of G(k,n), the principal angles between two subspaces,
-and an RNG wrapper (SFC64 keyed by a SeedSequence) that makes every Monte
-Carlo run reproducible from (seed, stream_id).
+An RNG wrapper (SFC64 keyed by a SeedSequence) makes every Monte Carlo run
+reproducible from (seed, stream_id).
 
-The batched helpers at the end serve the Monte Carlo kernels, which hold
+The batched helpers after it serve the Monte Carlo kernels, which hold
 one tiny matrix per draw.  ``small_det`` expands determinants up to 4x4
 elementwise, because per-matrix LAPACK calls cost more than the
 arithmetic; above that size it calls ``np.linalg``, which is also its test
@@ -16,64 +14,17 @@ other size the samplers draw principal angles from the Jacobi matrix model
 (``mc._jacobi_angles``), with no frame either.
 """
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
-    "Frame",
-    "PrincipalAngles",
     "RngStream",
-    "sample_uniform_subspace",
-    "principal_angles",
     "half_angle_sin_cos",
     "det3",
     "small_det",
     "g24_angles_from_heights",
 ]
 
-_ORTHO_TOL = 1e-12
-_ZERO_ANGLE_TOL = 1e-7  # arccos(singular value) resolves angles only to ~sqrt(eps)
 _MASK64 = (1 << 64) - 1
-
-
-@dataclass
-class Frame:
-    """Column-orthonormal n-by-k matrix representing a k-plane in R^n."""
-
-    entries: np.ndarray
-    n: int = field(init=False)
-    k: int = field(init=False)
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
-        if self.entries.ndim != 2:
-            raise ValueError("a frame is a 2-d array of column vectors")
-        self.n, self.k = self.entries.shape
-        if not 1 <= self.k <= self.n:
-            raise ValueError("need 1 <= k <= n, got shape %s" % (self.entries.shape,))
-        gram = self.entries.T @ self.entries
-        if np.max(np.abs(gram - np.eye(self.k))) > _ORTHO_TOL:
-            raise ValueError("columns are not orthonormal to within 1e-12")
-
-
-@dataclass
-class PrincipalAngles:
-    """Sorted principal angles between two subspaces, each in [0, pi/2]."""
-
-    angles: np.ndarray
-
-    def __post_init__(self):
-        self.angles = np.asarray(self.angles, dtype=float)
-        if np.any(np.diff(self.angles) < 0):
-            raise ValueError("principal angles must be ascending")
-        if np.any(self.angles < -1e-15) or np.any(self.angles > math.pi / 2 + 1e-12):
-            raise ValueError("principal angles must lie in [0, pi/2]")
-
-    def zero_count(self, tol=_ZERO_ANGLE_TOL):
-        """Number of vanishing angles = dimension of the intersection."""
-        return int(np.sum(self.angles < tol))
 
 
 class RngStream:
@@ -103,29 +54,6 @@ class RngStream:
 
     def __repr__(self):
         return "RngStream(seed=%d, stream_id=%d)" % (self.seed, self.stream_id)
-
-
-def sample_uniform_subspace(rng, n, k):
-    """Uniform (O(n)-invariant) random k-plane in R^n as a Frame.
-
-    QR of a Gaussian matrix with the R-diagonal sign convention, which
-    makes the factorization unique and the draw reproducible.
-    """
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    g = rng.standard_normal((n, k))
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return Frame(q * signs)
-
-
-def principal_angles(A, B):
-    """Principal angles between the spans of two frames, ascending."""
-    if A.n != B.n:
-        raise ValueError("frames live in different ambient dimensions")
-    sv = np.linalg.svd(A.entries.T @ B.entries, compute_uv=False)
-    return PrincipalAngles(np.arccos(np.clip(sv, 0.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------

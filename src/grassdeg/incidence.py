@@ -84,7 +84,7 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .geomlin import Frame, half_angle_sin_cos
+from .geomlin import half_angle_sin_cos
 from .mc import _integer, _workspace, run_kernel
 
 __all__ = [
@@ -162,9 +162,9 @@ def _minors_of_basis(mats):
     return out
 
 
-def plucker_of(frame):
-    """PluckerLine spanned by a 4x2 frame (or any rank-2 4x2 basis matrix)."""
-    mat = frame.entries if isinstance(frame, Frame) else np.asarray(frame, float)
+def plucker_of(basis):
+    """PluckerLine spanned by the columns of a rank-2 4x2 matrix."""
+    mat = np.asarray(basis, dtype=float)
     if mat.shape != (4, 2):
         raise ValueError("need a 4x2 basis of a 2-plane in R^4")
     minors = _minors_of_basis(mat)

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quad import _leggauss, composite_gl_log, ordered_simplex_gl
+from ._quad import _leggauss, ordered_simplex_gl
 from .estimate import Estimate
 from .geomlin import (
     _LAPLACE4,
@@ -35,9 +35,6 @@ from .specfun import (
     _e_complement,
     log_gamma,
     multivariate_gamma_log,
-    vol_orthogonal_log,
-    vol_sphere_log,
-    vol_stiefel_log,
 )
 
 CHUNK = 16384
@@ -58,7 +55,6 @@ __all__ = [
     "density_gof",
     "vitale_check",
     "vitale_closed_form",
-    "integration_formula_check",
 ]
 
 
@@ -1064,7 +1060,7 @@ def density_gof(k, l, n, rng, samples, workers=1):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian determinant moment check and the sphere integration formula.
+# Gaussian determinant moment check
 # ---------------------------------------------------------------------------
 
 
@@ -1099,78 +1095,3 @@ def vitale_check(d, rng, samples, workers=1):
 
     return run_kernel(kernel, rng, samples, workers=workers, method="vitale-mc")
 
-
-_TEST_FUNCTIONS = ("one", "p1sq", "p2sq", "r2pow")
-
-
-def integration_formula_check(
-    k, m, test_function_id, rng, samples, quad_points=32, workers=1
-):
-    """Both sides of the singular-value integration formula for k = 2.
-
-    The left side is |S^{2m-1}| times a Monte Carlo average of f over the
-    unit sphere of 2 x m matrices; the right side integrates f against the
-    singular-value weight over the ordered sector.  Returns (Estimate, float).
-    """
-    if k != 2:
-        raise ValueError("integration formula check is specialized to k = 2")
-    if not 2 <= m <= 8:
-        raise ValueError("need 2 <= m <= 8")
-    if test_function_id not in _TEST_FUNCTIONS:
-        raise ValueError(
-            f"unknown test_function_id {test_function_id!r}; "
-            f"choose from {_TEST_FUNCTIONS}"
-        )
-
-    if test_function_id == "r2pow":
-        from .zonoid import default_profile
-
-        profile = default_profile()
-
-        def f_of_sv(s1, s2):
-            return profile.radius(np.arctan2(s2, s1)) ** (2 * m)
-
-    elif test_function_id == "one":
-
-        def f_of_sv(s1, s2):
-            return np.ones_like(s1)
-
-    elif test_function_id == "p1sq":
-
-        def f_of_sv(s1, s2):
-            return s1**2
-
-    else:  # p2sq
-
-        def f_of_sv(s1, s2):
-            return (s1 * s2) ** 2
-
-    def kernel(gen, count):
-        x = gen.standard_normal((count, 2, m))
-        x /= np.linalg.norm(x, axis=(1, 2), keepdims=True)
-        sv = np.linalg.svd(x, compute_uv=False)
-        return f_of_sv(sv[:, 0], sv[:, 1]), 0
-
-    sphere_area = vol_sphere_log(2 * m - 1).exp()
-    lhs = run_kernel(
-        kernel, rng, samples, workers=workers, method="sphere-mc"
-    ).scaled(sphere_area)
-
-    # |O(2)| |S(2,m)| / 2^2 times the ordered-sector integral in the angle
-    # parametrization sigma = (cos t, sin t), t in [0, pi/4].
-    prefactor = math.exp(vol_orthogonal_log(2).log_magnitude
-                         + vol_stiefel_log(2, m).log_magnitude
-                         - 2.0 * math.log(2.0))
-
-    def log_weighted(t):
-        c, s = np.cos(t), np.sin(t)
-        return (
-            np.log(f_of_sv(c, s))
-            + (m - 2) * (np.log(c) + np.log(s))
-            + np.log(c**2 - s**2)
-        )
-
-    rhs = prefactor * math.exp(composite_gl_log(
-        log_weighted, 0.0, math.pi / 4.0, points=quad_points, panels=8
-    ))
-    return lhs, rhs

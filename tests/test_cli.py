@@ -210,7 +210,8 @@ def test_import_and_quadrature_leave_numpy_random_unloaded():
         "         ['edeg', '--k', '2', '--n', '40'],\n"
         "         ['edeg-lines', '--n', '17'],\n"
         "         ['zonoid-volume', '--k', '2', '--m', '2'],\n"
-        "         ['bounds', '--k', '2', '--n', '40'])\n"
+        "         ['bounds', '--k', '2', '--n', '40'],\n"
+        "         ['laplace-demo'])\n"
         "for argv in argvs:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert run(argv) == 0, argv\n"
@@ -278,14 +279,23 @@ def test_schubert_default_window_shrinks_with_n(capsys):
     assert rec["params"]["eps"] == rec["params"]["delta"] == 0.01
 
 
-def test_laplace_demo_error_columns_shrink(capsys):
+def test_laplace_demo_gap_falls_like_one_over_n(capsys):
     recs = invoke_json(capsys, "laplace-demo")
-    gauss = [r for r in recs if r["params"]["problem"] == "gaussian-endpoint"]
-    assert len(gauss) == 3
-    assert gauss[0]["params"]["rel_error"] > gauss[-1]["params"]["rel_error"]
-    # the quadrature's panel-doubling error
-    assert all(r["stderr"] is not None and math.isfinite(r["stderr"])
-               and r["stderr"] >= 0.0 for r in recs)
+    assert [r["params"]["n"] for r in recs] == [4, 16, 64, 256, 4096]
+    gaps = [r["params"]["rel_gap"] for r in recs]
+    assert all(a > b for a, b in zip(gaps, gaps[1:]))
+    for rec, gap in zip(recs, gaps):
+        n = rec["params"]["n"]
+        # the paper's O(1/n), tending to 17/24
+        assert 0.70 <= n * math.log1p(gap) <= 0.80, rec
+        if 2 * (n - 1) > 30:
+            assert rec["value"] is None and math.isfinite(rec["log_value"])
+            rel_error = rec["stderr"]
+        else:
+            assert rec["value"] is not None and "log_value" not in rec
+            rel_error = rec["stderr"] / rec["value"]
+        # the gap is the asymptotic's, not the quadrature's
+        assert gap >= 1e4 * rel_error, rec
 
 
 def test_bounds_switches_to_log_for_large_n(capsys):

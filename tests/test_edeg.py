@@ -1,17 +1,12 @@
 import math
 
-import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from grassdeg.edeg import (
-    LaplaceProblem,
     edeg_general,
     edeg_lines_quadrature,
     edeg_upper_bound_log,
     epsilon_k,
-    laplace_leading,
-    laplace_validate,
     log_edeg_leading,
     log_edeg_lines_asymptotic,
 )
@@ -187,64 +182,3 @@ def test_log_leading_term_matches_its_definition():
             0.5 * math.log(math.pi) + log_gamma((k + 1) / 2.0) - log_gamma(k / 2.0)
         )
         assert math.isclose(log_edeg_leading(k, n), k * n * per_entry, rel_tol=1e-12)
-
-
-# ---------------------------------------------------------------- laplace
-
-
-def test_laplace_problem_validation():
-    with pytest.raises(ValueError):
-        LaplaceProblem(a_at_min=0.0, a0=0.0, mu=2.0, b0=1.0, nu=1.0)
-    with pytest.raises(ValueError):
-        LaplaceProblem(a_at_min=0.0, a0=1.0, mu=-2.0, b0=1.0, nu=1.0)
-    with pytest.raises(ValueError):
-        LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=0.5)
-
-
-def test_laplace_leading_gaussian_closed_form():
-    # integral of exp(-lam t^2) from 0: leading term Gamma(1/2)/(2 sqrt(lam))
-    prob = LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0)
-    assert math.isclose(
-        laplace_leading(prob, 100.0), math.sqrt(math.pi) / 20.0, rel_tol=1e-12
-    )
-
-
-def test_laplace_leading_lines_endpoint_form():
-    prob = LaplaceProblem(a_at_min=4.0 * math.log(2.0), a0=3.0, mu=2.0, b0=8.0, nu=2.0)
-    lam = 5.0
-    expect = 2.0 ** (-4.0 * lam) * 4.0 / (3.0 * lam)
-    assert math.isclose(laplace_leading(prob, lam), expect, rel_tol=1e-12)
-
-
-def test_laplace_validation_errors_shrink_with_lambda():
-    prob = LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0)
-    rows = laplace_validate(
-        lambda t: t * t, lambda t: 1.0, 0.0, 1.0, prob, [10.0, 100.0, 1000.0]
-    )
-    errs = [row["rel_error"] for row in rows]
-    assert errs[0] > errs[1] > errs[2] or (errs[1] < 1e-12 and errs[2] < 1e-12)
-    assert errs[-1] < 1e-6
-
-
-def test_laplace_validate_matches_adaptive_quadrature():
-    # the fixed rule against scipy's adaptive quad on the Gaussian problem
-    prob = LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0)
-    lams = [1.0, 10.0, 100.0, 1000.0, 1e4]
-    rows = laplace_validate(lambda t: t * t, np.ones_like, 0.0, 1.0, prob, lams)
-    for lam, row in zip(lams, rows):
-        ref = quad(lambda t: math.exp(-lam * t * t), 0.0, 1.0,
-                   epsabs=0.0, epsrel=1e-13, limit=200)[0]
-        assert math.isclose(row["integral"], ref, rel_tol=1e-12), lam
-        assert 0.0 <= row["error"] <= 1e-12 * ref
-
-
-def test_laplace_validate_rejects_bad_grid():
-    prob = LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0)
-    with pytest.raises(ValueError):
-        laplace_validate(lambda t: t * t, lambda t: 1.0, 0.0, 1.0, prob, [-1.0])
-
-
-def test_laplace_leading_rejects_nonpositive_lambda():
-    prob = LaplaceProblem(a_at_min=0.0, a0=1.0, mu=2.0, b0=1.0, nu=1.0)
-    with pytest.raises(ValueError):
-        laplace_leading(prob, 0.0)

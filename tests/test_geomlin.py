@@ -6,18 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
 from grassdeg import mc
-from grassdeg.geomlin import (
-    Frame,
-    RngStream,
-    g24_angles_from_heights,
-    principal_angles,
-    sample_uniform_subspace,
-    small_det,
-)
-
-
-def frame_of(cols):
-    return Frame(np.asarray(cols, dtype=float))
+from grassdeg.geomlin import RngStream, g24_angles_from_heights, small_det
 
 
 # ------------------------------------------------------------------ rng
@@ -80,87 +69,11 @@ def test_adjacent_substreams_look_independent():
     assert kstest(z, "norm").pvalue > 0.01
 
 
-# ---------------------------------------------------------------- frames
-
-
-def test_frame_rejects_non_orthonormal_columns():
-    with pytest.raises(ValueError):
-        Frame(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-
-def test_uniform_subspace_is_orthonormal():
-    rng = RngStream(3, 0)
-    for n, k in ((3, 1), (4, 2), (7, 3), (9, 5)):
-        f = sample_uniform_subspace(rng, n, k)
-        gram = f.entries.T @ f.entries
-        assert np.max(np.abs(gram - np.eye(k))) < 1e-12
-
-
 def test_gaussian_matrix_shape_and_determinism():
     a = RngStream(5, 1).standard_normal((3, 4))
     b = RngStream(5, 1).standard_normal((3, 4))
     assert a.shape == (3, 4)
     assert np.array_equal(a, b)
-
-
-# -------------------------------------------------------- principal angles
-
-
-def test_angles_of_subspace_with_itself_vanish():
-    f = sample_uniform_subspace(RngStream(9, 0), 5, 2)
-    pa = principal_angles(f, f)
-    assert np.max(np.abs(pa.angles)) < 1e-7
-    assert pa.zero_count() == 2
-
-
-def test_angles_of_orthogonal_planes():
-    A = frame_of([[1, 0], [0, 1], [0, 0], [0, 0]])
-    B = frame_of([[0, 0], [0, 0], [1, 0], [0, 1]])
-    pa = principal_angles(A, B)
-    assert np.allclose(pa.angles, math.pi / 2.0, atol=1e-12)
-    assert pa.zero_count() == 0
-
-
-def test_partial_overlap_counts_one_zero():
-    A = frame_of([[1, 0], [0, 1], [0, 0], [0, 0]])
-    B = frame_of([[1, 0], [0, 0], [0, 1], [0, 0]])
-    pa = principal_angles(A, B)
-    assert pa.zero_count() == 1
-    assert math.isclose(pa.angles[-1], math.pi / 2.0, rel_tol=1e-12)
-
-
-def test_angles_depend_only_on_the_span():
-    rng = RngStream(13, 0)
-    A = sample_uniform_subspace(rng, 6, 2)
-    B = sample_uniform_subspace(rng, 6, 2)
-    # rotate A's basis in-place: same span, new orthonormal frame
-    c, s = math.cos(0.7), math.sin(0.7)
-    R = np.array([[c, -s], [s, c]])
-    A2 = Frame(A.entries @ R)
-    assert np.allclose(principal_angles(A, B).angles, principal_angles(A2, B).angles,
-                       atol=1e-12)
-
-
-def test_known_tilt_angle():
-    t = 0.3
-    A = frame_of([[1, 0], [0, 1], [0, 0], [0, 0]])
-    B = frame_of([[math.cos(t), 0], [0, 1], [math.sin(t), 0], [0, 0]])
-    pa = principal_angles(A, B)
-    assert pa.zero_count() == 1
-    assert math.isclose(pa.angles[-1], t, rel_tol=1e-9)
-
-
-def test_sines_of_the_angles_multiply_to_the_wedge_norm():
-    # prod sin(theta_i) = |a_1 ^ ... ^ a_k ^ b_1 ^ ... ^ b_l|, the square
-    # root of the Gram determinant of both bases together
-    rng = RngStream(21, 0)
-    for _ in range(20):
-        A = sample_uniform_subspace(rng, 4, 2)
-        B = sample_uniform_subspace(rng, 4, 2)
-        both = np.hstack([A.entries, B.entries])
-        wedge = math.sqrt(max(np.linalg.det(both.T @ both), 0.0))
-        sines = float(np.prod(np.sin(principal_angles(A, B).angles)))
-        assert math.isclose(sines, wedge, rel_tol=0, abs_tol=1e-9)
 
 
 # ---------------------------------------------- batched closed forms vs LAPACK

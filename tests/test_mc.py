@@ -33,7 +33,6 @@ from grassdeg.mc import (
     density_normalization,
     density_pdf,
     edeg24_integral,
-    integration_formula_check,
     run_kernel,
     schubert_ratio_exact,
     schubert_ratio_mc,
@@ -1111,33 +1110,3 @@ def test_vitale_chunk_memory_is_bounded():
         tracemalloc.stop()
     assert est.n_samples == CHUNK
     assert peak < 1.25 * mc._BATCH_BYTES, peak
-
-
-# ------------------------------------------- invariant-integration formula
-
-
-def test_integration_formula_constant_function():
-    est, rhs = integration_formula_check(
-        2, 3, "one", RngStream(48, 0), 50_000
-    )
-    assert est.stderr == 0.0
-    assert math.isclose(est.value, math.pi**3, rel_tol=1e-12)  # area of S^5
-    assert math.isclose(rhs, est.value, rel_tol=1e-7)
-
-
-def test_integration_formula_moment_functions(profile2):
-    for fid, stream in (("p2sq", 0), ("r2pow", 1)):
-        est, rhs = integration_formula_check(2, 3, fid, RngStream(49, stream), 150_000)
-        assert abs(est.value - rhs) < 4.0 * est.stderr + 1e-9
-
-
-def test_integration_formula_validation():
-    r = RngStream(0, 0)
-    with pytest.raises(ValueError):
-        integration_formula_check(2, 3, "cubes", r, 10)
-    with pytest.raises(ValueError):
-        integration_formula_check(3, 3, "one", r, 10)
-    with pytest.raises(ValueError):
-        integration_formula_check(2, 1, "one", r, 10)
-    with pytest.raises(ValueError):
-        integration_formula_check(2, 9, "one", r, 10)

@@ -38,6 +38,16 @@ def test_composite_gl_log_matches_scipy_logsumexp(log_f, a, b, points, panels):
         log_f, a, b, points, panels)
 
 
+@pytest.mark.parametrize("lam", [1.0, 10.0, 1e2, 1e3, 1e4])
+def test_composite_gl_log_resolves_a_sharp_peak(lam):
+    # exp(-lam t^2) on [0, 1] narrows to width 1/sqrt(lam) at the endpoint;
+    # its integral is sqrt(pi) erf(sqrt(lam)) / (2 sqrt(lam))
+    exact = math.sqrt(math.pi) * math.erf(math.sqrt(lam)) / (2.0 * math.sqrt(lam))
+    got = math.exp(composite_gl_log(lambda t: -lam * t * t, 0.0, 1.0,
+                                    points=32, panels=32))
+    assert math.isclose(got, exact, rel_tol=1e-12)
+
+
 def test_composite_gl_log_of_zero_integrand_is_minus_inf():
     value = composite_gl_log(lambda t: np.full_like(t, -np.inf), 0.0, 1.0)
     assert value == -math.inf
