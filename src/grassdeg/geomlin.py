@@ -49,9 +49,6 @@ class RngStream:
     def substream(self, index):
         return RngStream(self.seed, (self.stream_id * (1 << 32) + index + 1) & _MASK64)
 
-    def standard_normal(self, shape):
-        return self.generator.standard_normal(shape)
-
     def __repr__(self):
         return "RngStream(seed=%d, stream_id=%d)" % (self.seed, self.stream_id)
 

@@ -527,74 +527,75 @@ def _torus_third_pair_mean(sin, cos, work=None):
 
 # Randomly shifted rank-1 Korobov lattices: point k of shift i is
 # frac(k z / N + delta_i) with z = (1, a, a^2, a^3) mod N.  N is the first
-# prime >= 2^(j/4), j = 20..80.  Of a seeded set of multipliers, the best
-# two dozen by the P2 figure of merit are kept, and a is the one whose
-# shift means of the torus integrand itself vary least: P2 weighs smooth
-# periodic functions, and among near-equal P2 this kinked integrand's
-# error still varies by up to 30x.  tools/korobov_table.py writes the
-# table and its --check recomputes every P2 and every variance.
-_KOROBOV = (  # (N, a, P2, shift variance), written by tools/korobov_table.py
-    (37, 13, 8.484798748686579, 8.756925471521097e-05),
-    (41, 4, 6.8370823194509684, 0.00010058967535059272),
-    (47, 3, 5.618189515976444, 8.69802065138108e-05),
-    (59, 13, 5.38631561175745, 2.696446141940803e-05),
-    (67, 21, 3.8128831786025854, 1.8968861812916328e-05),
-    (79, 15, 3.0537186269789522, 1.1669257748650514e-05),
-    (97, 6, 2.2243534354984282, 8.464375578441217e-06),
-    (109, 8, 2.107158510398725, 1.0173164688615407e-05),
-    (131, 10, 1.7565642228298373, 6.553339454422718e-06),
-    (157, 50, 1.2787773936105933, 4.169653139814967e-06),
-    (191, 25, 1.0875043647281002, 2.9077856027223277e-06),
-    (223, 97, 0.7433546371487063, 1.5344512626398179e-06),
-    (257, 9, 0.7014370344012413, 1.2644945763750375e-06),
-    (307, 125, 0.49162970810212836, 9.898176750968437e-07),
-    (367, 112, 0.4237419083117637, 7.159513005840895e-07),
-    (431, 148, 0.3306227559139394, 2.921308194054153e-07),
-    (521, 237, 0.2117637685242797, 1.6337056142821693e-07),
-    (613, 85, 0.20488742633423374, 2.817145052645022e-07),
-    (727, 284, 0.14387437807585224, 1.6040294410759282e-07),
-    (863, 403, 0.11731732720735089, 9.077567468191283e-08),
-    (1031, 452, 0.09799554039488734, 3.9659435616363715e-08),
-    (1223, 46, 0.0715530069727015, 3.898282746488239e-08),
-    (1451, 95, 0.05005763229204696, 2.159088155888228e-08),
-    (1723, 371, 0.04709769641135142, 1.2049034617625533e-08),
-    (2053, 795, 0.034323117125586444, 6.590536668603541e-09),
-    (2437, 663, 0.02540917848903801, 6.858110943469869e-09),
-    (2897, 349, 0.021523519275213454, 6.6869976038809625e-09),
-    (3449, 459, 0.016803303375875656, 2.241056488227166e-09),
-    (4099, 105, 0.012975821157804823, 2.5625405080232453e-09),
-    (4871, 1414, 0.008034765524528531, 9.117813965891205e-10),
-    (5801, 1031, 0.007505931662099341, 6.873550822295109e-10),
-    (6899, 647, 0.0064535173828565995, 5.089879724542056e-10),
-    (8209, 1571, 0.004643203577154198, 5.515742140939615e-10),
-    (9743, 4701, 0.003167743775249532, 1.7009213457655813e-10),
-    (11587, 4380, 0.0028899293270414628, 2.1026321318890974e-10),
-    (13781, 5985, 0.0021607924866455797, 1.1104724567492423e-10),
-    (16411, 6122, 0.001403450011848717, 6.81478034450011e-11),
-    (19489, 4222, 0.0012250473353232483, 3.4009260286855806e-11),
-    (23173, 7867, 0.0007582022037686542, 3.3469535923688574e-11),
-    (27581, 4330, 0.0008110437249955194, 3.5539039668886705e-11),
-    (32771, 8347, 0.0005574181646565979, 1.081564563032836e-11),
-    (38971, 15019, 0.0004289082212325379, 5.45995436516447e-12),
-    (46349, 7696, 0.00031733246219722844, 1.556005932362527e-11),
-    (55109, 1847, 0.0002844602991880496, 3.178700169572135e-12),
-    (65537, 27040, 0.00021426866376428322, 1.5541566200603007e-12),
-    (77951, 11307, 0.00015525754072354125, 1.4025298892096927e-12),
-    (92683, 28411, 0.00012375335074810145, 1.3863328930214668e-12),
-    (110221, 14867, 8.743020707013827e-05, 7.532725121969951e-13),
-    (131101, 63448, 5.954541872177366e-05, 2.4482970755947216e-13),
-    (155887, 51373, 5.646844780526905e-05, 2.9488866577804533e-13),
-    (185369, 59044, 3.651371647550583e-05, 1.8233761534009012e-13),
-    (220447, 30213, 2.9433645470255954e-05, 1.151588579071551e-13),
-    (262147, 1412, 2.1488472220942967e-05, 8.774978103034453e-14),
-    (311747, 138482, 1.684183560146657e-05, 5.106618422272108e-14),
-    (370759, 106796, 1.3989813631321013e-05, 1.543730012178245e-14),
-    (440893, 36305, 9.520066634127744e-06, 1.9353033352906295e-14),
-    (524309, 92872, 6.0452161450008646e-06, 1.4692021481154836e-14),
-    (623521, 35386, 6.317499460228859e-06, 1.0605447516808595e-14),
-    (741457, 255858, 4.457240622590675e-06, 1.208643186128677e-14),
-    (881779, 204313, 3.8134593756122825e-06, 4.218458758731442e-15),
-    (1048583, 193982, 2.207763658557127e-06, 1.8430546164504847e-15),
+# prime >= 2^(j/4), j = 20..80.  a is the multiplier whose shift means of
+# the torus integrand itself vary least: every multiplier up to N = 32771
+# and a seeded 512 above it are screened on 8 shifts, and the best 16
+# rescored on 64.  The integrand has kinks, so figures of merit made for
+# smooth periodic functions rank its lattices poorly.  tools/korobov_table.py
+# writes the table; its --check recomputes every variance and reruns the
+# search up to N = 257.
+_KOROBOV = (  # (N, a, shift variance), written by tools/korobov_table.py
+    (37, 13, 8.756925471521097e-05),
+    (41, 4, 0.00010058967535059272),
+    (47, 3, 8.69802065138108e-05),
+    (59, 13, 2.696446141940803e-05),
+    (67, 21, 1.8968861812916328e-05),
+    (79, 15, 1.1669257748650514e-05),
+    (97, 6, 8.464375578441217e-06),
+    (109, 35, 6.902373531496283e-06),
+    (131, 10, 6.553339454422718e-06),
+    (157, 45, 2.060569328789205e-06),
+    (191, 33, 2.39636107359064e-06),
+    (223, 97, 1.5344512626398179e-06),
+    (257, 9, 1.2644945763750375e-06),
+    (307, 31, 6.824913302794799e-07),
+    (367, 31, 5.946847163062754e-07),
+    (431, 63, 2.099609616540337e-07),
+    (521, 47, 2.5595558280979016e-07),
+    (613, 27, 9.622225017773387e-08),
+    (727, 330, 1.0848518783119297e-07),
+    (863, 202, 5.5897077786851576e-08),
+    (1031, 452, 3.9659435616363715e-08),
+    (1223, 121, 2.3998435813021845e-08),
+    (1451, 453, 2.1511832860304816e-08),
+    (1723, 112, 9.344469991538629e-09),
+    (2053, 130, 8.073199910497911e-09),
+    (2437, 30, 4.376930593961511e-09),
+    (2897, 1040, 3.183042087086353e-09),
+    (3449, 581, 1.3534385645758323e-09),
+    (4099, 763, 1.1478913605252993e-09),
+    (4871, 259, 4.900606990141261e-10),
+    (5801, 1602, 4.908936990611284e-10),
+    (6899, 1494, 3.0362391181477515e-10),
+    (8209, 3330, 1.700098671790811e-10),
+    (9743, 3273, 1.6111606427110895e-10),
+    (11587, 1698, 5.762168724511018e-11),
+    (13781, 4046, 7.553573792365847e-11),
+    (16411, 5254, 3.405519194190132e-11),
+    (19489, 5948, 3.0657749636280756e-11),
+    (23173, 1903, 1.9055707457536386e-11),
+    (27581, 1238, 1.0823969078329945e-11),
+    (32771, 16039, 7.8809070869627e-12),
+    (38971, 11325, 2.9721674519082754e-12),
+    (46349, 4672, 3.5058880522504824e-12),
+    (55109, 1847, 3.178700169572135e-12),
+    (65537, 27040, 1.5541566200603007e-12),
+    (77951, 8067, 8.358846913854477e-13),
+    (92683, 3723, 8.588451453066226e-13),
+    (110221, 8070, 6.595094898325396e-13),
+    (131101, 63448, 2.4482970755947216e-13),
+    (155887, 67060, 1.9723805412127714e-13),
+    (185369, 47872, 7.048762237828305e-14),
+    (220447, 50728, 7.681511523176763e-14),
+    (262147, 9538, 5.2684103905846985e-14),
+    (311747, 41075, 4.976771648186595e-14),
+    (370759, 180017, 1.2479362982585625e-14),
+    (440893, 176656, 1.3730495858179471e-14),
+    (524309, 78516, 6.5676201255610994e-15),
+    (623521, 30614, 4.725331604791727e-15),
+    (741457, 304842, 2.4685018713686857e-15),
+    (881779, 345766, 3.667067775465536e-15),
+    (1048583, 375405, 1.7378759339047156e-15),
 )  # end of the table written by tools/korobov_table.py
 # At a fixed budget of shifts x N evaluations the stderr falls like
 # 1/sqrt(shifts N^2), because one shift's error falls like 1/N on this

@@ -12,6 +12,9 @@ settings.load_profile("suite")
 
 ACCEPTANCE_LINES = []
 
+# edeg G(2,4), the exact value of the k = 2 radial quadrature
+EDEG24 = 1.7262312489219025
+
 
 @pytest.fixture(scope="session")
 def profile2():

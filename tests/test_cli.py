@@ -18,6 +18,8 @@ from grassdeg.cli import _HANDLERS, DEFAULT_SEED, SCHEMA_VERSION, run
 from grassdeg.mc import Estimate
 from grassdeg.zonoid import default_profile, vol_C_quadrature_log
 
+from conftest import EDEG24
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 SCHEMA_KEYS = {
@@ -63,7 +65,7 @@ def test_edeg_quadrature_record(capsys):
     check_record(rec)
     assert rec["quantity"] == "edeg"
     assert rec["seed"] == DEFAULT_SEED
-    assert math.isclose(rec["value"], 1.7262312489219025, rel_tol=1e-13)
+    assert math.isclose(rec["value"], EDEG24, rel_tol=1e-13)
     assert rec["method"] == "quadrature"
 
 

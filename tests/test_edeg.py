@@ -13,6 +13,8 @@ from grassdeg.edeg import (
 from grassdeg.geomlin import RngStream
 from grassdeg.specfun import LogValue
 
+from conftest import EDEG24
+
 
 # ------------------------------------------------------------ line counts
 
@@ -20,7 +22,7 @@ from grassdeg.specfun import LogValue
 def test_lines_quadrature_reference_values():
     # n = 3 is the planted anchor of the whole package
     r3 = edeg_lines_quadrature(3)
-    assert math.isclose(float(r3.value), 1.7262312489219025, rel_tol=1e-13)
+    assert math.isclose(float(r3.value), EDEG24, rel_tol=1e-13)
     assert r3.method == "quadrature"
     r4 = edeg_lines_quadrature(4)
     assert math.isclose(float(r4.value), 3.431903106407481, rel_tol=1e-13)
@@ -96,7 +98,7 @@ def test_general_error_estimate_is_positive_at_every_resolution():
     for points in (8, 16, 32):
         r = edeg_general(2, 4, quad_points=points)
         assert r.stderr > 0.0
-        assert math.isclose(float(r.value), 1.726231248998883, rel_tol=1e-7)
+        assert math.isclose(float(r.value), EDEG24, rel_tol=1e-7)
 
 
 def test_general_quadrature_makes_two_passes(monkeypatch):

@@ -13,16 +13,16 @@ from grassdeg.geomlin import RngStream, g24_angles_from_heights, small_det
 
 
 def test_stream_is_reproducible():
-    a = RngStream(7, 3).standard_normal(100)
-    b = RngStream(7, 3).standard_normal(100)
+    a = RngStream(7, 3).generator.standard_normal(100)
+    b = RngStream(7, 3).generator.standard_normal(100)
     assert np.array_equal(a, b)
 
 
 def test_substreams_differ_from_parent_and_each_other():
     root = RngStream(7, 0)
-    s0 = root.substream(0).standard_normal(64)
-    s1 = root.substream(1).standard_normal(64)
-    s_root = RngStream(7, 0).standard_normal(64)
+    s0 = root.substream(0).generator.standard_normal(64)
+    s1 = root.substream(1).generator.standard_normal(64)
+    s_root = RngStream(7, 0).generator.standard_normal(64)
     assert not np.array_equal(s0, s1)
     assert not np.array_equal(s0, s_root)
 
@@ -33,7 +33,7 @@ def test_nested_substreams_do_not_collide():
     for i in range(4):
         child = root.substream(i)
         for j in range(4):
-            draw = tuple(child.substream(j).standard_normal(8).tolist())
+            draw = tuple(child.substream(j).generator.standard_normal(8).tolist())
             assert draw not in seen
             seen.add(draw)
 
@@ -65,13 +65,13 @@ def test_adjacent_substreams_look_independent():
     corr = np.corrcoef(u)
     np.fill_diagonal(corr, 0.0)
     assert np.abs(corr).max() < 5.0 / math.sqrt(4096)
-    z = np.concatenate([root.substream(i).standard_normal(4096) for i in range(64)])
+    z = np.concatenate([root.substream(i).generator.standard_normal(4096) for i in range(64)])
     assert kstest(z, "norm").pvalue > 0.01
 
 
 def test_gaussian_matrix_shape_and_determinism():
-    a = RngStream(5, 1).standard_normal((3, 4))
-    b = RngStream(5, 1).standard_normal((3, 4))
+    a = RngStream(5, 1).generator.standard_normal((3, 4))
+    b = RngStream(5, 1).generator.standard_normal((3, 4))
     assert a.shape == (3, 4)
     assert np.array_equal(a, b)
 
@@ -83,8 +83,8 @@ EPS = np.finfo(float).eps
 
 def _structured(rng, n, kind, complex_):
     def draw(shape):
-        z = rng.standard_normal(shape)
-        return z + 1j * rng.standard_normal(shape) if complex_ else z
+        z = rng.generator.standard_normal(shape)
+        return z + 1j * rng.generator.standard_normal(shape) if complex_ else z
 
     if kind == "general":
         return draw((n, n))
@@ -128,7 +128,7 @@ def test_small_det_matches_lapack_within_the_hadamard_bound(n, kind, complex_, s
 
 
 def test_small_det_is_lapack_above_four_and_rejects_non_square():
-    m = RngStream(7, 0).standard_normal((5, 6, 6))
+    m = RngStream(7, 0).generator.standard_normal((5, 6, 6))
     assert np.array_equal(small_det(m), np.linalg.det(m))
     assert np.array_equal(small_det(m[:, :3, :3].copy() * 0.0), np.zeros(5))
     with pytest.raises(ValueError):
@@ -192,7 +192,7 @@ def test_g24_heights_give_the_principal_cos2_angles_flags_and_bins():
     width = math.pi / 2.0 / 30
     stream = RngStream(8, 424)
     for chunk in range(16):
-        g = stream.substream(chunk).standard_normal((2**16, 4, 2))
+        g = stream.substream(chunk).generator.standard_normal((2**16, 4, 2))
         fast = g24_angles_from_heights(_g24_heights(g))
         sv = np.linalg.svd(np.linalg.qr(g)[0][:, :2, :], compute_uv=False)
         slow = np.arccos(np.clip(sv, 0.0, 1.0)).T  # descending: ascending angles
@@ -208,7 +208,7 @@ def test_g24_heights_give_the_principal_cos2_angles_flags_and_bins():
 def test_g24_heights_of_uniform_planes_are_independent_uniforms():
     # Archimedes on each S^2 half: u and v uniform on [-1, 1], and their
     # product has P(|uv| <= t) = t - t log t, which independence gives
-    u, v = _g24_heights(RngStream(9, 424).standard_normal((200_000, 4, 2)))
+    u, v = _g24_heights(RngStream(9, 424).generator.standard_normal((200_000, 4, 2)))
     assert kstest(u, "uniform", args=(-1.0, 2.0)).pvalue > 1e-3
     assert kstest(v, "uniform", args=(-1.0, 2.0)).pvalue > 1e-3
 

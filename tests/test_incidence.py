@@ -30,6 +30,8 @@ from grassdeg.incidence import (
 )
 from grassdeg.mc import CHUNK
 
+from conftest import EDEG24
+
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 
@@ -175,14 +177,14 @@ def test_transversal_count_range():
 
 @given(seeds)
 def test_plucker_of_lands_on_the_quadric(seed):
-    M = RngStream(seed, 0).standard_normal((4, 2))
+    M = RngStream(seed, 0).generator.standard_normal((4, 2))
     line = plucker_of(M)
     p = line.p
     assert abs(p[0] * p[5] - p[1] * p[4] + p[2] * p[3]) < 1e-10
 
 
 def test_plucker_of_depends_only_on_span():
-    M = RngStream(50, 0).standard_normal((4, 2))
+    M = RngStream(50, 0).generator.standard_normal((4, 2))
     G = np.array([[2.0, 1.0], [0.5, 1.5]])  # det > 0
     a = plucker_of(M).p
     b = plucker_of(M @ G).p
@@ -202,8 +204,8 @@ def test_plucker_of_rejects_rank_deficient_basis():
 
 
 def test_pairing_is_symmetric_and_vanishes_on_self():
-    A = RngStream(51, 0).standard_normal((4, 2))
-    B = RngStream(51, 1).standard_normal((4, 2))
+    A = RngStream(51, 0).generator.standard_normal((4, 2))
+    B = RngStream(51, 1).generator.standard_normal((4, 2))
     pa, pb = plucker_of(A), plucker_of(B)
     assert math.isclose(meet_pairing(pa, pb), meet_pairing(pb, pa), rel_tol=1e-14)
     assert abs(meet_pairing(pa, pa)) < 1e-12
@@ -226,8 +228,8 @@ def test_pairing_magnitude_is_product_of_sines(seed):
     # A^T B of two orthonormal bases has the cosines of the principal angles
     # as its singular values
     rng = RngStream(seed, 1)
-    A = np.linalg.qr(rng.standard_normal((4, 2)))[0]
-    B = np.linalg.qr(rng.standard_normal((4, 2)))[0]
+    A = np.linalg.qr(rng.generator.standard_normal((4, 2)))[0]
+    B = np.linalg.qr(rng.generator.standard_normal((4, 2)))[0]
     cosines = np.linalg.svd(A.T @ B, compute_uv=False)
     expect = float(np.prod(np.sqrt(np.clip(1.0 - cosines**2, 0.0, None))))
     got = abs(meet_pairing(plucker_of(A), plucker_of(B)))
@@ -247,8 +249,8 @@ def test_four_lines_of_one_ruling_are_degenerate():
 
 
 def test_repeated_line_is_degenerate():
-    M = RngStream(52, 0).standard_normal((4, 2))
-    others = [RngStream(52, i).standard_normal((4, 2)) for i in (1, 2, 3)]
+    M = RngStream(52, 0).generator.standard_normal((4, 2))
+    others = [RngStream(52, i).generator.standard_normal((4, 2)) for i in (1, 2, 3)]
     lines = [plucker_of(M), plucker_of(M), plucker_of(others[0]),
              plucker_of(others[1])]
     res = transversals_of_four(*lines)
@@ -274,7 +276,7 @@ def test_transversal_count_matches_ruling_scan():
     a_lines = [plucker_of(family_a(1.0, 0.0)),
                plucker_of(family_a(0.0, 1.0)),
                plucker_of(family_a(math.cos(0.9), math.sin(0.9)))]
-    probes = [plucker_of(RngStream(seed, 7).standard_normal((4, 2)))
+    probes = [plucker_of(RngStream(seed, 7).generator.standard_normal((4, 2)))
               for seed in range(120)]
     expect = _ruling_scan_counts([probe.p for probe in probes])
     hits = {0: 0, 2: 0}
@@ -550,10 +552,10 @@ def test_degeneracy_threshold_is_scale_free():
 
 def test_counts_are_rigid_motion_and_relabeling_invariant():
     rng = RngStream(53, 0)
-    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    Q, _ = np.linalg.qr(rng.generator.standard_normal((4, 4)))
     perm = (2, 0, 3, 1)
     for trial in range(60):
-        mats = [RngStream(53, 8 + 4 * trial + i).standard_normal((4, 2))
+        mats = [RngStream(53, 8 + 4 * trial + i).generator.standard_normal((4, 2))
                 for i in range(4)]
         base = transversals_of_four(*[plucker_of(m) for m in mats])
         moved = [plucker_of(Q @ mats[i] @ np.array([[1.3, 0.2], [-0.4, 2.0]]))
@@ -791,7 +793,7 @@ def test_transversal_mc_reproducible_and_anchored():
     b = edeg24_transversal_mc(RngStream(54, 0), 200_000, workers=8)
     assert a == b
     assert a.degenerate_count == 0
-    assert abs(a.value - 1.726231248998883) < 4.0 * a.stderr
+    assert abs(a.value - EDEG24) < 4.0 * a.stderr
     # the mean and standard error of the SVD count's means over the draw
     # and its three sign images, on these draws: 345307/200000
     assert (a.value, a.stderr) == (1.7265350000000002, 0.0008036869405673407)
@@ -799,7 +801,7 @@ def test_transversal_mc_reproducible_and_anchored():
 
 def test_transversal_stderr_is_calibrated():
     # the spread of the estimates over seeds is what their stderr says
-    z = np.array([(est.value - 1.726231248998883) / est.stderr
+    z = np.array([(est.value - EDEG24) / est.stderr
                   for est in (edeg24_transversal_mc(RngStream(69, i), 20_000)
                               for i in range(100))])
     assert 0.8 <= np.std(z, ddof=1) <= 1.2
@@ -901,7 +903,7 @@ def test_rig_sample_is_degenerate_when_its_mirror_is(monkeypatch):
 
 def test_rig_stderr_is_calibrated():
     # the spread of the estimates over seeds is what their stderr says
-    exact = 4.0 * 1.726231248998883
+    exact = 4.0 * EDEG24
     z = np.array([(est.value - exact) / est.stderr
                   for est in (rig_union_of_lines_mc((2, 2, 1, 1), RngStream(75, i), 20_000)
                               for i in range(100))])

@@ -41,7 +41,8 @@ from grassdeg.mc import (
 )
 from grassdeg.zonoid import vol_C_vitale_mc
 
-EDEG24 = 1.7262312489219025  # the k = 2 quadrature's value, used as a loose anchor
+from conftest import EDEG24
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -79,7 +80,7 @@ def test_stats_merge_permutation_independent(xs):
 
 
 def test_stats_variance_matches_numpy():
-    xs = RngStream(1, 0).standard_normal(1000)
+    xs = RngStream(1, 0).generator.standard_normal(1000)
     s = StreamingStats.from_values(xs)
     assert math.isclose(s.variance, float(np.var(xs, ddof=1)), rel_tol=1e-12)
     assert math.isclose(
@@ -414,21 +415,9 @@ def test_lattice_plan_covers_the_samples():
             assert n == min(m for m in sizes if 16 * m >= samples), samples
         else:  # above the table: its largest lattice, more shifts
             assert n == top and shifts == -(-samples // top), samples
-    assert mc._lattice_plan(262_144)[:2] == (16411, 6122)
+    assert mc._lattice_plan(262_144)[:2] == (16411, 5254)
     est = edeg24_integral(mode="mc", rng=RngStream(46, 0), samples=50_000)
     assert est.n_samples == 16 * mc._lattice_plan(50_000)[0] >= 50_000
-
-
-def test_korobov_table_entry_recomputes():
-    # the benchmark's lattice; tools/korobov_table.py --check does them all
-    n, a, stored, _ = next(entry for entry in mc._KOROBOV if entry[0] == 16411)
-    z = np.array([pow(a, d, n) for d in range(4)])
-    x = np.outer(np.arange(n), z) % n / n
-    p2 = np.prod(1.0 + 2.0 * math.pi**2 * (x * x - x + 1.0 / 6.0), axis=1).mean() - 1.0
-    assert abs(p2 - stored) <= 1e-12
-    sizes = [n for n, *_ in mc._KOROBOV]
-    assert len(sizes) == 61 and sizes == sorted(sizes)
-    assert sizes[0] == 37 and sizes[-1] == 1_048_583
 
 
 def _korobov_tool():
@@ -439,19 +428,39 @@ def _korobov_tool():
     return tool
 
 
+def test_korobov_table_entry_recomputes():
+    # N of entry j is the first prime >= 2^(j/4), and a is a unit other than 1
+    tool = _korobov_tool()
+    assert len(mc._KOROBOV) == len(tool.J_RANGE) == 61
+    for j, (n, a, _) in zip(tool.J_RANGE, mc._KOROBOV):
+        assert n == tool.lattice_size(j) and math.gcd(a, n) == 1 and 1 < a < n, j
+    assert mc._KOROBOV[0][0] == 37 and mc._KOROBOV[-1][0] == 1_048_583
+
+
+def test_korobov_table_search_reproduces_the_small_entries():
+    # the whole two-stage search, every multiplier, for N <= 257 (the tool's
+    # --check does the same)
+    tool = _korobov_tool()
+    for j, (n, a, score) in zip(tool.J_RANGE, mc._KOROBOV):
+        if j > tool.CHECK_SEARCH_J:
+            break
+        found_n, found_a, found_score = tool.search(j)
+        assert (found_n, found_a) == (n, a), j
+        assert math.isclose(found_score, score, rel_tol=tool.SCORE_RTOL), j
+
+
 def test_korobov_table_variances_recompute_and_stay_near_one_scale():
     # the stored shift variance V of every lattice up to 2^16 points, on
     # the tool's own shifts (the tool's --check does them all)
     tool = _korobov_tool()
-    for j, (n, a, _, score) in zip(tool.J_RANGE, mc._KOROBOV):
+    for j, (n, a, score) in zip(tool.J_RANGE, mc._KOROBOV):
         if n <= 2**16:
             assert math.isclose(tool.shift_variance(j, n, a), score,
                                 rel_tol=tool.SCORE_RTOL), n
-    # sqrt(V) N drifts from ~0.35 at N = 37 to ~0.05 at 2^20, so no entry
+    # sqrt(V) N drifts from ~0.35 at N = 37 to ~0.04 at 2^20, so no entry
     # is judged against the whole table: none exceeds twice the median of
-    # the entries within four rows of it.  P2's choices did at eleven N,
-    # by up to 4x at N = 1031.
-    scaled = [math.sqrt(score) * n for n, _, _, score in mc._KOROBOV]
+    # the entries within four rows of it.
+    scaled = [math.sqrt(score) * n for n, _, score in mc._KOROBOV]
     for i, value in enumerate(scaled):
         near = scaled[max(0, i - 4):i + 5]
         assert value <= 2.0 * float(np.median(near)), mc._KOROBOV[i][0]
@@ -602,7 +611,7 @@ def test_torus_integral_value_is_pinned():
     delta = RngStream(5, 1).substream(0).generator.random((shifts, 4))
     oracle = _one_shift_means(n, a, delta).mean()
     assert math.isclose(est.value, oracle, rel_tol=1e-14)
-    assert math.isclose(est.value, 1.726229592280538, rel_tol=1e-14)
+    assert math.isclose(est.value, 1.7262306647968788, rel_tol=1e-14)
 
 
 def test_torus_stderr_is_calibrated():

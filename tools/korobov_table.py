@@ -2,24 +2,28 @@
 
 ``grassdeg.mc`` averages the torus integrand over randomly shifted rank-1
 Korobov lattices: point k of N is frac(k z / N) with z = (1, a, a^2, a^3)
-mod N.  The table there holds one (N, a, P2, V) per j = 20, ..., 80:
+mod N.  The table there holds one (N, a, V) per j = 20, ..., 80:
 
 * N is the first prime >= 2^(j/4), so N runs from 37 to 1 048 583;
-* CANDIDATES multipliers are drawn from a fixed seed (every multiplier
-  when there are fewer), and the SHORTLIST of them with the least
-  P2 = mean_k prod_d (1 + 2 pi^2 B2(x_kd)) - 1, B2(x) = x^2 - x + 1/6, are
-  kept.  P2 is the squared worst-case error of the rule over periodic
-  functions whose Fourier coefficients decay as prod_d 1/max(1, |h_d|)^2;
-* a is the one of those with the least V, the sample variance of the
-  torus integrand's means (``mc._lattice_means``) over SCORE_SHIFTS random
-  shifts drawn from SCORE_SEED and j.  The integrand has kinks, so P2
-  ranks its lattices poorly: at N = 8209, sqrt(V) N of the 24 best by P2
-  spans 0.19 to 5.5.
+* the candidates for a are every multiplier in [2, (N - 1)/2] up to
+  j = EXHAUSTIVE_J (N = 32 771), and CANDIDATES multipliers drawn from a
+  fixed seed above it;
+* stage 1 scores every candidate by the sample variance of the torus
+  integrand's shift means (``mc._lattice_means``) over SCREEN_SHIFTS random
+  shifts drawn from SCREEN_SEED and j;
+* stage 2 rescores the FINALISTS best of stage 1 on SCORE_SHIFTS shifts
+  drawn from SCORE_SEED and j, and a is the one with the least of that
+  variance, V.
 
-a and N - a give the same P2 (B2(1 - x) = B2(x)), so only a <= (N - 1)/2
-is searched.  The search takes about eight minutes on two cores; the check
-recomputes every P2 and every V in about 15 s.  Both run the torus
-integrand of this checkout's ``src``; besides that they need numpy only.
+Both stages score the integrand itself, which has kinks: a figure of merit
+for smooth periodic functions ranks its lattices poorly.  At N = 16 411
+sqrt(V) N over all 8 204 multipliers runs from 0.096 to a median of 0.61.
+
+Up to EXHAUSTIVE_J stage 1 costs SCREEN_SHIFTS N^2 / 2 evaluations of the
+integrand.  The search took 36 minutes on two cores, about 14 of them up to
+EXHAUSTIVE_J.  The check recomputes every V, and reruns the whole search
+for j <= 32 (N <= 257), in about 15 s.  Both run the torus integrand of this
+checkout's ``src``; besides that they need numpy only.
 
     python tools/korobov_table.py           # search; rewrite the table in mc.py
     python tools/korobov_table.py --check   # verify the table in mc.py
@@ -40,18 +44,22 @@ sys.path.insert(0, str(SRC))
 from grassdeg import mc  # noqa: E402
 
 J_RANGE = range(20, 81)
+EXHAUSTIVE_J = 60
 CANDIDATES = 512
 SEED = 20250817
-SHORTLIST = 24
+SCREEN_SHIFTS = 8
+SCREEN_SEED = 4_181_503
+FINALISTS = 16
 SCORE_SHIFTS = 64
 SCORE_SEED = 7_364_911
-P2_TOL = 1e-12
+# the check reruns the search up to here
+CHECK_SEARCH_J = 32
 # V recomputes bit for bit on one machine; sin and log may round otherwise
 # on another CPU
 SCORE_RTOL = 1e-9
 WORKERS = os.cpu_count() or 1
 MC_PATH = SRC / "grassdeg" / "mc.py"
-BEGIN = "_KOROBOV = (  # (N, a, P2, shift variance), written by tools/korobov_table.py\n"
+BEGIN = "_KOROBOV = (  # (N, a, shift variance), written by tools/korobov_table.py\n"
 END = ")  # end of the table written by tools/korobov_table.py\n"
 
 
@@ -70,41 +78,37 @@ def lattice_size(j):
     return n
 
 
-def p2(n, a):
-    """P2 of the Korobov lattice (n, a) in four dimensions."""
-    k = np.arange(n, dtype=np.int64)
-    x = k / n
-    weight = 1.0 + 2.0 * math.pi**2 * (x * x - x + 1.0 / 6.0)  # at x = k/n
-    prod = weight.copy()
-    z = 1
-    for _ in range(3):
-        z = z * a % n
-        prod *= weight[k * z % n]
-    return float(prod.mean()) - 1.0
+def candidates(j, n):
+    """The multipliers searched for entry j: all of [2, (N - 1)/2] up to
+    EXHAUSTIVE_J, else CANDIDATES of them from a fixed seed."""
+    half = (n - 1) // 2
+    if j <= EXHAUSTIVE_J:
+        return np.arange(2, half + 1)
+    gen = np.random.default_rng([SEED, j])
+    return np.sort(gen.choice(np.arange(2, half + 1), CANDIDATES, replace=False))
 
 
-def shift_variance(j, n, a):
-    """V of the lattice (n, a) of entry j: the sample variance of the torus
-    integrand's shift means, over the shifts of entry j."""
-    delta = np.random.default_rng([SCORE_SEED, j]).random((SCORE_SHIFTS, 4))
+def variance(n, a, delta):
+    """The sample variance of the torus integrand's means over the shifts
+    ``delta`` of the lattice (n, a)."""
     return float(np.var(mc._lattice_means(n, a, delta, WORKERS), ddof=1))
 
 
+def shift_variance(j, n, a):
+    """V of the lattice (n, a) of entry j: the variance over the
+    SCORE_SHIFTS shifts of entry j."""
+    delta = np.random.default_rng([SCORE_SEED, j]).random((SCORE_SHIFTS, 4))
+    return variance(n, a, delta)
+
+
 def search(j):
-    """(N, a, P2, V) of entry j: of the SHORTLIST best candidates by P2,
-    the one with the least V."""
+    """(N, a, V) of entry j: of the FINALISTS best candidates on the
+    screening shifts, the one with the least V."""
     n = lattice_size(j)
-    half = (n - 1) // 2
-    if half - 1 <= CANDIDATES:
-        candidates = np.arange(2, half + 1)
-    else:
-        gen = np.random.default_rng([SEED, j])
-        candidates = np.sort(gen.choice(np.arange(2, half + 1), CANDIDATES,
-                                        replace=False))
-    shortlist = sorted((p2(n, int(a)), int(a)) for a in candidates)[:SHORTLIST]
-    score, a, value = min((shift_variance(j, n, a), a, value)
-                          for value, a in shortlist)
-    return n, a, value, score
+    screen = np.random.default_rng([SCREEN_SEED, j]).random((SCREEN_SHIFTS, 4))
+    ranked = sorted((variance(n, int(a), screen), int(a)) for a in candidates(j, n))
+    score, a = min((shift_variance(j, n, a), a) for _, a in ranked[:FINALISTS])
+    return n, a, score
 
 
 def read():
@@ -117,8 +121,7 @@ def read():
 def write(entries):
     text = MC_PATH.read_text()
     start, stop = text.index(BEGIN), text.index(END)
-    rows = "".join(f"    ({n}, {a}, {value!r}, {score!r}),\n"
-                   for n, a, value, score in entries)
+    rows = "".join(f"    ({n}, {a}, {score!r}),\n" for n, a, score in entries)
     MC_PATH.write_text(text[:start] + BEGIN + rows + text[stop:])
 
 
@@ -127,15 +130,18 @@ def check(table):
     failures = []
     if len(table) != len(J_RANGE):
         failures.append(f"{len(table)} entries, expected {len(J_RANGE)}")
-    for j, (n, a, stored, score) in zip(J_RANGE, table):
+    for j, (n, a, score) in zip(J_RANGE, table):
         if n != lattice_size(j):
             failures.append(f"j = {j}: N = {n}, expected {lattice_size(j)}")
         if math.gcd(a, n) != 1 or not 1 < a < n:
             failures.append(f"N = {n}: a = {a} is not a unit other than 1")
             continue
-        recomputed = p2(n, a)
-        if abs(recomputed - stored) > P2_TOL:
-            failures.append(f"N = {n}, a = {a}: P2 {recomputed!r}, stored {stored!r}")
+        if j <= CHECK_SEARCH_J:
+            _, found, found_score = search(j)
+            if found != a or not math.isclose(found_score, score, rel_tol=SCORE_RTOL):
+                failures.append(f"N = {n}: the search finds a = {found}, "
+                                f"V {found_score!r}; stored a = {a}, V {score!r}")
+            continue
         recomputed = shift_variance(j, n, a)
         if not math.isclose(recomputed, score, rel_tol=SCORE_RTOL):
             failures.append(f"N = {n}, a = {a}: V {recomputed!r}, stored {score!r}")
@@ -157,9 +163,9 @@ def main(argv=None):
     entries = []
     for j in J_RANGE:
         entries.append(search(j))
-        n, a, value, score = entries[-1]
-        print(f"j = {j}: N = {n}, a = {a}, P2 = {value:.6g}, "
-              f"sqrt(V) N = {math.sqrt(score) * n:.4g}", flush=True)
+        n, a, score = entries[-1]
+        print(f"j = {j}: N = {n}, a = {a}, sqrt(V) N = {math.sqrt(score) * n:.4g}",
+              flush=True)
     write(entries)
     return 0
 
