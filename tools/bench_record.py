@@ -25,7 +25,7 @@ and how many pairs the tree won.  The copies live in a temporary directory
 that is removed afterwards.
 
     python3 tools/bench_record.py --label baseline --workloads integral-mc --seeds 501-510
-    python3 tools/bench_record.py --label baseline --pair HEAD~1 \\
+    python3 tools/bench_record.py --label change --pair HEAD~1 \\
         --workloads integral-mc --seeds 501-510 --seconds 22
 """
 
