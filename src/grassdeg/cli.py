@@ -97,12 +97,10 @@ def _parser():
     p.add_argument("--method", choices=("zonoid_quadrature", "zonoid_vitale"),
                    default="zonoid_quadrature")
     p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--quad-points", type=int, default=32)
 
     p = sub.add_parser("edeg-lines", parents=[common],
                        help="edeg G(2, n+1) by radial quadrature")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--quad-points", type=int, default=32)
 
     p = sub.add_parser("alpha", parents=[common],
                        help="average scaling factor alpha(k,m)")
@@ -126,7 +124,6 @@ def _parser():
     p.add_argument("--method", choices=("quadrature", "vitale"),
                    default="quadrature")
     p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--quad-points", type=int, default=32)
 
     p = sub.add_parser("density-check", parents=[common],
                        help="principal-angle density: normalization and fit")
@@ -172,22 +169,18 @@ def _cmd_edeg(args):
         rng = RngStream(args.seed, 0)
     est = edeg.edeg_general(
         args.k, args.n, method=args.method, rng=rng, samples=args.samples,
-        quad_points=args.quad_points, workers=args.workers,
+        workers=args.workers,
     )
     params = {"k": args.k, "n": args.n, "method": args.method}
     if args.method == "zonoid_vitale":
         params["samples"] = args.samples
-    else:
-        params["quad_points"] = args.quad_points
     return [("edeg", params, est)]
 
 
 def _cmd_edeg_lines(args):
-    est = edeg.edeg_lines_quadrature(args.n, quad_points=args.quad_points)
+    est = edeg.edeg_lines_quadrature(args.n)
     asym = edeg.log_edeg_lines_asymptotic(args.n)
-    return [("edeg-lines",
-             {"n": args.n, "quad_points": args.quad_points,
-              "log_asymptotic": asym}, est)]
+    return [("edeg-lines", {"n": args.n, "log_asymptotic": asym}, est)]
 
 
 def _cmd_alpha(args):
@@ -230,18 +223,15 @@ def _cmd_zonoid_volume(args):
     if args.method == "quadrature":
         if args.k != 2:
             raise ValueError("quadrature volume requires k = 2")
-        volume = zonoid.vol_C_quadrature_log(
-            args.m, zonoid.default_profile(), quad_points=args.quad_points)
-        params["quad_points"] = args.quad_points
-        # the volume underflows long before km is large; report its log
-        return [("zonoid-volume", params,
-                 edeg._on_scale(volume, args.k * args.m))]
-    from .geomlin import RngStream
+        volume = zonoid.vol_C_quadrature_log(args.m, zonoid.default_profile())
+    else:
+        from .geomlin import RngStream
 
-    est = zonoid.vol_C_vitale_mc(args.k, args.m, RngStream(args.seed, 0),
-                                 args.samples, workers=args.workers)
-    params["samples"] = args.samples
-    return [("zonoid-volume", params, est)]
+        volume = zonoid.vol_C_vitale_mc(args.k, args.m, RngStream(args.seed, 0),
+                                        args.samples, workers=args.workers)
+        params["samples"] = args.samples
+    # the volume underflows long before km is large; report its log
+    return [("zonoid-volume", params, edeg._on_scale(volume, args.k * args.m))]
 
 
 def _cmd_density_check(args):

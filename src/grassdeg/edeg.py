@@ -38,9 +38,13 @@ def _on_scale(est, big_n, log_factor=0.0):
 
     ``est.value`` is a LogValue with log-scale stderr or a positive float
     with absolute stderr.  For N > 30 the result is a LogValue with
-    log-scale (relative) stderr, otherwise a float with absolute stderr.
+    log-scale (relative) stderr, otherwise a float with absolute stderr;
+    a float that stays one with no factor is returned as it is, not
+    round-tripped through its log.
     """
     on_log = isinstance(est.value, LogValue)
+    if not on_log and not log_factor and big_n <= _LOG_ONLY_ABOVE:
+        return est
     log_value = log_factor + (
         est.value.log_magnitude if on_log else math.log(est.value)
     )
@@ -57,7 +61,7 @@ def _on_scale(est, big_n, log_factor=0.0):
 # ---------------------------------------------------------------------------
 
 
-def edeg_lines_quadrature(n, quad_points=32):
+def edeg_lines_quadrature(n):
     """edeg G(2, n+1) through the one-dimensional radial integral.
 
     The lines formula is the case k = 2, m = n - 1 of
@@ -66,7 +70,7 @@ def edeg_lines_quadrature(n, quad_points=32):
     """
     if n < 3:
         raise ValueError("n must be >= 3 (the radial weight needs m = n-1 >= 2)")
-    return edeg_general(2, n + 1, quad_points=quad_points)
+    return edeg_general(2, n + 1)
 
 
 def log_edeg_lines_asymptotic(n):
@@ -93,7 +97,6 @@ def edeg_general(
     method="zonoid_quadrature",
     rng=None,
     samples=None,
-    quad_points=32,
     workers=1,
 ):
     """edeg G(k, n) = |G(k,n)| N!/2^N |C(k, n-k)|, N = k(n-k), as an Estimate.
@@ -123,7 +126,7 @@ def edeg_general(
                 f"zonoid_quadrature requires min(k, n-k) = 2, got {kk} (the "
                 "exact radial profile exists only there); use zonoid_vitale"
             )
-        volume = vol_C_quadrature_log(m, default_profile(), quad_points)
+        volume = vol_C_quadrature_log(m, default_profile())
         return _on_scale(volume, big_n, log_fixed)
 
     if method == "zonoid_vitale":

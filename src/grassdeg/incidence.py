@@ -84,6 +84,7 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
+from . import mc
 from .geomlin import half_angle_sin_cos
 from .mc import _integer, _workspace, run_kernel
 
@@ -101,9 +102,6 @@ __all__ = [
 _MINOR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _QUADRIC_TOL = 1e-10
 _DEGENERATE_TOL = 1e-12  # tau of the degeneracy test in the module docstring
-# Working memory of one sub-batch of a rig chunk; see _rig_rows.  Each worker
-# thread holds one, so this sets most of a multi-threaded run's peak memory.
-_RIG_BATCH_BYTES = 8 * 2**20
 
 
 def _quadric(x):
@@ -466,7 +464,7 @@ def _rig_row_doubles(r):
 
 
 def _rig_rows(r):
-    """Most rows of a rig chunk drawn and counted together in _RIG_BATCH_BYTES.
+    """Most rows of a rig chunk drawn and counted together in mc._BATCH_BYTES.
 
     A sub-batch works in one block of ``_rig_row_doubles(r)`` doubles per
     row.  Beside it only the degeneracy flags of the two counts, 2 bytes
@@ -476,7 +474,7 @@ def _rig_rows(r):
     Draws come off the generator in sequence and every sample is counted
     on its own, so the estimate does not depend on the sub-batch size.
     """
-    return max(1, _RIG_BATCH_BYTES // (8 * _rig_row_doubles(r)))
+    return max(1, mc._BATCH_BYTES // (8 * _rig_row_doubles(r)))
 
 
 # Rows of CHUNK-sized arrays that one chunk of the transversal kernel takes
@@ -592,7 +590,7 @@ def rig_union_of_lines_mc(r, rng, samples, workers=1):
     of either configuration marks the whole sample degenerate.
 
     A chunk is drawn and counted in sub-batches of at most ``_rig_rows(r)``
-    rows, so its memory stays near ``_RIG_BATCH_BYTES`` for any r.  Uniform
+    rows, so its memory stays near ``mc._BATCH_BYTES`` for any r.  Uniform
     draws come off the generator in sequence, so the sub-batches see the
     same numbers as one draw of the whole chunk.
     """

@@ -282,8 +282,10 @@ def run_kernel(kernel, rng, samples, workers=1, method="mc"):
 
 # Working memory of one sub-batch of a chunk whose draws grow with their
 # dimensions: rank-one determinants above km = 4 (_vitale_rows), the
-# Gaussian matrices of vitale_check and the Jacobi-model Betas of
-# _jacobi_angles.  Each worker thread holds one.
+# Gaussian matrices of vitale_check, the Jacobi-model Betas of
+# _jacobi_angles and the rig draws and counts (incidence._rig_rows).  Each
+# worker thread holds one, so this sets most of a multi-threaded run's peak
+# memory.
 _BATCH_BYTES = 8 * 2**20
 
 

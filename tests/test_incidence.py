@@ -928,7 +928,7 @@ def test_rig_sub_batches_do_not_change_the_estimate(monkeypatch):
         pairings = sum(a * b for a, b in itertools.combinations(r, 2))
         mirrored = (r[0] + r[1]) * (r[2] + r[3])
         row = 6 * lines + max(6 * lines - 10, pairings + mirrored + 7 * picks)
-        monkeypatch.setattr(incidence, "_RIG_BATCH_BYTES", rows * 8 * row)
+        monkeypatch.setattr(mc, "_BATCH_BYTES", rows * 8 * row)
         assert incidence._rig_rows(r) == rows
         small = rig_union_of_lines_mc(r, RngStream(59, 0), samples)
         assert small == default, r
@@ -944,4 +944,4 @@ def test_rig_chunk_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert est.n_samples == CHUNK
-        assert peak < 1.25 * incidence._RIG_BATCH_BYTES, (r, peak)
+        assert peak < 1.25 * mc._BATCH_BYTES, (r, peak)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -410,9 +411,22 @@ def test_vol_quadrature_matches_the_converged_references(profile2):
     # multiplied by 2m, and the panel-doubling stderr cannot see it
     assert math.isclose(vol_C_quadrature_log(2, profile2).value.log_magnitude,
                         -2.8421314970035, rel_tol=0.0, abs_tol=1e-13)
+    # the integrand's peak narrows like 1/sqrt(m): these stop at 64 and
+    # 128 nodes per panel, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m, reference in ((99_999, -1144758.3453068193),
+                             (999_999, -13750215.695731163)):
+            est = vol_C_quadrature_log(m, profile2)
+            assert est.stderr <= 1e-8, m
+            assert abs(est.value.log_magnitude - reference) <= est.stderr, m
+
+
+def test_vol_quadrature_warns_past_its_last_round(profile2):
+    # at m = 10^9 even 256 nodes per panel leave panel doubling at ~4e-5
     with pytest.warns(UserWarning, match="panel doubling"):
-        est = vol_C_quadrature_log(99_999, profile2)
-    assert abs(est.value.log_magnitude - -1144758.3453068193) <= est.stderr
+        est = vol_C_quadrature_log(10**9, profile2)
+    assert est.stderr > 1e-8
 
 
 def test_vol_quadrature_log_consistency(profile2):
